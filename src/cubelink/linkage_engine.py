@@ -14,10 +14,11 @@ d != 3, and within that budget the solver never fails.  Violations of the
 construction's internal facts raise InvariantError with a replayable
 context; they indicate bugs, not unsolvable inputs.
 
-The dispatch, in order: single pairs go to BFS; d <= 4 goes to the oracle
-search; slack instances (k below the maximum, or a nonempty avoid set)
-project into a facet chosen through a free direction; tight even d splits
-off a facet by Menger routing; tight odd d classifies into one of three
+The dispatch, in order: single pairs go to the engine's A* router (Hamming
+heuristic, see _route); d <= 4 goes to the oracle search; slack instances
+(k below the maximum, or a nonempty avoid set) project into a facet chosen
+through a free direction; tight even d splits off a facet by disjoint-path
+flow routing onto it (_facet_routes); tight odd d classifies into one of three
 scenario constructions (all pairs antipodal / all terminals in one facet /
 the rest).  Each recursion level appends a label to the scenario trace of
 the result, e.g. "Q7:scenario3", so a solve is auditable after the fact.
@@ -28,7 +29,9 @@ level's output against its own sub-instance, not just the final linkage.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Iterable
 
 from . import cube_core
@@ -49,10 +52,8 @@ from .path_oracle import (
     HostGraph,
     InvariantError,
     Pairing,
-    avoid_path,
     decide_linked,
     instance_to_json,
-    menger_disjoint_paths,
     validate_linkage,
 )
 
@@ -167,6 +168,128 @@ def _self_check(d: int, pairs: list, avoid: frozenset, paths: list) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Cube-native routing
+#
+# Both routers work on the implicit cube: neighbours are bit flips and the
+# target facet is a bit test, so no call materialises a vertex set of Q_d.
+# path_oracle keeps its own BFS and max-flow code as independent ground truth.
+
+
+def _route(d: int, s: int, t: int, avoid: set | frozenset) -> list | None:
+    """Shortest s-t path in Q_d minus `avoid`, or None if there is none.
+
+    A* with the Hamming heuristic h(v) = popcount(v ^ t), which is consistent
+    on unit edges, so the first time t is generated its path is shortest.
+    The heap key (g + h, -g, v) breaks ties toward the larger g, which keeps
+    the search on a straight descent when nothing blocks it, then toward the
+    smaller vertex, which makes the result deterministic.
+    """
+    if s in avoid or t in avoid:
+        raise InvariantError("route endpoints lie in the avoid set",
+                             {"d": d, "pair": (s, t), "avoid": sorted(avoid)})
+    if s == t:
+        return [s]
+    parent = {s: None}
+    best = {s: 0}
+    closed = set()
+    heap = [((s ^ t).bit_count(), 0, s)]
+    while heap:
+        _, neg_g, v = heappop(heap)
+        if v in closed:
+            continue
+        closed.add(v)
+        g = 1 - neg_g
+        for c in range(d):
+            u = v ^ (1 << c)
+            if u == t:
+                path = [t, v]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                path.reverse()
+                return path
+            if u in closed or u in avoid or best.get(u, g + 1) <= g:
+                continue
+            best[u] = g
+            parent[u] = v
+            heappush(heap, (g + (u ^ t).bit_count(), -g, u))
+    return None
+
+
+def _facet_routes(d: int, X: list, w: int) -> dict:
+    """Disjoint paths from the terminals X to the facet "bit w == 0".
+
+    Returns {x: path starting at x}.  A terminal already in the facet is its
+    own one-vertex path; every other path meets the facet only at its last
+    vertex, holds no other terminal, and shares no vertex with the rest.
+    Fewer paths than terminals come back only when no full routing exists.
+
+    Unit-capacity max-flow on the vertex-split cube, grown by shortest
+    augmenting paths.  Node 2v is v's entry and 2v + 1 its exit; a facet
+    entry drains to the sink, and an exit leads to the entries of its
+    non-terminal neighbours in ascending order.
+    """
+    source, sink = -1, -2
+    terminals = frozenset(X)
+    sources = sorted(x for x in X if x >> w & 1)
+    routes = {x: [x] for x in X if not x >> w & 1}
+
+    def successors(node: int) -> list:
+        if node == source:
+            return [2 * a for a in sources]
+        v = node >> 1
+        if not node & 1:
+            return [sink] if not v >> w & 1 else [node + 1]
+        return [2 * u for u in sorted(v ^ (1 << c) for c in range(d))
+                if u not in terminals]
+
+    flow: set = set()  # saturated arcs; every capacity is one
+    into: dict = {}    # node -> the node whose saturated arc enters it
+    for _ in sources:
+        parent = {source: None}
+        queue = deque([source])
+        while queue and sink not in parent:
+            node = queue.popleft()
+            for succ in successors(node):
+                if succ not in parent and (node, succ) not in flow:
+                    parent[succ] = (node, True)
+                    if succ == sink:
+                        break
+                    queue.append(succ)
+            else:
+                pred = into.get(node)
+                if pred is not None and pred not in parent:
+                    parent[pred] = (node, False)
+                    queue.append(pred)
+        if sink not in parent:
+            break
+        node = sink
+        while parent[node] is not None:
+            prev, forward = parent[node]
+            if forward:
+                flow.add((prev, node))
+                into[node] = prev
+            else:  # cancel the saturated arc node -> prev
+                flow.remove((node, prev))
+                del into[prev]
+            node = prev
+
+    for a in sources:
+        if (source, 2 * a) not in flow:
+            continue
+        path = [a]
+        node = 2 * a
+        while node != sink:
+            node = next((n for n in successors(node) if (node, n) in flow), None)
+            if node is None:
+                raise InvariantError("facet flow decomposition ran out of arcs",
+                                     {"d": d, "terminals": X, "path": path})
+            if node != sink and not node & 1:
+                path.append(node >> 1)
+        routes[a] = path
+    return routes
+
+
+# ---------------------------------------------------------------------------
 # The uniform internal solver
 
 
@@ -178,10 +301,10 @@ def _solve(d: int, pairs: list, avoid: frozenset, trace: list) -> list:
     if k == 1:
         trace.append(f"Q{d}:trivial_pair")
         s, t = pairs[0]
-        path = avoid_path(CubeGraph(d), s, t, avoid)
+        path = _route(d, s, t, avoid)
         if path is None:
             # |avoid| <= d-1 < connectivity, so this cannot happen.
-            raise InvariantError("BFS failed under the connectivity budget",
+            raise InvariantError("routing failed under the connectivity budget",
                                  {"d": d, "pair": pairs[0], "avoid": sorted(avoid)})
         paths = [path]
     elif d <= 4:
@@ -281,17 +404,13 @@ def even_reduction(d: int, Y: Pairing) -> list:
 def _even_reduction(d: int, pairs: list, trace: list) -> list:
     trace.append(f"Q{d}:even_menger")
     w = d - 1
-    F = facet(w, 0)
     X = _terminals(pairs)
-    res = menger_disjoint_paths(
-        CubeGraph(d), X, frozenset(face_vertices(d, F)), len(X), strict=True
-    )
-    if not res.complete:
+    stub = _facet_routes(d, X, w)
+    if len(stub) < len(X):
         raise InvariantError(
             "facet routing found fewer paths than the connectivity guarantees",
-            {"d": d, "pairs": pairs, "found": res.flow},
+            {"d": d, "pairs": pairs, "found": len(stub)},
         )
-    stub = {p[0]: p for p in res.paths}
     sub_pairs = [
         (delete_coordinate(stub[s][-1], w), delete_coordinate(stub[t][-1], w))
         for s, t in pairs
@@ -386,11 +505,10 @@ def short_distance_pair(d: int, F: Face, Y: Pairing) -> tuple[int, list]:
     for x in X:
         if not F.contains(x):
             raise ValueError(f"terminal {x} lies outside the facet")
-    G = CubeGraph(sub_d)
     reduced = [(delete_coordinate(s, c), delete_coordinate(t, c)) for s, t in Y.pairs]
     others = set(delete_coordinate(x, c) for x in X)
     for i, (s, t) in enumerate(reduced):
-        path = avoid_path(G, s, t, others - {s, t})
+        path = _route(sub_d, s, t, others - {s, t})
         if path is not None:
             return i, _lift(path, c, value)
     raise InvariantError("every pair is blocked inside the facet",
@@ -616,8 +734,8 @@ def _scenario3(d: int, pairs: list, trace: list) -> list:
     if len(S) > d - 1:
         raise InvariantError("avoid set for the special pair is too large",
                              {"S": sorted(S), "d": d})
-    L1 = avoid_path(
-        CubeGraph(d - 1),
+    L1 = _route(
+        d - 1,
         delete_coordinate(s1, agree),
         delete_coordinate(t1, agree),
         {delete_coordinate(v, agree) for v in S},
@@ -704,9 +822,9 @@ def _strong(d: int, pairs: list, x: int, trace: list) -> list:
     k = len(pairs)
     if k == 1:
         trace.append(f"Q{d}:trivial_pair")
-        path = avoid_path(CubeGraph(d), pairs[0][0], pairs[0][1], {x})
+        path = _route(d, pairs[0][0], pairs[0][1], {x})
         if path is None:
-            raise InvariantError("single-pair BFS failed with one forbidden vertex",
+            raise InvariantError("single-pair routing failed with one forbidden vertex",
                                  {"d": d, "pair": pairs[0], "x": x})
         return [path]
     if d % 2:
@@ -775,9 +893,9 @@ def _link(D: int, v: int, pairs: list, trace: list) -> list:
     k = len(pairs)
     if k == 1:
         trace.append(f"Q{D}:link_bfs")
-        path = avoid_path(CubeGraph(D), pairs[0][0], pairs[0][1], {v, vo})
+        path = _route(D, pairs[0][0], pairs[0][1], {v, vo})
         if path is None:
-            raise InvariantError("link BFS failed with two forbidden vertices",
+            raise InvariantError("link routing failed with two forbidden vertices",
                                  {"D": D, "pair": pairs[0]})
         return [path]
     if D == 5:
@@ -829,9 +947,9 @@ def _link_one_side(D: int, v: int, vo: int, pairs: list, w: int, trace: list) ->
     if p1 == bad_B_red or p2 == bad_B_red:
         raise InvariantError("detour endpoints collide with the opposite removed vertex",
                              {"w1": w1, "w2": w2})
-    M = avoid_path(CubeGraph(D - 1), p1, p2, {bad_B_red})
+    M = _route(D - 1, p1, p2, {bad_B_red})
     if M is None:
-        raise InvariantError("detour BFS failed in the opposite facet",
+        raise InvariantError("detour routing failed in the opposite facet",
                              {"D": D, "from": w1, "to": w2})
     out[i] = path[:j] + _lift(M, w, B_side) + path[j + 1:]
     return out
@@ -870,27 +988,27 @@ def _link_two_sides(D: int, v: int, vo: int, pairs: list, w: int, trace: list) -
     S = {bad_tail} | (set(tail_terms) - {t1})
     if pw == s1:
         # The guide path is a single edge out of s1; route directly.
-        tail = avoid_path(
-            CubeGraph(tail_d),
+        tail = _route(
+            tail_d,
             delete_coordinate(s1, w),
             delete_coordinate(t1, w),
             {delete_coordinate(u, w) for u in S if u != s1},
         )
         if tail is None:
-            raise InvariantError("direct tail BFS failed", {"pair": (s1, t1)})
+            raise InvariantError("direct tail routing failed", {"pair": (s1, t1)})
         L1 = _lift(tail, w, tail_side)
     else:
         if pw in S:
             raise InvariantError("tail entry vertex is blocked",
                                  {"entry": pw, "S": sorted(S)})
-        tail = avoid_path(
-            CubeGraph(tail_d),
+        tail = _route(
+            tail_d,
             delete_coordinate(pw, w),
             delete_coordinate(t1, w),
             {delete_coordinate(u, w) for u in S},
         )
         if tail is None:
-            raise InvariantError("tail BFS failed in the opposite facet",
+            raise InvariantError("tail routing failed in the opposite facet",
                                  {"pair": (s1, t1), "S": sorted(S)})
         L1 = M1[:-1] + _lift(tail, w, tail_side)
         if not SF.contains(s1):

@@ -3,8 +3,16 @@
 Everything here is ground truth: a max-flow router for setwise disjoint
 paths, an exhaustive backtracking decision for pairing linkages, BFS path
 search under avoid sets, separator structure checks, and the linkage
-validator.  The constructive engine never shares code with these beyond the
-cube adjacency model, so an engine bug cannot hide behind an oracle bug.
+validator.  The constructive engine does its own path search and facet
+routing (linkage_engine._route and _facet_routes), so an engine routing bug
+cannot hide behind an oracle bug.  Its declared shared points with this
+module are:
+
+  * decide_linked, which is the engine's exact base case (the Q4 base and
+    the Q5:link_base branch);
+  * validate_linkage, which checks every recursion level under SELF_CHECK;
+  * the Pairing, HostGraph and InvariantError types, LINKED, and
+    instance_to_json for error contexts.
 
 Hosts are either a ``cube_core.CubeGraph`` (a cube, possibly with removed
 vertices) or a ``FixtureGraph`` (explicit adjacency lists, string vertex

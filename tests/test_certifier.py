@@ -237,6 +237,19 @@ class TestCertify:
                                        samples=40, solver=ENGINE, strong=True))
         assert rep.ok
 
+    @pytest.mark.parametrize("host,k,strong", [
+        ("cube:16", 8, False),
+        ("cube:20", 10, False),
+        ("cube:20", 10, True),
+        ("link:20", 10, False),
+    ])
+    def test_engine_sampled_high_dimension(self, host, k, strong):
+        # Tight instances up to MAX_DIM, every recursion level self-checked.
+        rep = certify(CertificationJob(host=host, k=k, mode=SAMPLED, samples=50,
+                                       solver=ENGINE, strong=strong))
+        assert rep.instances == rep.successes == 50
+        assert not rep.failures and rep.ok
+
 
 class TestJobValidation:
     def test_engine_rejects_fixture(self):

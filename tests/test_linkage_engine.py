@@ -3,10 +3,18 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubelink.cube_core import CubeGraph, facet, link_graph, opposite
-from cubelink.path_oracle import Pairing, validate_linkage
+import cubelink.linkage_engine as linkage_engine
+from cubelink.cube_core import CubeGraph, face_vertices, facet, link_graph, opposite
+from cubelink.path_oracle import (
+    Pairing,
+    avoid_path,
+    menger_disjoint_paths,
+    validate_linkage,
+)
 from cubelink.linkage_engine import (
     UnsupportedInstanceError,
+    _facet_routes,
+    _route,
     base_solve,
     detect_config_3F,
     scenario3_context,
@@ -329,6 +337,66 @@ class TestEngineProperties:
         Y = Pairing(tuple((picks[2 * i], picks[2 * i + 1]) for i in range(k)))
         res = check(solve_strong(d, Y, x))
         assert all(x not in p for p in res.linkage)
+
+
+class TestRouting:
+    """The engine's own routers agree with the oracle's BFS and max-flow."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_route_matches_oracle_bfs(self, data):
+        d = data.draw(st.integers(2, 10))
+        s, t = data.draw(st.lists(st.integers(0, (1 << d) - 1),
+                                  min_size=2, max_size=2, unique=True))
+        # up to twice the d - 1 connectivity budget, so disconnections occur
+        avoid = data.draw(st.sets(
+            st.integers(0, (1 << d) - 1).filter(lambda v: v not in (s, t)),
+            max_size=2 * d))
+        mine = _route(d, s, t, avoid)
+        theirs = avoid_path(CubeGraph(d), s, t, avoid)
+        assert (mine is None) == (theirs is None)
+        if len(avoid) <= d - 1:
+            assert mine is not None
+        if mine is not None:
+            assert len(mine) == len(theirs)
+            host = CubeGraph(d, frozenset(avoid))
+            assert validate_linkage(host, Pairing(((s, t),)), [mine]).ok
+            assert mine[0] == s and mine[-1] == t
+
+    def test_route_trivial_and_blocked(self):
+        assert _route(4, 5, 5, set()) == [5]
+        assert _route(3, 0, 3, {1, 2}) == [0, 4, 5, 7, 3]
+        assert _route(3, 0, 7, {1, 2, 4}) is None
+        assert _route(3, 0, 7, set()) == [0, 1, 3, 7]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_facet_routes_match_oracle_flow(self, data):
+        d = data.draw(st.integers(4, 10))
+        w = data.draw(st.integers(0, d - 1))
+        X = data.draw(st.lists(st.integers(0, (1 << d) - 1),
+                               min_size=1, max_size=d + 2, unique=True))
+        routes = _facet_routes(d, X, w)
+        sink = frozenset(face_vertices(d, facet(w, 0)))
+        ref = menger_disjoint_paths(CubeGraph(d), X, sink, len(X), strict=True)
+        assert len(routes) == ref.flow
+        terminals = set(X)
+        placed: set = set()
+        for x, path in routes.items():
+            assert path[0] == x
+            assert [v for v in path if v in sink] == [path[-1]]
+            assert not terminals & set(path[1:])
+            if len(path) > 1:
+                assert validate_linkage(CubeGraph(d), Pairing(((x, path[-1]),)),
+                                        [path]).ok
+            assert not placed & set(path)
+            placed |= set(path)
+
+    def test_engine_owns_its_routing(self):
+        # path_oracle stays independent ground truth: the engine keeps only
+        # the declared shared points (decide_linked, validate_linkage).
+        assert not hasattr(linkage_engine, "avoid_path")
+        assert not hasattr(linkage_engine, "menger_disjoint_paths")
 
 
 def test_solve_result_json_shape():
