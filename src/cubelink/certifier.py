@@ -397,7 +397,9 @@ def _instances(job: CertificationJob) -> Iterator[Instance]:
     return sample_instances(job.host, job.k, job.samples, job.seed, strong=job.strong)
 
 
-def _engine_solve(inst: Instance):
+def engine_solve(inst: Instance):
+    """Solve one sampled or enumerated instance with the engine entry point
+    its kind calls for."""
     if inst.kind == "plain":
         return solve_linkage(inst.d, inst.pairing)
     if inst.kind == "strong":
@@ -410,7 +412,7 @@ def _run_one(inst: Instance, job: CertificationJob, report: CertificationReport)
     host = inst.host_graph()
     if job.solver in (ENGINE, BOTH):
         try:
-            result = _engine_solve(inst)
+            result = engine_solve(inst)
         except (InvariantError, UnsupportedInstanceError, ValueError) as exc:
             row = inst.to_json()
             row["reason"] = f"engine: {exc}"

@@ -38,6 +38,7 @@ from .certifier import (
     SUITE_NAMES,
     CertificationJob,
     certify,
+    engine_solve,
     parse_host_spec,
     property_suite,
     sample_instances,
@@ -49,7 +50,6 @@ from .linkage_engine import (
     detect_config_3F,
     solve_avoiding,
     solve_link,
-    solve_linkage,
     solve_strong,
 )
 from .path_oracle import (
@@ -317,14 +317,6 @@ def _cmd_suite(args) -> int:
     return 0 if report.ok else 1
 
 
-def _bench_solve(inst):
-    if inst.kind == "strong":
-        return solve_strong(inst.d, inst.pairing, inst.forbidden)
-    if inst.kind == "link":
-        return solve_link(inst.d, inst.apex, inst.pairing)
-    return solve_linkage(inst.d, inst.pairing)
-
-
 def _percentile(sorted_times: list, q: float) -> float:
     idx = round(q * (len(sorted_times) - 1))
     return sorted_times[idx]
@@ -339,7 +331,7 @@ def _cmd_bench(args) -> int:
     for inst in sample_instances(args.host, args.k, args.samples, args.seed,
                                  strong=args.strong):
         t0 = time.perf_counter()
-        _bench_solve(inst)
+        engine_solve(inst)
         times.append(time.perf_counter() - t0)
     total = time.perf_counter() - start
     times.sort()

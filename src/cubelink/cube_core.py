@@ -69,7 +69,7 @@ def opposite(d: int, v: int) -> int:
 def parse_vertex(d: int, s: str) -> int:
     """Parse a binary string, most significant coordinate first."""
     check_dim(d)
-    if len(s) != d or any(c not in "01" for c in s):
+    if not isinstance(s, str) or len(s) != d or any(c not in "01" for c in s):
         raise ValueError(f"vertex string {s!r} is not a {d}-bit binary word")
     return int(s, 2)
 

@@ -14,6 +14,12 @@ d != 3, and within that budget the solver never fails.  Violations of the
 construction's internal facts raise InvariantError with a replayable
 context; they indicate bugs, not unsolvable inputs.
 
+The variants are avoid-set instances of that contract.  A strong solve is
+solve_avoiding(d, Y, {x}): k <= d//2 gives 2k + 1 <= d + 1.  A link solve is
+solve_avoiding(D, Y, {v, opposite(v)}) whenever 2k + 2 <= D + 1; only the
+tight even case k = D/2 falls outside it and keeps its own construction
+(_link_one_side / _link_two_sides).
+
 The dispatch, in order: single pairs go to the engine's A* router (Hamming
 heuristic, see _route); d <= 4 goes to the oracle search; slack instances
 (k below the maximum, or a nonempty avoid set) project into a facet chosen
@@ -133,6 +139,20 @@ def _lift(path: Iterable[int], c: int, value: int) -> list:
 
 def _terminals(pairs: list) -> list:
     return [v for p in pairs for v in p]
+
+
+def _lift_attached(pairs: list, sub_paths: list, w: int, side: int) -> list:
+    """Lift sub-paths solved in the facet "bit w == side" back into the cube,
+    then attach each terminal lying off that facet by its one edge in."""
+    out = []
+    for (s, t), sub in zip(pairs, sub_paths):
+        path = _lift(sub, w, side)
+        if _bit(s, w) != side:
+            path = [s] + path
+        if _bit(t, w) != side:
+            path = path + [t]
+        out.append(path)
+    return out
 
 
 def _solve_contract_check(d: int, pairs: list, avoid: frozenset) -> None:
@@ -378,27 +398,11 @@ def _projection(d: int, pairs: list, avoid: frozenset, trace: list) -> list:
     sub_pairs = [(_push(s, F, w), _push(t, F, w)) for s, t in pairs]
     sub_avoid = frozenset(delete_coordinate(a, w) for a in rest if F.contains(a))
     sub_paths = _solve(d - 1, sub_pairs, sub_avoid, trace)
-    out = []
-    for (s, t), sub in zip(pairs, sub_paths):
-        path = _lift(sub, w, side)
-        if not F.contains(s):
-            path = [s] + path
-        if not F.contains(t):
-            path = path + [t]
-        out.append(path)
-    return out
+    return _lift_attached(pairs, sub_paths, w, side)
 
 
 # ---------------------------------------------------------------------------
 # Tight even dimension: route terminals onto a facet, solve inside
-
-
-def even_reduction(d: int, Y: Pairing) -> list:
-    if d < 6 or d % 2:
-        raise ValueError("even_reduction needs even dimension at least six")
-    if Y.k != d // 2:
-        raise ValueError(f"even_reduction needs exactly {d // 2} pairs in Q{d}")
-    return _even_reduction(d, list(Y.pairs), [])
 
 
 def _even_reduction(d: int, pairs: list, trace: list) -> list:
@@ -427,18 +431,6 @@ def _even_reduction(d: int, pairs: list, trace: list) -> list:
 
 # ---------------------------------------------------------------------------
 # Scenario 1: every pair antipodal
-
-
-def scenario1(d: int, Y: Pairing) -> list:
-    if d < 5 or d % 2 == 0:
-        raise ValueError("scenario1 needs odd dimension at least five")
-    if Y.k != (d + 1) // 2:
-        raise ValueError(f"scenario1 needs exactly {(d + 1) // 2} pairs in Q{d}")
-    full = (1 << d) - 1
-    for s, t in Y.pairs:
-        if s ^ t != full:
-            raise ValueError(f"pair ({s}, {t}) is not antipodal in Q{d}")
-    return _scenario1(d, list(Y.pairs), [])
 
 
 def _scenario1(d: int, pairs: list, trace: list) -> list:
@@ -513,19 +505,6 @@ def short_distance_pair(d: int, F: Face, Y: Pairing) -> tuple[int, list]:
             return i, _lift(path, c, value)
     raise InvariantError("every pair is blocked inside the facet",
                          {"d": d, "pairs": list(Y.pairs)})
-
-
-def scenario2(d: int, Y: Pairing, F: Face) -> list:
-    if d < 5 or d % 2 == 0:
-        raise ValueError("scenario2 needs odd dimension at least five")
-    if Y.k != (d + 1) // 2:
-        raise ValueError(f"scenario2 needs exactly {(d + 1) // 2} pairs in Q{d}")
-    if not F.is_facet():
-        raise ValueError("scenario2 needs a facet")
-    for x in Y.terminals:
-        if not F.contains(x):
-            raise ValueError(f"terminal {x} lies outside the facet")
-    return _scenario2(d, list(Y.pairs), F, [])
 
 
 def _scenario2(d: int, pairs: list, F: Face, trace: list) -> list:
@@ -632,19 +611,6 @@ def build_omega(ctx: ScenarioContext) -> dict:
                                  {"x": x, "omega_x": wx, "clash": sorted(clash)})
     ctx.omega = omega
     return omega
-
-
-def scenario3(d: int, Y: Pairing) -> list:
-    if d < 5 or d % 2 == 0:
-        raise ValueError("scenario3 needs odd dimension at least five")
-    if Y.k != (d + 1) // 2:
-        raise ValueError(f"scenario3 needs exactly {(d + 1) // 2} pairs in Q{d}")
-    full = (1 << d) - 1
-    if all(s ^ t == full for s, t in Y.pairs):
-        raise ValueError("all pairs antipodal: that is the scenario1 case")
-    if _common_facet(d, list(Y.terminals)) is not None:
-        raise ValueError("all terminals share a facet: that is the scenario2 case")
-    return _scenario3(d, list(Y.pairs), [])
 
 
 def scenario3_context(d: int, Y: Pairing) -> ScenarioContext:
@@ -806,59 +772,16 @@ def solve_strong(d: int, Y: Pairing, x: int) -> SolveResult:
         raise ValueError(f"strong linkage in Q{d} supports at most {d // 2} pairs")
     if x in Y.terminals:
         raise ValueError(f"forbidden vertex {x} is a terminal")
-    trace: list = []
-    paths = _strong(d, list(Y.pairs), x, trace)
-    host = CubeGraph(d, frozenset({x}))
-    result = SolveResult(host, Y, paths, tuple(trace))
-    if SELF_CHECK:
-        report = validate_linkage(host, Y, paths)
-        if not report:
-            raise InvariantError("self-check: strong linkage invalid",
-                                 {"clause": report.clause, "message": report.message})
-    return result
-
-
-def _strong(d: int, pairs: list, x: int, trace: list) -> list:
-    k = len(pairs)
-    if k == 1:
-        trace.append(f"Q{d}:trivial_pair")
-        path = _route(d, pairs[0][0], pairs[0][1], {x})
-        if path is None:
-            raise InvariantError("single-pair routing failed with one forbidden vertex",
-                                 {"d": d, "pair": pairs[0], "x": x})
-        return [path]
-    if d % 2:
-        # Odd dimension leaves budget for one extra pair; a path through x
-        # claimed by that pair keeps x off everyone else's path.
-        trace.append(f"Q{d}:strong_extra_pair")
-        taken = set(_terminals(pairs)) | {x}
-        y = next(v for v in range(1 << d) if v not in taken)
-        sub = _solve(d, pairs + [(x, y)], frozenset(), trace)
-        return sub[:-1]
-    if d == 4:
-        return _solve(d, pairs, frozenset({x}), trace)
-    trace.append(f"Q{d}:strong_projection")
-    X = set(_terminals(pairs))
-    w = free_direction(d, X)
-    F = facet(w, 1 - _bit(x, w))  # solve on the side away from x
-    sub_pairs = [(_push(s, F, w), _push(t, F, w)) for s, t in pairs]
-    sub_paths = _solve(d - 1, sub_pairs, frozenset(), trace)
-    out = []
-    for (s, t), sub in zip(pairs, sub_paths):
-        path = _lift(sub, w, 1 - _bit(x, w))
-        if not F.contains(s):
-            path = [s] + path
-        if not F.contains(t):
-            path = path + [t]
-        out.append(path)
-    return out
+    return solve_avoiding(d, Y, {x})
 
 
 def solve_link(d_plus_1: int, v: int, Y: Pairing) -> SolveResult:
     """A Y-linkage in Q_{d+1} minus {v, opposite(v)}: the link of v.
 
     Requires d := d_plus_1 - 1 >= 2 and d != 3, with k <= (d+1)//2 pairs
-    whose terminals avoid both removed vertices.
+    whose terminals avoid both removed vertices.  When 2k + 2 <= d_plus_1 + 1
+    this is solve_avoiding on the two removed vertices; only the tight even
+    case k = d_plus_1 / 2 needs the link construction.
     """
     cube_core.check_dim(d_plus_1)
     d = d_plus_1 - 1
@@ -876,45 +799,18 @@ def solve_link(d_plus_1: int, v: int, Y: Pairing) -> SolveResult:
         raise ValueError(
             f"the link of a vertex in Q{d_plus_1} supports at most {(d + 1) // 2} pairs"
         )
-    trace: list = []
-    paths = _link(d_plus_1, v, list(Y.pairs), trace)
-    host = link_graph(d_plus_1, v)
-    result = SolveResult(host, Y, paths, tuple(trace))
-    if SELF_CHECK:
-        report = validate_linkage(host, Y, paths)
-        if not report:
-            raise InvariantError("self-check: link linkage invalid",
-                                 {"clause": report.clause, "message": report.message})
-    return result
-
-
-def _link(D: int, v: int, pairs: list, trace: list) -> list:
-    vo = opposite(D, v)
-    k = len(pairs)
-    if k == 1:
-        trace.append(f"Q{D}:link_bfs")
-        path = _route(D, pairs[0][0], pairs[0][1], {v, vo})
-        if path is None:
-            raise InvariantError("link routing failed with two forbidden vertices",
-                                 {"D": D, "pair": pairs[0]})
-        return [path]
-    if D == 5:
-        # 30-vertex host, at most two pairs: the exact search settles it.
-        trace.append("Q5:link_base")
-        outcome = decide_linked(link_graph(5, v), Pairing(tuple(pairs)))
-        if outcome.status != LINKED:
-            raise InvariantError(
-                f"exact search reported {outcome.status} on a guaranteed link instance",
-                instance_to_json(link_graph(5, v), Pairing(tuple(pairs))),
-            )
-        return [_oriented(p, s, t) for p, (s, t) in zip(outcome.linkage, pairs)]
+    if 2 * Y.k + 2 <= d_plus_1 + 1:
+        return solve_avoiding(d_plus_1, Y, {v, vo})
+    pairs = list(Y.pairs)
     X = _terminals(pairs)
-    w = free_direction(D, set(X))
-    side_v = _bit(v, w)
-    in_v_side = [x for x in X if _bit(x, w) == side_v]
-    if not in_v_side or len(in_v_side) == len(X):
-        return _link_one_side(D, v, vo, pairs, w, trace)
-    return _link_two_sides(D, v, vo, pairs, w, trace)
+    w = free_direction(d_plus_1, set(X))
+    on_v_side = sum(1 for x in X if _bit(x, w) == _bit(v, w))
+    construct = _link_one_side if on_v_side in (0, len(X)) else _link_two_sides
+    trace: list = []
+    paths = construct(d_plus_1, v, vo, pairs, w, trace)
+    if SELF_CHECK:
+        _self_check(d_plus_1, pairs, frozenset({v, vo}), paths)
+    return SolveResult(link_graph(d_plus_1, v), Y, paths, tuple(trace))
 
 
 def _link_one_side(D: int, v: int, vo: int, pairs: list, w: int, trace: list) -> list:
@@ -1013,15 +909,9 @@ def _link_two_sides(D: int, v: int, vo: int, pairs: list, w: int, trace: list) -
         L1 = M1[:-1] + _lift(tail, w, tail_side)
         if not SF.contains(s1):
             L1 = [s1] + L1
-    out: dict = {j1: _oriented(L1, *pairs[j1])}
-    for slot, i in enumerate(others):
-        s, t = pairs[i]
-        path = _lift(sub_paths[slot + 1], w, solve_side)
-        if not SF.contains(s):
-            path = [s] + path
-        if not SF.contains(t):
-            path = path + [t]
-        out[i] = path
+    out = dict(zip(others, _lift_attached([pairs[i] for i in others],
+                                          sub_paths[1:], w, solve_side)))
+    out[j1] = _oriented(L1, *pairs[j1])
     return [out[i] for i in range(len(pairs))]
 
 

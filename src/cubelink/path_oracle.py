@@ -8,8 +8,7 @@ routing (linkage_engine._route and _facet_routes), so an engine routing bug
 cannot hide behind an oracle bug.  Its declared shared points with this
 module are:
 
-  * decide_linked, which is the engine's exact base case (the Q4 base and
-    the Q5:link_base branch);
+  * decide_linked, which is the engine's exact base case (the Q4 base);
   * validate_linkage, which checks every recursion level under SELF_CHECK;
   * the Pairing, HostGraph and InvariantError types, LINKED, and
     instance_to_json for error contexts.
@@ -192,6 +191,8 @@ def host_from_json(obj: dict) -> HostGraph:
         raise ValueError("host object must be a dict with a 'type' field")
     if obj["type"] == "cube":
         d = obj.get("d")
+        if not isinstance(d, int) or isinstance(d, bool):
+            raise ValueError(f"cube host dimension must be an integer, got {d!r}")
         cube_core.check_dim(d)
         forbidden = frozenset(
             cube_core.parse_vertex(d, s) for s in obj.get("forbidden", [])

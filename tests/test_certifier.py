@@ -242,9 +242,13 @@ class TestCertify:
         ("cube:20", 10, False),
         ("cube:20", 10, True),
         ("link:20", 10, False),
+        ("cube:19", 9, True),
+        ("link:19", 9, False),
     ])
     def test_engine_sampled_high_dimension(self, host, k, strong):
         # Tight instances up to MAX_DIM, every recursion level self-checked.
+        # The odd-dimension strong and link hosts run through the avoid-set
+        # projection.
         rep = certify(CertificationJob(host=host, k=k, mode=SAMPLED, samples=50,
                                        solver=ENGINE, strong=strong))
         assert rep.instances == rep.successes == 50

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cubelink
 from cubelink import cli
 from cubelink.path_oracle import InvariantError
 
@@ -78,7 +82,8 @@ class TestStrongAndLink:
             "--pairs", "00000:11111,00011:11100", "--avoid", "00111")
         assert code == 0
         assert obj["host"]["forbidden"] == ["00111"]
-        assert obj["scenario_trace"][0].startswith("Q5:strong")
+        assert obj["scenario_trace"] == ["Q5:projection", "Q4:base"]
+        assert all("00111" not in p for p in obj["paths"])
 
     def test_strong_solve_requires_one_avoid(self, capsys):
         code, _, err = invoke(capsys, "strong-solve", "--dim", "5",
@@ -278,3 +283,26 @@ class TestFailureHandling:
     def test_missing_file(self, capsys):
         code, _, err = invoke(capsys, "verify", "/nonexistent/file.json")
         assert code == 2
+
+    @pytest.mark.parametrize("command, payload", [
+        ("solve", {"host": {"type": "cube", "d": "5"},
+                   "pairs": [["00000", "11111"]]}),
+        ("solve", {"host": {"type": "cube", "d": 5}, "pairs": [[0, 31]]}),
+        ("solve", {"host": {"type": "cube", "d": 5, "forbidden": [7]},
+                   "pairs": [["00000", "11111"]]}),
+        ("verify", {"host": {"type": "cube", "d": "3"},
+                    "pairs": [["000", "011"]], "paths": [["000", "001", "011"]]}),
+        ("verify", {"host": {"type": "cube", "d": 3},
+                    "pairs": [["000", "011"]], "paths": [[0, 1, 3]]}),
+    ], ids=["solve-str-dim", "solve-int-vertices", "solve-int-forbidden",
+            "verify-str-dim", "verify-int-path"])
+    def test_mistyped_json_is_a_usage_error(self, command, payload):
+        src = os.path.dirname(os.path.dirname(cubelink.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cubelink", command, "-"],
+            input=json.dumps(payload), capture_output=True, text=True,
+            env=env, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")

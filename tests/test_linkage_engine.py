@@ -210,9 +210,9 @@ class TestScenario3Context:
 
 
 class TestStrong:
-    def test_extra_pair_route(self):
+    def test_odd_dimension_route(self):
         res = check(solve_strong(5, Pairing(((0, 31), (3, 28))), 7))
-        assert res.trace == ("Q5:strong_extra_pair", "Q5:scenario3", "Q4:base")
+        assert res.trace == ("Q5:projection", "Q4:base")
         assert all(7 not in p for p in res.linkage)
         assert res.linkage == [
             [0, 4, 6, 14, 10, 8, 24, 26, 30, 31],
@@ -221,9 +221,14 @@ class TestStrong:
 
     def test_projection_route(self):
         res = check(solve_strong(6, Pairing(((0, 63), (5, 58), (9, 54))), 17))
-        assert res.trace == ("Q6:strong_projection", "Q5:scenario1",
+        assert res.trace == ("Q6:projection", "Q5:scenario1",
                              "Q4:trivial_pair", "Q4:base")
         assert all(17 not in p for p in res.linkage)
+        assert res.linkage == [
+            [0, 16, 20, 28, 12, 44, 60, 62, 63],
+            [5, 4, 36, 32, 40, 56, 58],
+            [9, 8, 10, 2, 6, 22, 54],
+        ]
 
     def test_host_excludes_forbidden(self):
         res = solve_strong(5, Pairing(((0, 31), (3, 28))), 7)
@@ -242,13 +247,13 @@ class TestStrong:
 class TestLink:
     def test_single_pair_bfs(self):
         res = check(solve_link(6, 0, Pairing(((3, 48),))))
-        assert res.trace == ("Q6:link_bfs",)
+        assert res.trace == ("Q6:trivial_pair",)
         assert res.linkage == [[3, 1, 17, 16, 48]]
 
     def test_small_dimension_base(self):
         res = check(solve_link(5, 0, Pairing(((1, 2), (4, 8)))))
-        assert res.trace == ("Q5:link_base",)
-        assert res.linkage == [[1, 3, 2], [4, 5, 7, 6, 14, 10, 8]]
+        assert res.trace == ("Q5:projection", "Q4:base")
+        assert res.linkage == [[1, 3, 2], [4, 5, 7, 15, 11, 9, 8]]
 
     def test_case_two_sides(self):
         res = check(solve_link(6, 0, Pairing(((3, 48), (5, 40), (6, 33)))))
