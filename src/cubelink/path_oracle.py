@@ -29,8 +29,10 @@ first; fixture vertices are their names.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
 from . import cube_core
@@ -89,7 +91,7 @@ class FixtureGraph:
         return str(v)
 
     def parse_vertex(self, s: str) -> str:
-        if s not in self.adjacency:
+        if not isinstance(s, str) or s not in self.adjacency:
             raise ValueError(f"unknown vertex {s!r} in graph {self.name!r}")
         if s in self.removed:
             raise ValueError(f"vertex {s!r} is removed from this host")
@@ -186,6 +188,20 @@ def host_to_json(G: HostGraph) -> dict:
     return out
 
 
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
+def _json_names(value, what: str) -> list:
+    names = _json_list(value, what)
+    for name in names:
+        if not isinstance(name, str):
+            raise ValueError(f"{what} must hold vertex names (strings), got {name!r}")
+    return names
+
+
 def host_from_json(obj: dict) -> HostGraph:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("host object must be a dict with a 'type' field")
@@ -195,14 +211,19 @@ def host_from_json(obj: dict) -> HostGraph:
             raise ValueError(f"cube host dimension must be an integer, got {d!r}")
         cube_core.check_dim(d)
         forbidden = frozenset(
-            cube_core.parse_vertex(d, s) for s in obj.get("forbidden", [])
+            cube_core.parse_vertex(d, s)
+            for s in _json_list(obj.get("forbidden", []), "forbidden")
         )
         return CubeGraph(d, forbidden)
     if obj["type"] == "graph":
-        names = obj.get("vertices", [])
-        edges = [(a, b) for a, b in obj.get("edges", [])]
+        names = _json_names(obj.get("vertices", []), "vertices")
+        edges = []
+        for edge in _json_list(obj.get("edges", []), "edges"):
+            if len(_json_names(edge, "an edge")) != 2:
+                raise ValueError(f"edge {edge!r} must have exactly two vertices")
+            edges.append(tuple(edge))
         G = fixture_graph(str(obj.get("name", "graph")), edges, names)
-        forbidden = obj.get("forbidden", [])
+        forbidden = _json_names(obj.get("forbidden", []), "forbidden")
         if forbidden:
             for s in forbidden:
                 G.parse_vertex(s)
@@ -215,10 +236,10 @@ def pairing_to_json(G: HostGraph, Y: Pairing) -> list:
     return [[G.format_vertex(s), G.format_vertex(t)] for s, t in Y.pairs]
 
 
-def pairing_from_json(G: HostGraph, obj: Iterable) -> Pairing:
+def pairing_from_json(G: HostGraph, obj: list) -> Pairing:
     pairs = []
-    for item in obj:
-        if len(item) != 2:
+    for item in _json_list(obj, "pairs"):
+        if len(_json_list(item, "a pair")) != 2:
             raise ValueError(f"pair {item!r} must have exactly two vertices")
         s, t = item
         pairs.append((G.parse_vertex(s), G.parse_vertex(t)))
@@ -240,8 +261,9 @@ def linkage_to_json(G: HostGraph, L: Linkage) -> list:
     return [[G.format_vertex(v) for v in path] for path in L]
 
 
-def linkage_from_json(G: HostGraph, obj: Iterable) -> Linkage:
-    return [[G.parse_vertex(s) for s in path] for path in obj]
+def linkage_from_json(G: HostGraph, obj: list) -> Linkage:
+    return [[G.parse_vertex(s) for s in _json_list(path, "a path")]
+            for path in _json_list(obj, "paths")]
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +572,57 @@ class DecideOutcome:
         return self.status == LINKED
 
 
-class _BudgetExhausted(Exception):
-    pass
+@lru_cache(maxsize=cube_core.MAX_DIM)
+def _cube_sweeps(d: int) -> tuple:
+    """(2^i, M_i) for each coordinate i of Q_d, where M_i is the bitset of
+    the vertices whose bit i is 0."""
+    n = 1 << d
+    out = []
+    for i in range(d):
+        shift = 1 << i
+        period_ones = ((1 << n) - 1) // ((1 << (2 * shift)) - 1)
+        out.append((shift, ((1 << shift) - 1) * period_ones))
+    return tuple(out)
+
+
+def _bitset_view(G: HostGraph):
+    """Vertex sets of G as Python ints: returns (index, expand, usable).
+
+    ``index(v)`` is v's bit position, ``usable`` the bitset of G's vertices.
+    ``expand(S, allowed)`` grows S inside ``allowed`` by at least one BFS
+    layer and never past what S reaches through ``allowed``, so iterating it
+    to a fixed point gives the reachable set.  On a cube, bit v is vertex v
+    and one call is an in-place sweep over the d coordinates, O(2^d) bits
+    per set; per-vertex adjacency masks (O(4^d) bits) are never built.  A
+    fixture host gets one adjacency mask per vertex.
+    """
+    if isinstance(G, CubeGraph):
+        sweeps = _cube_sweeps(G.d)
+        usable = (1 << (1 << G.d)) - 1
+        for v in G.removed:
+            usable ^= 1 << v
+
+        def expand(S: int, allowed: int) -> int:
+            for shift, low in sweeps:
+                S |= ((S & low) << shift | (S >> shift) & low) & allowed
+            return S
+
+        return operator.index, expand, usable
+
+    position = {v: i for i, v in enumerate(G.adjacency)}
+    adjacency = [sum(1 << position[w] for w in G.adjacency[v]) for v in G.adjacency]
+    usable = sum(1 << position[v] for v in G.adjacency if v not in G.removed)
+
+    def expand(S: int, allowed: int) -> int:
+        grown = 0
+        rest = S
+        while rest:
+            low = rest & -rest
+            grown |= adjacency[low.bit_length() - 1]
+            rest ^= low
+        return S | grown & allowed
+
+    return position.__getitem__, expand, usable
 
 
 def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -> DecideOutcome:
@@ -565,80 +636,81 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
     an endpoint of its own path in any linkage).  The node budget turns
     oversize searches into an explicit BUDGET_EXCEEDED outcome; it is never
     reported as UNLINKED.
+
+    The separation test is exact reachability on bitsets (``_bitset_view``):
+    a vertex set is one int, the used vertices and the terminals are masks
+    kept alongside the paths, and a pair's reachable set grows by whole
+    coordinate sweeps (cubes) or adjacency masks (fixtures) until it meets
+    the far endpoint or stops growing.  The search itself is iterative: an
+    explicit stack holds, for each path vertex, the neighbors still to try,
+    so witness length is bounded by memory, not by Python's recursion
+    limit.  Each search node is one extension step of one path (``nodes_used``
+    counts them), and reaching a pair's target starts the next pair.
     """
     for v in Y.terminals:
         if not G.has_vertex(v):
             raise ValueError(f"terminal {v!r} is not a usable vertex of the host")
     k = Y.k
-    terminals = frozenset(Y.terminals)
-    used: set = set()
-    paths: list = []
-    nodes = 0
+    index, expand, usable = _bitset_view(G)
+    sources = [s for s, _ in Y.pairs]
+    targets = [t for _, t in Y.pairs]
+    source_bits = [1 << index(s) for s in sources]
+    target_bits = [1 << index(t) for t in targets]
+    terminal_mask = sum(source_bits) + sum(target_bits)
+    # blocked[j]: the terminals a path of pair j may not pass through.
+    blocked = [terminal_mask ^ a ^ b for a, b in zip(source_bits, target_bits)]
+    order = tuple(range(k))
 
-    def feasible(i: int, cur: Vertex) -> bool:
+    def feasible(i: int, here: int, used_bits: int) -> bool:
         for j in range(i, k):
-            a = cur if j == i else Y.pairs[j][0]
-            b = Y.pairs[j][1]
-            allowed_t = {a, b}
-            seen = {a}
-            queue = deque([a])
-            ok = False
-            while queue:
-                v = queue.popleft()
-                if v == b:
-                    ok = True
-                    break
-                for w in G.neighbors(v):
-                    if w in seen or w in used or (w in terminals and w not in allowed_t):
-                        continue
-                    seen.add(w)
-                    queue.append(w)
-            if not ok:
-                return False
+            reach = here if j == i else source_bits[j]
+            allowed = usable & ~(used_bits | blocked[j])
+            goal = target_bits[j]
+            while not reach & goal:
+                grown = expand(reach, allowed)
+                if grown == reach:
+                    return False
+                reach = grown
         return True
 
-    def start_pair(i: int) -> bool:
-        if i == k:
-            return True
-        s = Y.pairs[i][0]
-        used.add(s)
-        paths.append([s])
-        if extend(i, s):
-            return True
-        paths.pop()
-        used.discard(s)
-        return False
-
-    def extend(i: int, cur: Vertex) -> bool:
-        nonlocal nodes
+    paths = [[sources[0]]]
+    used_bits = source_bits[0]
+    stack: list = []  # (pair, path length, untried neighbors) per open vertex
+    nodes = 0
+    i, cur = 0, sources[0]
+    while True:
         nodes += 1
         if nodes > budget:
-            raise _BudgetExhausted
-        t = Y.pairs[i][1]
-        if cur == t:
-            return start_pair(i + 1)
-        if not feasible(i, cur):
-            return False
-        for w in sorted(G.neighbors(cur)):
-            if w in used:
-                continue
-            if w in terminals and w != t:
-                continue
-            used.add(w)
-            paths[i].append(w)
-            if extend(i, w):
-                return True
-            paths[i].pop()
-            used.discard(w)
-        return False
-
-    order = tuple(range(k))
-    try:
-        if start_pair(0):
-            return DecideOutcome(LINKED, [list(p) for p in paths], order, nodes)
-        return DecideOutcome(UNLINKED, None, order, nodes)
-    except _BudgetExhausted:
-        return DecideOutcome(BUDGET_EXCEEDED, None, order, nodes)
+            return DecideOutcome(BUDGET_EXCEEDED, None, order, nodes)
+        if cur == targets[i]:
+            i += 1
+            if i == k:
+                return DecideOutcome(LINKED, [list(p) for p in paths], order, nodes)
+            cur = sources[i]
+            paths.append([cur])
+            used_bits |= source_bits[i]
+            continue
+        free = usable & ~(used_bits | blocked[i])
+        if feasible(i, 1 << index(cur), used_bits):
+            options = [w for w in sorted(G.neighbors(cur)) if free >> index(w) & 1]
+            stack.append((i, len(paths[i]), iter(options)))
+        # Backtrack to the deepest vertex with an untried neighbor.
+        while stack:
+            i, depth, options = stack[-1]
+            while len(paths) > i + 1:
+                for v in paths.pop():
+                    used_bits ^= 1 << index(v)
+            path = paths[i]
+            while len(path) > depth:
+                used_bits ^= 1 << index(path.pop())
+            cur = next(options, None)
+            if cur is not None:
+                break
+            stack.pop()
+        else:
+            return DecideOutcome(UNLINKED, None, order, nodes)
+        path.append(cur)
+        used_bits |= 1 << index(cur)
 
 
 # ---------------------------------------------------------------------------

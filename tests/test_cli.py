@@ -23,6 +23,15 @@ def invoke_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+def run_subprocess(*argv, stdin=None):
+    """Run ``python -m cubelink`` in a fresh interpreter, as a user would."""
+    src = os.path.dirname(os.path.dirname(cubelink.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "cubelink", *argv],
+        input=stdin, capture_output=True, text=True, env=env, timeout=60)
+
+
 class TestSolve:
     def test_flags_round_trip_through_verify(self, capsys, tmp_path):
         code, obj, _ = invoke_json(
@@ -148,6 +157,16 @@ class TestDecide:
                                    "--pairs", "00011:01100,00101:11000")
         assert code == 0
         assert obj["status"] == "linked"
+
+    def test_long_witness_path_needs_no_recursion(self):
+        # The lowest-neighbor-first search walks a 1,001-vertex path here.
+        proc = run_subprocess("decide", "--dim", "10", "--pairs",
+                              "0000000000:1111111111,0000000001:1111111110")
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        obj = json.loads(proc.stdout)
+        assert obj["status"] == "linked"
+        assert max(len(p) for p in obj["paths"]) > 1000
 
 
 class TestVerify:
@@ -294,15 +313,31 @@ class TestFailureHandling:
                     "pairs": [["000", "011"]], "paths": [["000", "001", "011"]]}),
         ("verify", {"host": {"type": "cube", "d": 3},
                     "pairs": [["000", "011"]], "paths": [[0, 1, 3]]}),
+        ("solve", {"host": {"type": "cube", "d": 5}, "pairs": 5}),
+        ("solve", {"host": {"type": "cube", "d": 5}, "pairs": [5]}),
+        ("verify", {"host": {"type": "cube", "d": 3},
+                    "pairs": [["000", "011"]], "paths": 5}),
+        ("verify", {"host": {"type": "cube", "d": 3},
+                    "pairs": [["000", "011"]], "paths": [5]}),
+        ("verify", {"host": {"type": "graph", "vertices": ["a", "b"],
+                             "edges": [["a", "b"]]},
+                    "pairs": [[["a"], "b"]], "paths": [["a", "b"]]}),
+        ("verify", {"host": {"type": "graph", "vertices": [["a"], "b"],
+                             "edges": []},
+                    "pairs": [["a", "b"]], "paths": [["a", "b"]]}),
+        ("verify", {"host": {"type": "graph", "vertices": [],
+                             "edges": [[["a"], "b"]]},
+                    "pairs": [["a", "b"]], "paths": [["a", "b"]]}),
+        ("verify", {"host": {"type": "graph", "vertices": ["a", "b"],
+                             "edges": [["a", "b"]]},
+                    "pairs": [["a", "b"]], "paths": [[["a"], "b"]]}),
     ], ids=["solve-str-dim", "solve-int-vertices", "solve-int-forbidden",
-            "verify-str-dim", "verify-int-path"])
+            "verify-str-dim", "verify-int-path", "solve-int-pairs",
+            "solve-int-pair", "verify-int-paths", "verify-int-path-item",
+            "verify-graph-list-pair-vertex", "verify-graph-list-vertex",
+            "verify-graph-list-edge-vertex", "verify-graph-list-path-vertex"])
     def test_mistyped_json_is_a_usage_error(self, command, payload):
-        src = os.path.dirname(os.path.dirname(cubelink.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "cubelink", command, "-"],
-            input=json.dumps(payload), capture_output=True, text=True,
-            env=env, timeout=60)
+        proc = run_subprocess(command, "-", stdin=json.dumps(payload))
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")

@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+import hashlib
+import json
+import random
+from collections import Counter, deque
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubelink import path_oracle
 from cubelink.cube_core import CubeGraph, link_graph
 from cubelink.path_oracle import (
     BUDGET_EXCEEDED,
+    DEFAULT_NODE_BUDGET,
     LINKED,
     NEIGHBORHOOD,
     NOT_SEPARATOR,
@@ -385,3 +393,132 @@ class TestOracleProperties:
         out = decide_linked(CubeGraph(5), Y)
         assert out.status == LINKED
         assert validate_linkage(CubeGraph(5), Y, out.linkage).ok
+
+
+def _bfs_reach(G, seed, blocked) -> set:
+    seen = {seed}
+    queue = deque([seed])
+    while queue:
+        v = queue.popleft()
+        for w in G.neighbors(v):
+            if w not in seen and w not in blocked:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+def _bitset_reach(G, seed, blocked) -> set:
+    """Iterate ``expand`` to its fixed point, checking that every step adds
+    at least the next BFS layer and nothing outside the allowed set."""
+    index, expand, usable = path_oracle._bitset_view(G)
+    bit = {v: 1 << index(v) for v in G.vertex_list()}
+    assert usable == sum(bit.values())
+    allowed = usable & ~sum(bit[v] for v in blocked)
+    S = bit[seed]
+    while True:
+        grown = expand(S, allowed)
+        assert grown & S == S
+        assert grown & ~(S | allowed) == 0
+        for v in G.vertex_list():
+            if S & bit[v]:
+                for w in G.neighbors(v):
+                    assert w in blocked or grown & bit[w]
+        if grown == S:
+            return {v for v in G.vertex_list() if S & bit[v]}
+        S = grown
+
+
+@st.composite
+def reach_cases(draw):
+    """(host, seed, blocked): a cube minus vertices, a vertex link, or a
+    random fixture graph, with a random blocked set that may hold the seed."""
+    kind = draw(st.sampled_from(["cube", "link", "fixture"]))
+    if kind == "cube":
+        d = draw(st.integers(1, 8))
+        G = CubeGraph(d, frozenset(draw(
+            st.lists(st.integers(0, (1 << d) - 1), max_size=1 << (d - 1)))))
+    elif kind == "link":
+        d = draw(st.integers(2, 8))
+        G = link_graph(d, draw(st.integers(0, (1 << d) - 1)))
+    else:
+        names = [f"v{i}" for i in range(draw(st.integers(1, 12)))]
+        edges = draw(st.lists(st.tuples(st.sampled_from(names),
+                                        st.sampled_from(names))
+                              .filter(lambda e: e[0] != e[1]), max_size=30))
+        G = fixture_graph("random", edges, names)
+        G = G.without(draw(st.lists(st.sampled_from(names),
+                                    max_size=len(names) - 1)))
+    vertices = G.vertex_list()
+    seed = draw(st.sampled_from(vertices))
+    blocked = frozenset(draw(st.lists(st.sampled_from(vertices),
+                                      max_size=len(vertices))))
+    return G, seed, blocked
+
+
+class TestBitsetReach:
+    @settings(max_examples=300, deadline=None)
+    @given(reach_cases())
+    def test_matches_plain_bfs(self, case):
+        G, seed, blocked = case
+        assert _bitset_reach(G, seed, blocked) == _bfs_reach(G, seed, blocked)
+
+
+def _golden_instances():
+    """A seeded set of (host, pairing, budget) covering every decide_linked
+    branch: cube and fixture hosts, forbidden vertices, linked and unlinked
+    verdicts, and a budget cut-off."""
+    rng = random.Random("decide_linked/golden")
+    out = []
+
+    def random_pairing(G, k):
+        X = rng.sample(G.vertex_list(), 2 * k)
+        return Pairing(tuple(zip(X[::2], X[1::2])))
+
+    for _ in range(120):
+        G = CubeGraph(3)
+        out.append((G, random_pairing(G, 2), DEFAULT_NODE_BUDGET))
+    for forbidden in (0, 1, 2):
+        for _ in range(40):
+            G = CubeGraph(4, frozenset(rng.sample(range(16), forbidden)))
+            out.append((G, random_pairing(G, 2), DEFAULT_NODE_BUDGET))
+    for _ in range(20):
+        G = CubeGraph(4)
+        out.append((G, random_pairing(G, 3), DEFAULT_NODE_BUDGET))
+    for _ in range(30):
+        G = CubeGraph(5)
+        out.append((G, random_pairing(G, 3), DEFAULT_NODE_BUDGET))
+    for _ in range(30):
+        G = link_graph(5, rng.randrange(32))
+        out.append((G, random_pairing(G, 2), DEFAULT_NODE_BUDGET))
+    pyramid = pyramid2_quad()
+    for G in (pyramid, pyramid.without({"x"}), pyramid.without({"x", "y"})):
+        for a, b, c, e in combinations(G.vertex_list(), 4):
+            for pairs in (((a, b), (c, e)), ((a, c), (b, e)), ((a, e), (b, c))):
+                out.append((G, Pairing(pairs), DEFAULT_NODE_BUDGET))
+    out.append((CubeGraph(5), Pairing(((0, 31), (1, 30), (2, 29))), 40))
+    return out
+
+
+# Recorded from the BFS-pruned search that preceded bitset pruning.
+PINNED_STATUSES = (377, 6, 1)
+PINNED_NODES = 4684
+PINNED_DIGEST = "0163cbe4eec3e711310867c31685ef84cd800d5b946feb7be59036bcc1205e18"
+
+
+class TestDecideGolden:
+    """decide_linked's search is pinned node for node: any change to its
+    pruning must keep the same verdicts, witnesses and node counts."""
+
+    def test_outcomes_match_pinned_digest(self):
+        rows = []
+        for G, Y, budget in _golden_instances():
+            out = decide_linked(G, Y, budget=budget)
+            rows.append([out.status, out.linkage, list(out.pair_order),
+                         out.nodes_used])
+        statuses = Counter(row[0] for row in rows)
+        digest = hashlib.sha256(
+            json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+        assert (statuses[LINKED], statuses[UNLINKED],
+                statuses[BUDGET_EXCEEDED]) == PINNED_STATUSES
+        assert sum(row[3] for row in rows) == PINNED_NODES
+        assert digest == PINNED_DIGEST
