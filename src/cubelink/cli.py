@@ -27,7 +27,6 @@ import sys
 import tempfile
 import time
 
-from . import cube_core
 from .certifier import (
     BOTH,
     DEFAULT_SEED,
@@ -239,10 +238,7 @@ def _cmd_decide(args) -> int:
             and G.d == 3 and not G.removed and Y.k == 2):
         cert = detect_config_3F(Y)
         if cert is not None:
-            certificate = {
-                "face": cube_core.format_face(3, cert.face),
-                "witness_terminal": cube_core.format_vertex(3, cert.witness_terminal),
-            }
+            certificate = cert.to_json()
     if certificate is not None:
         out["certificate"] = certificate
     if args.timing:
@@ -454,11 +450,10 @@ def run(argv: list | None = None) -> int:
         return 2
     except UnsupportedInstanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        cert = exc.certificate
-        if cert is not None:
-            print(f"certificate: face {cube_core.format_face(3, cert.face)} "
-                  f"witness {cube_core.format_vertex(3, cert.witness_terminal)}",
-                  file=sys.stderr)
+        if exc.certificate is not None:
+            cert = exc.certificate.to_json()
+            print(f"certificate: face {cert['face']} "
+                  f"witness {cert['witness_terminal']}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

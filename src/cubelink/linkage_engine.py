@@ -28,6 +28,9 @@ flow routing onto it (_facet_routes); tight odd d classifies into one of three
 scenario constructions (all pairs antipodal / all terminals in one facet /
 the rest).  Each recursion level appends a label to the scenario trace of
 the result, e.g. "Q7:scenario3", so a solve is auditable after the fact.
+scenario3_context returns the scenario-3 set-up that the solver itself
+uses (special pair, facet F, entry map omega, and the special pair's avoid
+set S with its |S| <= d - 1 bound); the omega_conditions suite inspects it.
 
 Set SELF_CHECK = True (tests do) to validate every internal recursion
 level's output against its own sub-instance, not just the final linkage.
@@ -36,7 +39,7 @@ level's output against its own sub-instance, not just the final linkage.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable
 
@@ -100,6 +103,12 @@ class Config3F:
     face: Face
     witness_terminal: int
 
+    def to_json(self) -> dict:
+        return {
+            "face": cube_core.format_face(3, self.face),
+            "witness_terminal": cube_core.format_vertex(3, self.witness_terminal),
+        }
+
 
 # ---------------------------------------------------------------------------
 # Small helpers
@@ -118,14 +127,6 @@ def _oriented(path: list, s: int, t: int) -> list:
         "path endpoints disagree with its pair",
         {"path": path, "pair": (s, t)},
     )
-
-
-def _facet_coord(F: Face) -> tuple[int, int]:
-    """The (coordinate, value) of a facet."""
-    if not F.is_facet():
-        raise ValueError("expected a facet (exactly one fixed coordinate)")
-    c = F.fixed_mask.bit_length() - 1
-    return c, F.fixed_values >> c
 
 
 def _push(v: int, F: Face, c: int) -> int:
@@ -339,9 +340,9 @@ def _solve(d: int, pairs: list, avoid: frozenset, trace: list) -> list:
         if all(s ^ t == full for s, t in pairs):
             paths = _scenario1(d, pairs, trace)
         else:
-            F = _common_facet(d, _terminals(pairs))
-            if F is not None:
-                paths = _scenario2(d, pairs, F, trace)
+            c = _common_coord(d, _terminals(pairs))
+            if c is not None:
+                paths = _scenario2(d, pairs, c, trace)
             else:
                 paths = _scenario3(d, pairs, trace)
     if SELF_CHECK:
@@ -349,12 +350,9 @@ def _solve(d: int, pairs: list, avoid: frozenset, trace: list) -> list:
     return paths
 
 
-def _common_facet(d: int, X: list) -> Face | None:
-    for c in range(d):
-        bits = {_bit(x, c) for x in X}
-        if len(bits) == 1:
-            return facet(c, bits.pop())
-    return None
+def _common_coord(d: int, X: list) -> int | None:
+    """The smallest coordinate on which every vertex of X agrees, or None."""
+    return next((c for c in range(d) if len({_bit(x, c) for x in X}) == 1), None)
 
 
 # ---------------------------------------------------------------------------
@@ -451,29 +449,24 @@ def _scenario1(d: int, pairs: list, trace: list) -> list:
     if idx2 is None:
         raise InvariantError("no usable second pair among antipodal pairs",
                              {"d": d, "pairs": pairs})
+    up = [oriented[i] for i in (0, idx2)]
     rest = [i for i in range(1, k) if i != idx2]
-    if k >= 4 and not (k - 2 <= 2 * k - 6):
-        raise InvariantError("avoid-set budget bound failed", {"d": d, "k": k})
+    down = [oriented[i] for i in rest]
 
-    down_pairs = [(_push(oriented[i][0], F, w), _push(oriented[i][1], F, w))
-                  for i in rest]
-    down_avoid = frozenset(
-        delete_coordinate(oriented[i][1], w) for i in (0, idx2)
+    down_paths = _solve(
+        d - 1,
+        [(_push(s, F, w), _push(t, F, w)) for s, t in down],
+        frozenset(delete_coordinate(t, w) for _, t in up),
+        trace,
     )
-    down = _solve(d - 1, down_pairs, down_avoid, trace)
-
-    up_pairs = [(_push(oriented[i][0], Fo, w), _push(oriented[i][1], Fo, w))
-                for i in (0, idx2)]
-    up_avoid = frozenset(delete_coordinate(oriented[i][0], w) for i in rest)
-    up = _solve(d - 1, up_pairs, up_avoid, trace)
-
-    out: dict = {}
-    for slot, i in enumerate((0, idx2)):
-        s, t = oriented[i]
-        out[i] = _lift(up[slot], w, side) + [t]
-    for slot, i in enumerate(rest):
-        s, t = oriented[i]
-        out[i] = [s] + _lift(down[slot], w, 1 - side)
+    up_paths = _solve(
+        d - 1,
+        [(_push(s, Fo, w), _push(t, Fo, w)) for s, t in up],
+        frozenset(delete_coordinate(s, w) for s, _ in down),
+        trace,
+    )
+    out = dict(zip((0, idx2), _lift_attached(up, up_paths, w, side)))
+    out.update(zip(rest, _lift_attached(down, down_paths, w, 1 - side)))
     return [_oriented(out[i], s, t) for i, (s, t) in enumerate(pairs)]
 
 
@@ -481,86 +474,64 @@ def _scenario1(d: int, pairs: list, trace: list) -> list:
 # Scenario 2: all terminals in one facet
 
 
-def short_distance_pair(d: int, F: Face, Y: Pairing) -> tuple[int, list]:
-    """First pair (input order) joinable inside F by an avoid-path dodging
-    every other terminal.  At most one pair can be blocked, so the first or
-    second attempt succeeds; zero successes is an invariant failure."""
-    c, value = _facet_coord(F)
-    sub_d = F.dim(d)
-    if sub_d < 4:
-        raise ValueError("short_distance_pair needs a facet of dimension >= 4")
-    X = list(Y.terminals)
-    if len(X) != sub_d + 2:
-        raise ValueError(
-            f"short_distance_pair needs exactly {sub_d + 2} terminals, got {len(X)}"
-        )
-    for x in X:
-        if not F.contains(x):
-            raise ValueError(f"terminal {x} lies outside the facet")
-    reduced = [(delete_coordinate(s, c), delete_coordinate(t, c)) for s, t in Y.pairs]
-    others = set(delete_coordinate(x, c) for x in X)
-    for i, (s, t) in enumerate(reduced):
-        path = _route(sub_d, s, t, others - {s, t})
-        if path is not None:
-            return i, _lift(path, c, value)
-    raise InvariantError("every pair is blocked inside the facet",
-                         {"d": d, "pairs": list(Y.pairs)})
-
-
-def _scenario2(d: int, pairs: list, F: Face, trace: list) -> list:
+def _scenario2(d: int, pairs: list, c: int, trace: list) -> list:
+    """Every terminal has bit c == value.  Join the first pair that routes
+    inside that facet around the other terminals; solve the rest in the
+    opposite facet, which maps to the same Q_{d-1} words once c is dropped."""
     trace.append(f"Q{d}:scenario2")
-    c, value = _facet_coord(F)
-    idx, L_first = short_distance_pair(d, F, Pairing(tuple(pairs)))
-    remaining = [i for i in range(len(pairs)) if i != idx]
-    # Dropping the fixed coordinate maps F and F^o to the same Q_{d-1}
-    # words, so the projected sub-instance reuses the reduced pairs.
-    sub_pairs = [
-        (delete_coordinate(pairs[i][0], c), delete_coordinate(pairs[i][1], c))
-        for i in remaining
-    ]
-    sub_paths = _solve(d - 1, sub_pairs, frozenset(), trace)
-    out = {idx: _oriented(L_first, *pairs[idx])}
-    for slot, i in enumerate(remaining):
-        s, t = pairs[i]
-        out[i] = [s] + _lift(sub_paths[slot], c, 1 - value) + [t]
-    return [out[i] for i in range(len(pairs))]
+    value = _bit(pairs[0][0], c)
+    reduced = [(delete_coordinate(s, c), delete_coordinate(t, c)) for s, t in pairs]
+    others = set(_terminals(reduced))
+    # At most one pair can be blocked, so the first or second try succeeds.
+    for idx, (s, t) in enumerate(reduced):
+        path = _route(d - 1, s, t, others - {s, t})
+        if path is not None:
+            break
+    else:
+        raise InvariantError("every pair is blocked inside the facet",
+                             {"d": d, "pairs": pairs})
+    sub_paths = _solve(d - 1, reduced[:idx] + reduced[idx + 1:], frozenset(), trace)
+    out = _lift_attached(pairs[:idx] + pairs[idx + 1:], sub_paths, c, 1 - value)
+    out.insert(idx, _lift(path, c, value))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Scenario 3: the general odd tight case
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioContext:
-    """Bookkeeping for the general odd-dimension construction: the special
-    pair and its facet, the partner involution rho, the in-facet terminal
-    classes, and (once built) the entry system omega / M into F^o."""
+    """The set-up of the general odd-dimension construction: the special
+    pair `first` and its facet, the partner involution rho, the in-facet
+    terminal classes, the entry map omega into F^o, and the avoid set S of
+    the special pair's route inside F."""
 
     d: int
     face: Face
-    pairs: tuple
     first: int
     rho: dict
     X_F: frozenset
     X_alpha: frozenset
     Y_alpha: tuple
     X_beta: tuple
-    omega: dict | None = None
-    M: dict = field(default_factory=dict)
-    X_o: tuple = ()
-    Y_o: tuple = ()
-    S: frozenset = frozenset()
+    omega: dict
+    S: frozenset
 
 
-def _make_context(d: int, pairs: list, first: int, F: Face) -> ScenarioContext:
+def _scenario3_context(d: int, pairs: list) -> ScenarioContext:
+    """The special pair is the first non-antipodal one; F is the facet of
+    the first coordinate its two terminals agree on."""
+    full = (1 << d) - 1
+    first = next(i for i, (s, t) in enumerate(pairs) if s ^ t != full)
+    s1, t1 = pairs[first]
+    agree = next(c for c in range(d) if _bit(s1, c) == _bit(t1, c))
+    F = facet(agree, _bit(s1, agree))
     rho = {}
     for s, t in pairs:
         rho[s] = t
         rho[t] = s
-    s1, t1 = pairs[first]
-    X_F = frozenset(
-        x for x in rho if x not in (s1, t1) and F.contains(x)
-    )
+    X_F = frozenset(x for x in rho if x not in (s1, t1) and F.contains(x))
     alpha_idx = tuple(
         i for i, (s, t) in enumerate(pairs)
         if i != first and F.contains(s) and F.contains(t)
@@ -568,11 +539,16 @@ def _make_context(d: int, pairs: list, first: int, F: Face) -> ScenarioContext:
     )
     X_alpha = frozenset(v for i in alpha_idx for v in pairs[i])
     X_beta = tuple(sorted(X_F - X_alpha))
-    return ScenarioContext(d, F, tuple(pairs), first, rho,
-                           X_F, X_alpha, alpha_idx, X_beta)
+    omega = _build_omega(d, F, rho, X_beta)
+    S = X_F | (frozenset(omega.values()) - frozenset(rho))
+    if len(S) > d - 1:
+        raise InvariantError("avoid set for the special pair is too large",
+                             {"S": sorted(S), "d": d})
+    return ScenarioContext(d, F, first, rho, X_F, X_alpha, alpha_idx, X_beta,
+                           omega, S)
 
 
-def build_omega(ctx: ScenarioContext) -> dict:
+def _build_omega(d: int, F: Face, rho: dict, X_beta: tuple) -> dict:
     """Assign each blocked F-side terminal an entry vertex in F.
 
     omega(x) = x unless x's projection into F^o collides with a foreign
@@ -580,17 +556,16 @@ def build_omega(ctx: ScenarioContext) -> dict:
     dodges terminals, foreign projections onto F, and earlier assignments.
     The obstruction set has at most d-2 members, so a candidate survives.
     """
-    d, F = ctx.d, ctx.face
     Fo = F.opposite_facet()
-    X = frozenset(ctx.rho)
+    X = frozenset(rho)
     omega: dict = {}
-    for x in ctx.X_beta:
+    for x in X_beta:
         px = project(x, Fo)
-        if px not in X or px == ctx.rho[x]:
+        if px not in X or px == rho[x]:
             omega[x] = x
             continue
-        nf = [n for n in cube_core.neighbors(ctx.d, x) if F.contains(n)]
-        foreign = {project(z, F) for z in X if z != ctx.rho[x]}
+        nf = [n for n in cube_core.neighbors(d, x) if F.contains(n)]
+        foreign = {project(z, F) for z in X if z != rho[x]}
         taken = set(omega.values())
         obstruction = [n for n in nf if n in X or n in foreign or n in taken]
         if len(obstruction) > d - 2:
@@ -605,47 +580,36 @@ def build_omega(ctx: ScenarioContext) -> dict:
     if len(set(values)) != len(values):
         raise InvariantError("entry map is not injective", {"omega": omega})
     for x, wx in omega.items():
-        clash = {wx, project(wx, Fo)} & (X - {x, ctx.rho[x]})
+        clash = {wx, project(wx, Fo)} & (X - {x, rho[x]})
         if clash:
             raise InvariantError("entry vertex touches a foreign terminal",
                                  {"x": x, "omega_x": wx, "clash": sorted(clash)})
-    ctx.omega = omega
     return omega
 
 
 def scenario3_context(d: int, Y: Pairing) -> ScenarioContext:
-    """Build the bookkeeping for Y as scenario3 would, including the entry
-    map omega, without solving.  Handy for inspecting the construction."""
+    """The set-up _scenario3 builds for Y, without solving.  Handy for
+    inspecting the construction."""
     pairs = list(Y.pairs)
     full = (1 << d) - 1
-    first = next((i for i, (s, t) in enumerate(pairs) if s ^ t != full), None)
-    if first is None:
+    if all(s ^ t == full for s, t in pairs):
         raise ValueError("all pairs antipodal: no scenario3 context exists")
-    if _common_facet(d, list(Y.terminals)) is not None:
+    if _common_coord(d, list(Y.terminals)) is not None:
         raise ValueError("all terminals share a facet: no scenario3 context exists")
-    s1, t1 = pairs[first]
-    agree = next(c for c in range(d) if _bit(s1, c) == _bit(t1, c))
-    F = facet(agree, _bit(s1, agree))
-    ctx = _make_context(d, pairs, first, F)
-    build_omega(ctx)
-    return ctx
+    return _scenario3_context(d, pairs)
 
 
 def _scenario3(d: int, pairs: list, trace: list) -> list:
     trace.append(f"Q{d}:scenario3")
     k = len(pairs)
-    full = (1 << d) - 1
-    first = next(i for i, (s, t) in enumerate(pairs) if s ^ t != full)
-    s1, t1 = pairs[first]
-    agree = next(c for c in range(d) if _bit(s1, c) == _bit(t1, c))
+    ctx = _scenario3_context(d, pairs)
+    s1, t1 = pairs[ctx.first]
+    agree = ctx.face.fixed_mask.bit_length() - 1  # F's fixed coordinate
     value = _bit(s1, agree)
-    F = facet(agree, value)
-    Fo = F.opposite_facet()
-    ctx = _make_context(d, pairs, first, F)
-    build_omega(ctx)
+    Fo = ctx.face.opposite_facet()
 
-    routed = set(ctx.Y_alpha) | {first}
-    M: dict = {}
+    routed = set(ctx.Y_alpha) | {ctx.first}
+    M: dict = {}  # terminal -> its entry path into F^o
     for i in range(k):
         if i in routed:
             continue
@@ -655,14 +619,9 @@ def _scenario3(d: int, pairs: list, trace: list) -> list:
             else:
                 wx = ctx.omega[x]
                 M[x] = [x, project(x, Fo)] if wx == x else [x, wx, project(wx, Fo)]
-    ctx.M = M
 
-    out: dict = {}
-    for i in ctx.Y_alpha:
-        out[i] = list(pairs[i])
-
-    complete = []
-    open_idx = []
+    out = {i: list(pairs[i]) for i in ctx.Y_alpha}
+    complete, open_idx = [], []
     for i in range(k):
         if i in routed:
             continue
@@ -691,27 +650,19 @@ def _scenario3(d: int, pairs: list, trace: list) -> list:
             s, t = pairs[i]
             mid = _lift(sub_paths[slot], agree, 1 - value)
             out[i] = M[s] + mid[1:] + M[t][::-1][1:]
-    ctx.X_o = tuple(sorted(delete_coordinate(M[x][-1], agree)
-                           for i in open_idx for x in pairs[i]))
-    ctx.Y_o = tuple(open_idx)
 
-    S = set(ctx.X_F) | (set(ctx.omega.values()) - set(ctx.rho))
-    ctx.S = frozenset(S)
-    if len(S) > d - 1:
-        raise InvariantError("avoid set for the special pair is too large",
-                             {"S": sorted(S), "d": d})
     L1 = _route(
         d - 1,
         delete_coordinate(s1, agree),
         delete_coordinate(t1, agree),
-        {delete_coordinate(v, agree) for v in S},
+        {delete_coordinate(v, agree) for v in ctx.S},
     )
     if L1 is None:
         raise InvariantError(
             "special-pair search failed inside the facet",
-            {"d": d, "pair": (s1, t1), "S": sorted(S)},
+            {"d": d, "pair": (s1, t1), "S": sorted(ctx.S)},
         )
-    out[first] = _lift(L1, agree, value)
+    out[ctx.first] = _lift(L1, agree, value)
     return [_oriented(out[i], s, t) for i, (s, t) in enumerate(pairs)]
 
 

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import hashlib
+import json
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -170,6 +175,7 @@ class TestConfig3F:
         cert = detect_config_3F(Pairing(((0, 3), (1, 2))))
         assert cert.face == facet(2, 0)
         assert cert.witness_terminal == 0
+        assert cert.to_json() == {"face": "0**", "witness_terminal": "000"}
 
     def test_matches_exact_search_everywhere(self):
         from cubelink.certifier import exhaustive_instances
@@ -191,7 +197,27 @@ class TestScenario3Context:
         assert ctx.X_F == frozenset({0, 30})
         assert ctx.X_beta == (0, 30)
         assert ctx.X_alpha == frozenset()
-        assert ctx.S == frozenset()
+        assert ctx.S == frozenset({0, 4, 14, 30})
+
+    @pytest.mark.parametrize("d", [5, 7, 9])
+    def test_special_path_stays_in_face_and_avoids_S(self, d):
+        rng = random.Random(f"scenario3/special/{d}")
+        k = (d + 1) // 2
+        checked = 0
+        while checked < 30:
+            X = rng.sample(range(1 << d), 2 * k)
+            Y = Pairing(tuple(zip(X[::2], X[1::2])))
+            try:
+                ctx = scenario3_context(d, Y)
+            except ValueError:
+                continue
+            res = check(solve_linkage(d, Y))
+            assert res.trace[0] == f"Q{d}:scenario3"
+            special = res.linkage[ctx.first]
+            assert all(ctx.face.contains(v) for v in special)
+            assert not ctx.S & set(special)
+            assert len(ctx.S) <= d - 1
+            checked += 1
 
     def test_omega_lands_in_face_near_source(self):
         ctx = scenario3_context(7, Pairing(
@@ -402,6 +428,81 @@ class TestRouting:
         # the declared shared points (decide_linked, validate_linkage).
         assert not hasattr(linkage_engine, "avoid_path")
         assert not hasattr(linkage_engine, "menger_disjoint_paths")
+
+
+def _golden_solves():
+    """Seeded (solver, *args) calls reaching every engine construction: plain,
+    strong and link solves in Q5-Q11 at maximal and at random k, plus forced
+    all-antipodal and one-facet plain instances and one-facet tight links."""
+    rng = random.Random("solve/golden")
+    out = []
+
+    def pairing(X):
+        return Pairing(tuple(zip(X[::2], X[1::2])))
+
+    def off_link(d, v, X):
+        return [u for u in X if u not in (v, opposite(d, v))]
+
+    for d in range(5, 12):
+        n = 1 << d
+        for i in range(12):
+            k = (d + 1) // 2 if i % 2 == 0 else rng.randint(1, (d + 1) // 2)
+            out.append((solve_linkage, d, pairing(rng.sample(range(n), 2 * k))))
+        for i in range(12):
+            k = d // 2 if i % 2 == 0 else rng.randint(1, d // 2)
+            X = rng.sample(range(n), 2 * k + 1)
+            out.append((solve_strong, d, pairing(X[1:]), X[0]))
+        for i in range(12):
+            k = d // 2 if i % 2 == 0 else rng.randint(1, d // 2)
+            v = rng.randrange(n)
+            X = rng.sample(off_link(d, v, range(n)), 2 * k)
+            out.append((solve_link, d, v, pairing(X)))
+    for d in (5, 7, 9, 11):
+        n, k = 1 << d, (d + 1) // 2
+        for _ in range(6):
+            S = rng.sample(range(n >> 1), k)
+            out.append((solve_linkage, d,
+                        Pairing(tuple((s, opposite(d, s)) for s in S))))
+        for _ in range(6):
+            F = facet(rng.randrange(d), rng.randrange(2))
+            X = rng.sample(list(face_vertices(d, F)), 2 * k)
+            out.append((solve_linkage, d, pairing(X)))
+    for d in (6, 8, 10):
+        for _ in range(6):
+            F = facet(rng.randrange(d), rng.randrange(2))
+            v = rng.randrange(1 << d)
+            X = rng.sample(off_link(d, v, face_vertices(d, F)), d)
+            out.append((solve_link, d, v, pairing(X)))
+    return out
+
+
+# Recorded before the scenario-3 set-up was shared with scenario3_context.
+PINNED_SOLVE_LABELS = {
+    "base": 281, "even_menger": 296, "link_case1": 7, "link_case2": 33,
+    "link_detour": 4, "projection": 482, "scenario1": 35, "scenario2": 53,
+    "scenario3": 365, "trivial_pair": 72,
+}
+PINNED_SOLVE_DIGEST = "60ea523b4c05a481beee9dda73004cc52ae4e88f46d6657bee2a5c0015e2e57c"
+
+
+class TestSolveGolden:
+    """The engine's output is pinned path for path and label for label:
+    a refactor of the constructions must keep every linkage and trace."""
+
+    def test_solves_match_pinned_digest(self):
+        rows = []
+        labels: Counter = Counter()
+        for solver, *args in _golden_solves():
+            res = check(solver(*args))
+            rows.append([res.linkage, list(res.trace)])
+            labels.update(label.split(":", 1)[1] for label in res.trace)
+        assert set(labels) == {
+            "trivial_pair", "base", "projection", "even_menger", "scenario1",
+            "scenario2", "scenario3", "link_case1", "link_detour", "link_case2"}
+        assert dict(labels) == PINNED_SOLVE_LABELS
+        digest = hashlib.sha256(
+            json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+        assert digest == PINNED_SOLVE_DIGEST
 
 
 def test_solve_result_json_shape():
