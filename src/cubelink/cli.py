@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 import tempfile
 import time
@@ -341,10 +342,14 @@ def _cmd_bench(args) -> int:
         "p90_ms": round(1000 * _percentile(times, 0.90), 3),
         "p99_ms": round(1000 * _percentile(times, 0.99), 3),
         "max_ms": round(1000 * times[-1], 3),
+        "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
+                    "platform": platform.platform()},
     }
     if args.format == "text":
         width = max(len(key) for key in out)
         for key, value in out.items():
+            if isinstance(value, dict):
+                value = " ".join(f"{k}={v}" for k, v in value.items())
             print(f"{key:<{width}}  {value}")
     else:
         _emit(out)

@@ -20,13 +20,13 @@ solve_avoiding(D, Y, {v, opposite(v)}) whenever 2k + 2 <= D + 1; only the
 tight even case k = D/2 falls outside it and keeps its own construction
 (_link_one_side / _link_two_sides).
 
-The dispatch, in order: single pairs go to the engine's A* router (Hamming
-heuristic, see _route); d <= 4 goes to the oracle search; slack instances
-(k below the maximum, or a nonempty avoid set) project into a facet chosen
-through a free direction; tight even d splits off a facet by disjoint-path
-flow routing onto it (_facet_routes); tight odd d classifies into one of three
-scenario constructions (all pairs antipodal / all terminals in one facet /
-the rest).  Each recursion level appends a label to the scenario trace of
+The dispatch, in order (_construction names the choice): single pairs go to
+the engine's A* router (Hamming heuristic, see _route); d <= 4 goes to the
+oracle search; slack instances (k below the maximum, or a nonempty avoid
+set) project into a facet chosen through a free direction; tight even d
+splits off a facet by disjoint-path routing onto it (_facet_routes); tight
+odd d classifies into one of three scenario constructions (all pairs
+antipodal / all terminals in one facet / the rest).  Each recursion level appends a label to the scenario trace of
 the result, e.g. "Q7:scenario3", so a solve is auditable after the fact.
 scenario3_context returns the scenario-3 set-up that the solver itself
 uses (special pair, facet F, entry map omega, and the special pair's avoid
@@ -40,7 +40,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from heapq import heappop, heappush
+from operator import and_, or_
 from typing import Iterable
 
 from . import cube_core
@@ -136,6 +138,15 @@ def _push(v: int, F: Face, c: int) -> int:
 
 def _lift(path: Iterable[int], c: int, value: int) -> list:
     return [insert_coordinate(u, c, value) for u in path]
+
+
+def _free_direction(d: int, Z: set) -> int:
+    """free_direction on a set the construction keeps within |Z| <= d; a
+    ValueError from it is an engine fault, not bad input."""
+    try:
+        return free_direction(d, Z)
+    except ValueError as exc:
+        raise InvariantError(str(exc), {"d": d, "Z": sorted(Z)}) from exc
 
 
 def _terminals(pairs: list) -> list:
@@ -244,19 +255,35 @@ def _facet_routes(d: int, X: list, w: int) -> dict:
     vertex, holds no other terminal, and shares no vertex with the rest.
     Fewer paths than terminals come back only when no full routing exists.
 
-    Unit-capacity max-flow on the vertex-split cube, grown by shortest
-    augmenting paths.  Node 2v is v's entry and 2v + 1 its exit; a facet
-    entry drains to the sink, and an exit leads to the entries of its
-    non-terminal neighbours in ascending order.
+    A source a (bit w == 1) whose straight drop u = a ^ 2^w is not a
+    terminal takes the edge [a, u] at once.  The flow below would pick the
+    same edges: a drop is the only augmenting path of four arcs, so the
+    shortest-augmenting search claims every free drop first, in ascending
+    source order; and no later path can reroute one, because the only
+    neighbour of u off the facet is the terminal a, whose exit is reachable
+    only through its own saturated source arc.  So the output is the one
+    the flow over all sources gives, and only the blocked sources, those
+    whose drop is a terminal, go through the flow.
+
+    That flow is a unit-capacity max-flow on the vertex-split cube, grown
+    by shortest augmenting paths.  Node 2v is v's entry and 2v + 1 its exit;
+    a facet entry drains to the sink, and an exit leads to the entries of
+    its non-terminal neighbours in ascending order.
     """
     source, sink = -1, -2
     terminals = frozenset(X)
-    sources = sorted(x for x in X if x >> w & 1)
     routes = {x: [x] for x in X if not x >> w & 1}
+    blocked = []  # ascending
+    for a in sorted(x for x in X if x >> w & 1):
+        u = a ^ (1 << w)
+        if u in terminals:
+            blocked.append(a)
+        else:
+            routes[a] = [a, u]
 
     def successors(node: int) -> list:
         if node == source:
-            return [2 * a for a in sources]
+            return [2 * a for a in blocked]
         v = node >> 1
         if not node & 1:
             return [sink] if not v >> w & 1 else [node + 1]
@@ -265,7 +292,7 @@ def _facet_routes(d: int, X: list, w: int) -> dict:
 
     flow: set = set()  # saturated arcs; every capacity is one
     into: dict = {}    # node -> the node whose saturated arc enters it
-    for _ in sources:
+    for _ in blocked:
         parent = {source: None}
         queue = deque([source])
         while queue and sink not in parent:
@@ -294,7 +321,7 @@ def _facet_routes(d: int, X: list, w: int) -> dict:
                 del into[prev]
             node = prev
 
-    for a in sources:
+    for a in blocked:
         if (source, 2 * a) not in flow:
             continue
         path = [a]
@@ -314,13 +341,32 @@ def _facet_routes(d: int, X: list, w: int) -> dict:
 # The uniform internal solver
 
 
+def _construction(d: int, pairs: list, avoid: frozenset) -> str:
+    """The label of the construction _solve runs on a contract instance."""
+    k = len(pairs)
+    if k == 1:
+        return "trivial_pair"
+    if d <= 4:
+        return "base"
+    if avoid or k < (d + 1) // 2:
+        return "projection"
+    if d % 2 == 0:
+        return "even_menger"
+    full = (1 << d) - 1
+    if all(s ^ t == full for s, t in pairs):
+        return "scenario1"
+    if _common_coord(d, _terminals(pairs)) is not None:
+        return "scenario2"
+    return "scenario3"
+
+
 def _solve(d: int, pairs: list, avoid: frozenset, trace: list) -> list:
     """k disjoint paths in Q_d avoiding `avoid`; legal when 2k+|avoid| <= d+1,
     d != 3.  Paths come back oriented, path i running pairs[i][0] -> [1]."""
     _solve_contract_check(d, pairs, avoid)
-    k = len(pairs)
-    if k == 1:
-        trace.append(f"Q{d}:trivial_pair")
+    label = _construction(d, pairs, avoid)
+    trace.append(f"Q{d}:{label}")
+    if label == "trivial_pair":
         s, t = pairs[0]
         path = _route(d, s, t, avoid)
         if path is None:
@@ -328,31 +374,29 @@ def _solve(d: int, pairs: list, avoid: frozenset, trace: list) -> list:
             raise InvariantError("routing failed under the connectivity budget",
                                  {"d": d, "pair": pairs[0], "avoid": sorted(avoid)})
         paths = [path]
-    elif d <= 4:
-        trace.append(f"Q{d}:base")
+    elif label == "base":
         paths = base_solve(CubeGraph(d), Pairing(tuple(pairs)), avoid)
-    elif avoid or k < (d + 1) // 2:
+    elif label == "projection":
         paths = _projection(d, pairs, avoid, trace)
-    elif d % 2 == 0:
+    elif label == "even_menger":
         paths = _even_reduction(d, pairs, trace)
+    elif label == "scenario1":
+        paths = _scenario1(d, pairs, trace)
+    elif label == "scenario2":
+        paths = _scenario2(d, pairs, trace)
     else:
-        full = (1 << d) - 1
-        if all(s ^ t == full for s, t in pairs):
-            paths = _scenario1(d, pairs, trace)
-        else:
-            c = _common_coord(d, _terminals(pairs))
-            if c is not None:
-                paths = _scenario2(d, pairs, c, trace)
-            else:
-                paths = _scenario3(d, pairs, trace)
+        paths = _scenario3(d, pairs, trace)
     if SELF_CHECK:
         _self_check(d, pairs, avoid, paths)
     return paths
 
 
 def _common_coord(d: int, X: list) -> int | None:
-    """The smallest coordinate on which every vertex of X agrees, or None."""
-    return next((c for c in range(d) if len({_bit(x, c) for x in X}) == 1), None)
+    """The smallest coordinate on which every vertex of X (nonempty) agrees,
+    or None: the lowest bit set in the AND of X or the AND of complements."""
+    full = (1 << d) - 1
+    agree = reduce(and_, X) | (full & ~reduce(or_, X))
+    return (agree & -agree).bit_length() - 1 if agree else None
 
 
 # ---------------------------------------------------------------------------
@@ -381,16 +425,15 @@ def base_solve(G: HostGraph, Y: Pairing, avoid: Iterable[int] = ()) -> list:
 
 
 def _projection(d: int, pairs: list, avoid: frozenset, trace: list) -> list:
-    trace.append(f"Q{d}:projection")
     X = set(_terminals(pairs))
     if avoid:
         z_star = min(avoid)
         rest = avoid - {z_star}
-        w = free_direction(d, X | rest)
+        w = _free_direction(d, X | rest)
         side = 1 - _bit(z_star, w)  # solve on the side away from z_star
     else:
         rest = frozenset()
-        w = free_direction(d, X)
+        w = _free_direction(d, X)
         side = 0
     F = facet(w, side)
     sub_pairs = [(_push(s, F, w), _push(t, F, w)) for s, t in pairs]
@@ -404,7 +447,6 @@ def _projection(d: int, pairs: list, avoid: frozenset, trace: list) -> list:
 
 
 def _even_reduction(d: int, pairs: list, trace: list) -> list:
-    trace.append(f"Q{d}:even_menger")
     w = d - 1
     X = _terminals(pairs)
     stub = _facet_routes(d, X, w)
@@ -432,11 +474,10 @@ def _even_reduction(d: int, pairs: list, trace: list) -> list:
 
 
 def _scenario1(d: int, pairs: list, trace: list) -> list:
-    trace.append(f"Q{d}:scenario1")
     k = len(pairs)
     s1 = pairs[0][0]
     X = set(_terminals(pairs))
-    w = free_direction(d, X - {s1})
+    w = _free_direction(d, X - {s1})
     side = _bit(s1, w)
     Fo = facet(w, side)  # the facet holding every s_i after orientation
     F = Fo.opposite_facet()
@@ -474,11 +515,11 @@ def _scenario1(d: int, pairs: list, trace: list) -> list:
 # Scenario 2: all terminals in one facet
 
 
-def _scenario2(d: int, pairs: list, c: int, trace: list) -> list:
+def _scenario2(d: int, pairs: list, trace: list) -> list:
     """Every terminal has bit c == value.  Join the first pair that routes
     inside that facet around the other terminals; solve the rest in the
     opposite facet, which maps to the same Q_{d-1} words once c is dropped."""
-    trace.append(f"Q{d}:scenario2")
+    c = _common_coord(d, _terminals(pairs))
     value = _bit(pairs[0][0], c)
     reduced = [(delete_coordinate(s, c), delete_coordinate(t, c)) for s, t in pairs]
     others = set(_terminals(reduced))
@@ -589,18 +630,18 @@ def _build_omega(d: int, F: Face, rho: dict, X_beta: tuple) -> dict:
 
 def scenario3_context(d: int, Y: Pairing) -> ScenarioContext:
     """The set-up _scenario3 builds for Y, without solving.  Handy for
-    inspecting the construction."""
+    inspecting the construction.  ValueError when Y runs another one."""
     pairs = list(Y.pairs)
-    full = (1 << d) - 1
-    if all(s ^ t == full for s, t in pairs):
-        raise ValueError("all pairs antipodal: no scenario3 context exists")
-    if _common_coord(d, list(Y.terminals)) is not None:
-        raise ValueError("all terminals share a facet: no scenario3 context exists")
+    label = _construction(d, pairs, frozenset())
+    if label != "scenario3":
+        reason = {"scenario1": "all pairs antipodal",
+                  "scenario2": "all terminals share a facet"}.get(
+                      label, f"the solver runs {label} on this instance")
+        raise ValueError(f"{reason}: no scenario3 context exists")
     return _scenario3_context(d, pairs)
 
 
 def _scenario3(d: int, pairs: list, trace: list) -> list:
-    trace.append(f"Q{d}:scenario3")
     k = len(pairs)
     ctx = _scenario3_context(d, pairs)
     s1, t1 = pairs[ctx.first]
@@ -754,7 +795,7 @@ def solve_link(d_plus_1: int, v: int, Y: Pairing) -> SolveResult:
         return solve_avoiding(d_plus_1, Y, {v, vo})
     pairs = list(Y.pairs)
     X = _terminals(pairs)
-    w = free_direction(d_plus_1, set(X))
+    w = _free_direction(d_plus_1, set(X))
     on_v_side = sum(1 for x in X if _bit(x, w) == _bit(v, w))
     construct = _link_one_side if on_v_side in (0, len(X)) else _link_two_sides
     trace: list = []

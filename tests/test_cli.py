@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import cubelink
-from cubelink import cli
+from cubelink import cli, linkage_engine
 from cubelink.path_oracle import InvariantError
 
 
@@ -254,6 +254,7 @@ class TestCertifyAndSuite:
                                    "--k", "3", "--samples", "5")
         assert code == 0
         assert set(obj) >= {"p50_ms", "p90_ms", "p99_ms", "max_ms", "total_s"}
+        assert set(obj["machine"]) == {"cpus", "python", "platform"}
 
 
 class TestOutputStability:
@@ -294,6 +295,21 @@ class TestFailureHandling:
         dump = json.loads(open(path).read())
         assert dump["error"] == "planted failure"
         assert dump["context"] == {"detail": 7}
+
+    def test_engine_value_error_is_internal(self, capsys, monkeypatch):
+        # the engine keeps |Z| <= d; a free_direction failure is its own fault
+        def exhausted(d, Z):
+            raise ValueError("caller exceeded the |Z| <= d bound")
+
+        monkeypatch.setattr(linkage_engine, "free_direction", exhausted)
+        code, _, err = invoke(capsys, "solve", "--dim", "6",
+                              "--pairs", "000000:111111,000011:111100")
+        assert code == 3
+        path = err.split("replay dump:", 1)[1].strip()
+        with open(path) as fh:
+            dump = json.load(fh)
+        os.remove(path)
+        assert dump["context"] == {"d": 6, "Z": [0, 3, 60, 63]}
 
     def test_unknown_command(self, capsys):
         code, _, err = invoke(capsys, "frobnicate")

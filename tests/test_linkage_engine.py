@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import cubelink.linkage_engine as linkage_engine
 from cubelink.cube_core import CubeGraph, face_vertices, facet, link_graph, opposite
 from cubelink.path_oracle import (
+    InvariantError,
     Pairing,
     avoid_path,
     menger_disjoint_paths,
@@ -18,7 +19,10 @@ from cubelink.path_oracle import (
 )
 from cubelink.linkage_engine import (
     UnsupportedInstanceError,
+    _common_coord,
+    _construction,
     _facet_routes,
+    _projection,
     _route,
     base_solve,
     detect_config_3F,
@@ -147,6 +151,14 @@ class TestPreconditions:
         with pytest.raises(ValueError):
             base_solve(CubeGraph(5), Pairing(((0, 31),)))
 
+    def test_exhausted_free_direction_is_an_invariant_failure(self):
+        # {0, 1, 2, 4, 8, 16} associates all five directions of Q5: only an
+        # engine fault can hand such a set to free_direction.
+        with pytest.raises(InvariantError) as info:
+            _projection(5, [(0, 1), (2, 4), (8, 16)], frozenset(), [])
+        assert not isinstance(info.value, ValueError)
+        assert info.value.context == {"d": 5, "Z": [0, 1, 2, 4, 8, 16]}
+
 
 class TestConfig3F:
     BAD = [
@@ -233,6 +245,12 @@ class TestScenario3Context:
     def test_rejects_common_facet(self):
         with pytest.raises(ValueError):
             scenario3_context(5, Pairing(((0, 3), (1, 2), (4, 8))))
+
+    def test_rejects_other_constructions(self):
+        with pytest.raises(ValueError, match="even_menger"):
+            scenario3_context(6, Pairing(((0, 63), (1, 62), (2, 60))))
+        with pytest.raises(ValueError, match="projection"):
+            scenario3_context(7, Pairing(((0, 3), (5, 96))))
 
 
 class TestStrong:
@@ -345,6 +363,19 @@ class TestEngineProperties:
         Y = Pairing(tuple((terms[2 * i], terms[2 * i + 1]) for i in range(k)))
         check(solve_linkage(d, Y))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_construction_names_the_first_step(self, data):
+        d = data.draw(st.integers(2, 9).filter(lambda d: d != 3))
+        k = data.draw(st.integers(1, (d + 1) // 2))
+        picks = data.draw(st.lists(
+            st.integers(0, (1 << d) - 1), min_size=2 * k,
+            max_size=d + 1, unique=True))
+        pairs = list(zip(picks[:2 * k:2], picks[1:2 * k:2]))
+        avoid = frozenset(picks[2 * k:])
+        res = check(solve_avoiding(d, Pairing(tuple(pairs)), avoid))
+        assert res.trace[0] == f"Q{d}:{_construction(d, pairs, avoid)}"
+
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_deterministic(self, data):
@@ -407,10 +438,15 @@ class TestRouting:
         w = data.draw(st.integers(0, d - 1))
         X = data.draw(st.lists(st.integers(0, (1 << d) - 1),
                                min_size=1, max_size=d + 2, unique=True))
+        if data.draw(st.booleans()):
+            # force a source whose straight drop is a terminal
+            a = data.draw(st.integers(0, (1 << d) - 1)) | 1 << w
+            X = X[:d] + [v for v in (a, a ^ 1 << w) if v not in X[:d]]
         routes = _facet_routes(d, X, w)
         sink = frozenset(face_vertices(d, facet(w, 0)))
         ref = menger_disjoint_paths(CubeGraph(d), X, sink, len(X), strict=True)
         assert len(routes) == ref.flow
+        assert routes == {p[0]: p for p in ref.paths}
         terminals = set(X)
         placed: set = set()
         for x, path in routes.items():
@@ -422,6 +458,33 @@ class TestRouting:
                                         [path]).ok
             assert not placed & set(path)
             placed |= set(path)
+
+    def test_facet_routes_drop_or_detour(self):
+        # 16 and 17 have terminals below them and detour; 18 drops straight.
+        assert _facet_routes(5, [16, 0, 17, 1, 18], 4) == {
+            0: [0], 1: [1], 16: [16, 20, 4], 17: [17, 19, 3], 18: [18, 2]}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_common_coord_matches_definition(self, data):
+        d = data.draw(st.integers(1, 20))
+        X = data.draw(st.lists(st.integers(0, (1 << d) - 1),
+                               min_size=1, max_size=2 * d + 2, unique=True))
+        if data.draw(st.booleans()):
+            # confine X to the facet "bit c == value"
+            c = data.draw(st.integers(0, d - 1))
+            value = data.draw(st.integers(0, 1))
+            X = [x & ~(1 << c) | value << c for x in X]
+        naive = next((c for c in range(d) if len({x >> c & 1 for x in X}) == 1),
+                     None)
+        assert _common_coord(d, X) == naive
+
+    def test_common_coord_edge_cases(self):
+        assert _common_coord(7, [93]) == 0
+        assert _common_coord(6, [5, 5 ^ 63]) is None
+        assert _common_coord(20, [0, (1 << 20) - 1, 12345]) is None
+        assert _common_coord(5, [0b10110, 0b11111, 0b10010]) == 1
+        assert _common_coord(20, [1 << 19, 3 << 18]) == 0
 
     def test_engine_owns_its_routing(self):
         # path_oracle stays independent ground truth: the engine keeps only
