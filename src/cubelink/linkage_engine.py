@@ -20,14 +20,28 @@ solve_avoiding(D, Y, {v, opposite(v)}) whenever 2k + 2 <= D + 1; only the
 tight even case k = D/2 falls outside it and keeps its own construction
 (_link_one_side / _link_two_sides).
 
+Every recursion level works on a face of the top-level cube Q_D and keeps
+its vertices as D-bit words.  The face is given by its free-coordinate mask
+`free`; its fixed bits are the values the level's terminals share, and its
+dimension d is free.bit_count().  "Coordinate i" of the face is its i-th
+free bit in ascending order, so a sub-instance is the parent's vertices
+(projected onto a facet where needed) with one more bit fixed, and the
+paths it returns are already in the caller's words.  Deleting the fixed
+bits preserves order, distance and adjacency among the vertices of a face,
+so every tie-break (min, sorted, the A* heap key, ascending neighbours, the
+lowest free or agreeing bit) picks what it would pick in Q_d words.  Only
+the d <= 4 base case compresses its vertices to d-bit words, for the
+oracle search, and expands the paths back.
+
 The dispatch, in order (_construction names the choice): single pairs go to
 the engine's A* router (Hamming heuristic, see _route); d <= 4 goes to the
 oracle search; slack instances (k below the maximum, or a nonempty avoid
 set) project into a facet chosen through a free direction; tight even d
 splits off a facet by disjoint-path routing onto it (_facet_routes); tight
 odd d classifies into one of three scenario constructions (all pairs
-antipodal / all terminals in one facet / the rest).  Each recursion level appends a label to the scenario trace of
-the result, e.g. "Q7:scenario3", so a solve is auditable after the fact.
+antipodal / all terminals in one facet / the rest).  Each recursion level
+appends a label to the scenario trace of the result, e.g. "Q7:scenario3",
+so a solve is auditable after the fact.
 scenario3_context returns the scenario-3 set-up that the solver itself
 uses (special pair, facet F, entry map omega, and the special pair's avoid
 set S with its |S| <= d - 1 bound); the omega_conditions suite inspects it.
@@ -40,7 +54,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from heapq import heappop, heappush
 from operator import and_, or_
 from typing import Iterable
@@ -49,11 +63,8 @@ from . import cube_core
 from .cube_core import (
     CubeGraph,
     Face,
-    delete_coordinate,
     face_vertices,
     facet,
-    free_direction,
-    insert_coordinate,
     link_graph,
     opposite,
     project,
@@ -131,43 +142,55 @@ def _oriented(path: list, s: int, t: int) -> list:
     )
 
 
-def _push(v: int, F: Face, c: int) -> int:
-    """Project v into facet F and drop the fixed coordinate."""
-    return delete_coordinate(project(v, F), c)
+@lru_cache(maxsize=1024)
+def _bits(free: int) -> tuple:
+    """The free coordinates of a face as one-bit masks, ascending.  A solve
+    visits few distinct faces (about 300 in 300 Q13 solves), so the cache
+    answers almost every call."""
+    out = []
+    while free:
+        low = free & -free
+        out.append(low)
+        free ^= low
+    return tuple(out)
 
 
-def _lift(path: Iterable[int], c: int, value: int) -> list:
-    return [insert_coordinate(u, c, value) for u in path]
-
-
-def _free_direction(d: int, Z: set) -> int:
-    """free_direction on a set the construction keeps within |Z| <= d; a
-    ValueError from it is an engine fault, not bad input."""
-    try:
-        return free_direction(d, Z)
-    except ValueError as exc:
-        raise InvariantError(str(exc), {"d": d, "Z": sorted(Z)}) from exc
+def _free_direction(free: int, Z: set) -> int:
+    """The smallest free coordinate of the face that no edge inside Z (a
+    vertex set of the face) runs along.  One exists whenever |Z| <= d; the
+    construction keeps within that bound, so running out is an engine fault,
+    not bad input."""
+    assoc = 0
+    for z in Z:
+        for b in _bits(free):
+            if z ^ b in Z:
+                assoc |= b
+    left = free & ~assoc
+    if not left:
+        raise InvariantError("no free direction: Z breaks the |Z| <= d bound",
+                             {"d": free.bit_count(), "Z": sorted(Z)})
+    return (left & -left).bit_length() - 1
 
 
 def _terminals(pairs: list) -> list:
     return [v for p in pairs for v in p]
 
 
-def _lift_attached(pairs: list, sub_paths: list, w: int, side: int) -> list:
-    """Lift sub-paths solved in the facet "bit w == side" back into the cube,
-    then attach each terminal lying off that facet by its one edge in."""
+def _attached(pairs: list, sub_paths: list) -> list:
+    """Extend sub-paths solved in a facet by the terminals lying off it: a
+    sub-path starts at its source's projection, which is one edge away."""
     out = []
-    for (s, t), sub in zip(pairs, sub_paths):
-        path = _lift(sub, w, side)
-        if _bit(s, w) != side:
+    for (s, t), path in zip(pairs, sub_paths):
+        if path[0] != s:
             path = [s] + path
-        if _bit(t, w) != side:
+        if path[-1] != t:
             path = path + [t]
         out.append(path)
     return out
 
 
-def _solve_contract_check(d: int, pairs: list, avoid: frozenset) -> None:
+def _solve_contract_check(free: int, pairs: list, avoid: frozenset) -> None:
+    d = free.bit_count()
     k = len(pairs)
     flat = _terminals(pairs)
     if len(set(flat)) != 2 * k or set(flat) & avoid:
@@ -180,17 +203,34 @@ def _solve_contract_check(d: int, pairs: list, avoid: frozenset) -> None:
             "recursive instance exceeds the solver contract",
             {"d": d, "k": k, "avoid": sorted(avoid)},
         )
-    for v in flat:
-        cube_core.check_vertex(d, v)
+    fixed_mask = ~free
+    fixed = flat[0] & fixed_mask
+    for v in (*flat, *avoid):
+        if v & fixed_mask != fixed:
+            raise InvariantError(
+                "recursive instance leaves its face",
+                {"free": free, "pairs": pairs, "avoid": sorted(avoid), "vertex": v},
+            )
 
 
-def _self_check(d: int, pairs: list, avoid: frozenset, paths: list) -> None:
-    G = CubeGraph(d, avoid)
+def _self_check(free: int, pairs: list, avoid: frozenset, paths: list) -> None:
+    """Validate a level's output against its sub-instance.  Every path vertex
+    must lie in the face; given that, a linkage of the face is a linkage of
+    the cube around it (a face is an induced subgraph), so the paths are
+    validated in the words they are written in."""
+    fixed_mask = ~free
+    fixed = pairs[0][0] & fixed_mask
+    for path in paths:
+        outside = [v for v in path if v & fixed_mask != fixed]
+        if outside:
+            raise InvariantError("self-check: path leaves its face",
+                                 {"free": free, "path": path, "outside": outside})
+    G = CubeGraph((fixed | free).bit_length(), avoid)
     report = validate_linkage(G, Pairing(tuple(pairs)), paths)
     if not report:
         raise InvariantError(
             "self-check: invalid linkage from internal solver",
-            {"d": d, "pairs": pairs, "avoid": sorted(avoid),
+            {"free": free, "pairs": pairs, "avoid": sorted(avoid),
              "clause": report.clause, "message": report.message},
         )
     for path, (s, t) in zip(paths, pairs):
@@ -202,13 +242,14 @@ def _self_check(d: int, pairs: list, avoid: frozenset, paths: list) -> None:
 # ---------------------------------------------------------------------------
 # Cube-native routing
 #
-# Both routers work on the implicit cube: neighbours are bit flips and the
-# target facet is a bit test, so no call materialises a vertex set of Q_d.
-# path_oracle keeps its own BFS and max-flow code as independent ground truth.
+# Both routers work on the implicit face: neighbours are flips of its free
+# bits and the target facet is a bit test, so no call materialises a vertex
+# set.  path_oracle keeps its own BFS and max-flow code as independent ground
+# truth.
 
 
-def _route(d: int, s: int, t: int, avoid: set | frozenset) -> list | None:
-    """Shortest s-t path in Q_d minus `avoid`, or None if there is none.
+def _route(free: int, s: int, t: int, avoid: set | frozenset) -> list | None:
+    """Shortest s-t path in the face (s and t in it) minus `avoid`, or None.
 
     A* with the Hamming heuristic h(v) = popcount(v ^ t), which is consistent
     on unit edges, so the first time t is generated its path is shortest.
@@ -218,9 +259,10 @@ def _route(d: int, s: int, t: int, avoid: set | frozenset) -> list | None:
     """
     if s in avoid or t in avoid:
         raise InvariantError("route endpoints lie in the avoid set",
-                             {"d": d, "pair": (s, t), "avoid": sorted(avoid)})
+                             {"free": free, "pair": (s, t), "avoid": sorted(avoid)})
     if s == t:
         return [s]
+    bits = _bits(free)
     parent = {s: None}
     best = {s: 0}
     closed = set()
@@ -231,8 +273,8 @@ def _route(d: int, s: int, t: int, avoid: set | frozenset) -> list | None:
             continue
         closed.add(v)
         g = 1 - neg_g
-        for c in range(d):
-            u = v ^ (1 << c)
+        for b in bits:
+            u = v ^ b
             if u == t:
                 path = [t, v]
                 while parent[path[-1]] is not None:
@@ -247,8 +289,9 @@ def _route(d: int, s: int, t: int, avoid: set | frozenset) -> list | None:
     return None
 
 
-def _facet_routes(d: int, X: list, w: int) -> dict:
-    """Disjoint paths from the terminals X to the facet "bit w == 0".
+def _facet_routes(free: int, X: list, w: int) -> dict:
+    """Disjoint paths in the face from its terminals X to its facet "bit w ==
+    0", w a free coordinate.
 
     Returns {x: path starting at x}.  A terminal already in the facet is its
     own one-vertex path; every other path meets the facet only at its last
@@ -271,6 +314,7 @@ def _facet_routes(d: int, X: list, w: int) -> dict:
     its non-terminal neighbours in ascending order.
     """
     source, sink = -1, -2
+    bits = _bits(free)
     terminals = frozenset(X)
     routes = {x: [x] for x in X if not x >> w & 1}
     blocked = []  # ascending
@@ -287,7 +331,7 @@ def _facet_routes(d: int, X: list, w: int) -> dict:
         v = node >> 1
         if not node & 1:
             return [sink] if not v >> w & 1 else [node + 1]
-        return [2 * u for u in sorted(v ^ (1 << c) for c in range(d))
+        return [2 * u for u in sorted(v ^ b for b in bits)
                 if u not in terminals]
 
     flow: set = set()  # saturated arcs; every capacity is one
@@ -330,7 +374,7 @@ def _facet_routes(d: int, X: list, w: int) -> dict:
             node = next((n for n in successors(node) if (node, n) in flow), None)
             if node is None:
                 raise InvariantError("facet flow decomposition ran out of arcs",
-                                     {"d": d, "terminals": X, "path": path})
+                                     {"free": free, "terminals": X, "path": path})
             if node != sink and not node & 1:
                 path.append(node >> 1)
         routes[a] = path
@@ -341,8 +385,9 @@ def _facet_routes(d: int, X: list, w: int) -> dict:
 # The uniform internal solver
 
 
-def _construction(d: int, pairs: list, avoid: frozenset) -> str:
+def _construction(free: int, pairs: list, avoid: frozenset) -> str:
     """The label of the construction _solve runs on a contract instance."""
+    d = free.bit_count()
     k = len(pairs)
     if k == 1:
         return "trivial_pair"
@@ -352,50 +397,51 @@ def _construction(d: int, pairs: list, avoid: frozenset) -> str:
         return "projection"
     if d % 2 == 0:
         return "even_menger"
-    full = (1 << d) - 1
-    if all(s ^ t == full for s, t in pairs):
+    if all(s ^ t == free for s, t in pairs):
         return "scenario1"
-    if _common_coord(d, _terminals(pairs)) is not None:
+    if _common_coord(free, _terminals(pairs)) is not None:
         return "scenario2"
     return "scenario3"
 
 
-def _solve(d: int, pairs: list, avoid: frozenset, trace: list) -> list:
-    """k disjoint paths in Q_d avoiding `avoid`; legal when 2k+|avoid| <= d+1,
-    d != 3.  Paths come back oriented, path i running pairs[i][0] -> [1]."""
-    _solve_contract_check(d, pairs, avoid)
-    label = _construction(d, pairs, avoid)
-    trace.append(f"Q{d}:{label}")
+def _solve(free: int, pairs: list, avoid: frozenset, trace: list) -> list:
+    """k disjoint paths in the face with free-coordinate mask `free` (of
+    dimension d, holding every terminal and avoid vertex) avoiding `avoid`;
+    legal when 2k+|avoid| <= d+1, d != 3.  Paths come back oriented, path i
+    running pairs[i][0] -> [1]."""
+    _solve_contract_check(free, pairs, avoid)
+    label = _construction(free, pairs, avoid)
+    trace.append(f"Q{free.bit_count()}:{label}")
     if label == "trivial_pair":
         s, t = pairs[0]
-        path = _route(d, s, t, avoid)
+        path = _route(free, s, t, avoid)
         if path is None:
             # |avoid| <= d-1 < connectivity, so this cannot happen.
             raise InvariantError("routing failed under the connectivity budget",
-                                 {"d": d, "pair": pairs[0], "avoid": sorted(avoid)})
+                                 {"free": free, "pair": pairs[0], "avoid": sorted(avoid)})
         paths = [path]
     elif label == "base":
-        paths = base_solve(CubeGraph(d), Pairing(tuple(pairs)), avoid)
+        paths = _base(free, pairs, avoid)
     elif label == "projection":
-        paths = _projection(d, pairs, avoid, trace)
+        paths = _projection(free, pairs, avoid, trace)
     elif label == "even_menger":
-        paths = _even_reduction(d, pairs, trace)
+        paths = _even_reduction(free, pairs, trace)
     elif label == "scenario1":
-        paths = _scenario1(d, pairs, trace)
+        paths = _scenario1(free, pairs, trace)
     elif label == "scenario2":
-        paths = _scenario2(d, pairs, trace)
+        paths = _scenario2(free, pairs, trace)
     else:
-        paths = _scenario3(d, pairs, trace)
+        paths = _scenario3(free, pairs, trace)
     if SELF_CHECK:
-        _self_check(d, pairs, avoid, paths)
+        _self_check(free, pairs, avoid, paths)
     return paths
 
 
-def _common_coord(d: int, X: list) -> int | None:
-    """The smallest coordinate on which every vertex of X (nonempty) agrees,
-    or None: the lowest bit set in the AND of X or the AND of complements."""
-    full = (1 << d) - 1
-    agree = reduce(and_, X) | (full & ~reduce(or_, X))
+def _common_coord(free: int, X: list) -> int | None:
+    """The smallest free coordinate on which every vertex of X (nonempty)
+    agrees, or None: the lowest free bit set in the AND of X or the AND of
+    complements."""
+    agree = (reduce(and_, X) | ~reduce(or_, X)) & free
     return (agree & -agree).bit_length() - 1 if agree else None
 
 
@@ -420,50 +466,65 @@ def base_solve(G: HostGraph, Y: Pairing, avoid: Iterable[int] = ()) -> list:
     return [_oriented(p, s, t) for p, (s, t) in zip(outcome.linkage, Y.pairs)]
 
 
+@lru_cache(maxsize=256)
+def _base_words(free: int) -> tuple:
+    """For a face of dimension d <= 4: words[i] is the vertex, fixed bits
+    zero, whose free bits spell i, and index inverts words."""
+    words = [0]
+    for b in _bits(free):
+        words += [v | b for v in words]
+    return tuple(words), {v: i for i, v in enumerate(words)}
+
+
+def _base(free: int, pairs: list, avoid: frozenset) -> list:
+    """base_solve on the face's Q_d words, with the paths expanded back."""
+    words, index = _base_words(free)
+    fixed = pairs[0][0] & ~free
+    Y = Pairing(tuple((index[s ^ fixed], index[t ^ fixed]) for s, t in pairs))
+    paths = base_solve(CubeGraph(free.bit_count()), Y, [index[a ^ fixed] for a in avoid])
+    return [[words[u] | fixed for u in p] for p in paths]
+
+
 # ---------------------------------------------------------------------------
 # Slack instances: project everything into one facet
 
 
-def _projection(d: int, pairs: list, avoid: frozenset, trace: list) -> list:
+def _projection(free: int, pairs: list, avoid: frozenset, trace: list) -> list:
     X = set(_terminals(pairs))
     if avoid:
         z_star = min(avoid)
         rest = avoid - {z_star}
-        w = _free_direction(d, X | rest)
+        w = _free_direction(free, X | rest)
         side = 1 - _bit(z_star, w)  # solve on the side away from z_star
     else:
         rest = frozenset()
-        w = _free_direction(d, X)
+        w = _free_direction(free, X)
         side = 0
     F = facet(w, side)
-    sub_pairs = [(_push(s, F, w), _push(t, F, w)) for s, t in pairs]
-    sub_avoid = frozenset(delete_coordinate(a, w) for a in rest if F.contains(a))
-    sub_paths = _solve(d - 1, sub_pairs, sub_avoid, trace)
-    return _lift_attached(pairs, sub_paths, w, side)
+    sub_pairs = [(project(s, F), project(t, F)) for s, t in pairs]
+    sub_avoid = frozenset(a for a in rest if F.contains(a))
+    sub_paths = _solve(free ^ (1 << w), sub_pairs, sub_avoid, trace)
+    return _attached(pairs, sub_paths)
 
 
 # ---------------------------------------------------------------------------
 # Tight even dimension: route terminals onto a facet, solve inside
 
 
-def _even_reduction(d: int, pairs: list, trace: list) -> list:
-    w = d - 1
+def _even_reduction(free: int, pairs: list, trace: list) -> list:
+    w = free.bit_length() - 1  # the highest free coordinate
     X = _terminals(pairs)
-    stub = _facet_routes(d, X, w)
+    stub = _facet_routes(free, X, w)
     if len(stub) < len(X):
         raise InvariantError(
             "facet routing found fewer paths than the connectivity guarantees",
-            {"d": d, "pairs": pairs, "found": len(stub)},
+            {"free": free, "pairs": pairs, "found": len(stub)},
         )
-    sub_pairs = [
-        (delete_coordinate(stub[s][-1], w), delete_coordinate(stub[t][-1], w))
-        for s, t in pairs
-    ]
-    sub_paths = _solve(d - 1, sub_pairs, frozenset(), trace)
+    sub_pairs = [(stub[s][-1], stub[t][-1]) for s, t in pairs]
+    sub_paths = _solve(free ^ (1 << w), sub_pairs, frozenset(), trace)
     out = []
     for (s, t), sub in zip(pairs, sub_paths):
-        inner = _lift(sub, w, 0)
-        path = stub[s] + inner[1:]
+        path = stub[s] + sub[1:]
         back = stub[t][::-1]
         out.append(path + back[1:])
     return out
@@ -473,11 +534,11 @@ def _even_reduction(d: int, pairs: list, trace: list) -> list:
 # Scenario 1: every pair antipodal
 
 
-def _scenario1(d: int, pairs: list, trace: list) -> list:
+def _scenario1(free: int, pairs: list, trace: list) -> list:
     k = len(pairs)
     s1 = pairs[0][0]
     X = set(_terminals(pairs))
-    w = _free_direction(d, X - {s1})
+    w = _free_direction(free, X - {s1})
     side = _bit(s1, w)
     Fo = facet(w, side)  # the facet holding every s_i after orientation
     F = Fo.opposite_facet()
@@ -489,25 +550,26 @@ def _scenario1(d: int, pairs: list, trace: list) -> list:
     )
     if idx2 is None:
         raise InvariantError("no usable second pair among antipodal pairs",
-                             {"d": d, "pairs": pairs})
+                             {"free": free, "pairs": pairs})
     up = [oriented[i] for i in (0, idx2)]
     rest = [i for i in range(1, k) if i != idx2]
     down = [oriented[i] for i in rest]
 
+    sub = free ^ (1 << w)
     down_paths = _solve(
-        d - 1,
-        [(_push(s, F, w), _push(t, F, w)) for s, t in down],
-        frozenset(delete_coordinate(t, w) for _, t in up),
+        sub,
+        [(project(s, F), project(t, F)) for s, t in down],
+        frozenset(t for _, t in up),
         trace,
     )
     up_paths = _solve(
-        d - 1,
-        [(_push(s, Fo, w), _push(t, Fo, w)) for s, t in up],
-        frozenset(delete_coordinate(s, w) for s, _ in down),
+        sub,
+        [(project(s, Fo), project(t, Fo)) for s, t in up],
+        frozenset(s for s, _ in down),
         trace,
     )
-    out = dict(zip((0, idx2), _lift_attached(up, up_paths, w, side)))
-    out.update(zip(rest, _lift_attached(down, down_paths, w, 1 - side)))
+    out = dict(zip((0, idx2), _attached(up, up_paths)))
+    out.update(zip(rest, _attached(down, down_paths)))
     return [_oriented(out[i], s, t) for i, (s, t) in enumerate(pairs)]
 
 
@@ -515,25 +577,25 @@ def _scenario1(d: int, pairs: list, trace: list) -> list:
 # Scenario 2: all terminals in one facet
 
 
-def _scenario2(d: int, pairs: list, trace: list) -> list:
-    """Every terminal has bit c == value.  Join the first pair that routes
-    inside that facet around the other terminals; solve the rest in the
-    opposite facet, which maps to the same Q_{d-1} words once c is dropped."""
-    c = _common_coord(d, _terminals(pairs))
-    value = _bit(pairs[0][0], c)
-    reduced = [(delete_coordinate(s, c), delete_coordinate(t, c)) for s, t in pairs]
-    others = set(_terminals(reduced))
+def _scenario2(free: int, pairs: list, trace: list) -> list:
+    """Every terminal has the same bit c.  Join the first pair that routes
+    inside that facet around the other terminals; solve the rest on the
+    terminals' mirror images in the opposite facet."""
+    c = _common_coord(free, _terminals(pairs))
+    sub = free ^ (1 << c)
+    others = set(_terminals(pairs))
     # At most one pair can be blocked, so the first or second try succeeds.
-    for idx, (s, t) in enumerate(reduced):
-        path = _route(d - 1, s, t, others - {s, t})
+    for idx, (s, t) in enumerate(pairs):
+        path = _route(sub, s, t, others - {s, t})
         if path is not None:
             break
     else:
         raise InvariantError("every pair is blocked inside the facet",
-                             {"d": d, "pairs": pairs})
-    sub_paths = _solve(d - 1, reduced[:idx] + reduced[idx + 1:], frozenset(), trace)
-    out = _lift_attached(pairs[:idx] + pairs[idx + 1:], sub_paths, c, 1 - value)
-    out.insert(idx, _lift(path, c, value))
+                             {"free": free, "pairs": pairs})
+    rest = pairs[:idx] + pairs[idx + 1:]
+    mirrored = [(s ^ (1 << c), t ^ (1 << c)) for s, t in rest]
+    out = _attached(rest, _solve(sub, mirrored, frozenset(), trace))
+    out.insert(idx, path)
     return out
 
 
@@ -560,13 +622,14 @@ class ScenarioContext:
     S: frozenset
 
 
-def _scenario3_context(d: int, pairs: list) -> ScenarioContext:
+def _scenario3_context(free: int, pairs: list) -> ScenarioContext:
     """The special pair is the first non-antipodal one; F is the facet of
-    the first coordinate its two terminals agree on."""
-    full = (1 << d) - 1
-    first = next(i for i, (s, t) in enumerate(pairs) if s ^ t != full)
+    the first free coordinate its two terminals agree on."""
+    d = free.bit_count()
+    first = next(i for i, (s, t) in enumerate(pairs) if s ^ t != free)
     s1, t1 = pairs[first]
-    agree = next(c for c in range(d) if _bit(s1, c) == _bit(t1, c))
+    agree_bits = free & ~(s1 ^ t1)
+    agree = (agree_bits & -agree_bits).bit_length() - 1
     F = facet(agree, _bit(s1, agree))
     rho = {}
     for s, t in pairs:
@@ -580,7 +643,7 @@ def _scenario3_context(d: int, pairs: list) -> ScenarioContext:
     )
     X_alpha = frozenset(v for i in alpha_idx for v in pairs[i])
     X_beta = tuple(sorted(X_F - X_alpha))
-    omega = _build_omega(d, F, rho, X_beta)
+    omega = _build_omega(free, F, rho, X_beta)
     S = X_F | (frozenset(omega.values()) - frozenset(rho))
     if len(S) > d - 1:
         raise InvariantError("avoid set for the special pair is too large",
@@ -589,7 +652,7 @@ def _scenario3_context(d: int, pairs: list) -> ScenarioContext:
                            omega, S)
 
 
-def _build_omega(d: int, F: Face, rho: dict, X_beta: tuple) -> dict:
+def _build_omega(free: int, F: Face, rho: dict, X_beta: tuple) -> dict:
     """Assign each blocked F-side terminal an entry vertex in F.
 
     omega(x) = x unless x's projection into F^o collides with a foreign
@@ -598,6 +661,7 @@ def _build_omega(d: int, F: Face, rho: dict, X_beta: tuple) -> dict:
     The obstruction set has at most d-2 members, so a candidate survives.
     """
     Fo = F.opposite_facet()
+    bits = _bits(free)
     X = frozenset(rho)
     omega: dict = {}
     for x in X_beta:
@@ -605,11 +669,11 @@ def _build_omega(d: int, F: Face, rho: dict, X_beta: tuple) -> dict:
         if px not in X or px == rho[x]:
             omega[x] = x
             continue
-        nf = [n for n in cube_core.neighbors(d, x) if F.contains(n)]
+        nf = [x ^ b for b in bits if F.contains(x ^ b)]
         foreign = {project(z, F) for z in X if z != rho[x]}
         taken = set(omega.values())
         obstruction = [n for n in nf if n in X or n in foreign or n in taken]
-        if len(obstruction) > d - 2:
+        if len(obstruction) > len(bits) - 2:
             raise InvariantError("entry obstruction set is too large",
                                  {"x": x, "obstruction": obstruction})
         candidates = sorted(set(nf) - set(obstruction))
@@ -632,21 +696,21 @@ def scenario3_context(d: int, Y: Pairing) -> ScenarioContext:
     """The set-up _scenario3 builds for Y, without solving.  Handy for
     inspecting the construction.  ValueError when Y runs another one."""
     pairs = list(Y.pairs)
-    label = _construction(d, pairs, frozenset())
+    free = (1 << d) - 1
+    label = _construction(free, pairs, frozenset())
     if label != "scenario3":
         reason = {"scenario1": "all pairs antipodal",
                   "scenario2": "all terminals share a facet"}.get(
                       label, f"the solver runs {label} on this instance")
         raise ValueError(f"{reason}: no scenario3 context exists")
-    return _scenario3_context(d, pairs)
+    return _scenario3_context(free, pairs)
 
 
-def _scenario3(d: int, pairs: list, trace: list) -> list:
+def _scenario3(free: int, pairs: list, trace: list) -> list:
     k = len(pairs)
-    ctx = _scenario3_context(d, pairs)
+    ctx = _scenario3_context(free, pairs)
     s1, t1 = pairs[ctx.first]
     agree = ctx.face.fixed_mask.bit_length() - 1  # F's fixed coordinate
-    value = _bit(s1, agree)
     Fo = ctx.face.opposite_facet()
 
     routed = set(ctx.Y_alpha) | {ctx.first}
@@ -676,34 +740,24 @@ def _scenario3(d: int, pairs: list, trace: list) -> list:
         else:
             open_idx.append(i)
 
-    sub_avoid = frozenset(
-        delete_coordinate(out[i][0] if Fo.contains(out[i][0]) else out[i][-1], agree)
-        for i in complete
-    )
+    sub = free ^ (1 << agree)
     if open_idx:
-        sub_pairs = [
-            (delete_coordinate(M[pairs[i][0]][-1], agree),
-             delete_coordinate(M[pairs[i][1]][-1], agree))
-            for i in open_idx
-        ]
-        sub_paths = _solve(d - 1, sub_pairs, sub_avoid, trace)
-        for slot, i in enumerate(open_idx):
+        sub_avoid = frozenset(
+            out[i][0] if Fo.contains(out[i][0]) else out[i][-1] for i in complete)
+        sub_pairs = [(M[pairs[i][0]][-1], M[pairs[i][1]][-1]) for i in open_idx]
+        sub_paths = _solve(sub, sub_pairs, sub_avoid, trace)
+        for i, mid in zip(open_idx, sub_paths):
             s, t = pairs[i]
-            mid = _lift(sub_paths[slot], agree, 1 - value)
             out[i] = M[s] + mid[1:] + M[t][::-1][1:]
 
-    L1 = _route(
-        d - 1,
-        delete_coordinate(s1, agree),
-        delete_coordinate(t1, agree),
-        {delete_coordinate(v, agree) for v in ctx.S},
-    )
+    # S lies in F, the special pair's facet.
+    L1 = _route(sub, s1, t1, ctx.S)
     if L1 is None:
         raise InvariantError(
             "special-pair search failed inside the facet",
-            {"d": d, "pair": (s1, t1), "S": sorted(ctx.S)},
+            {"free": free, "pair": (s1, t1), "S": sorted(ctx.S)},
         )
-    out[ctx.first] = _lift(L1, agree, value)
+    out[ctx.first] = L1
     return [_oriented(out[i], s, t) for i, (s, t) in enumerate(pairs)]
 
 
@@ -726,7 +780,7 @@ def solve_linkage(d: int, Y: Pairing) -> SolveResult:
             certificate=cert,
         )
     trace: list = []
-    paths = _solve(d, list(Y.pairs), frozenset(), trace)
+    paths = _solve((1 << d) - 1, list(Y.pairs), frozenset(), trace)
     return SolveResult(CubeGraph(d), Y, paths, tuple(trace))
 
 
@@ -750,7 +804,7 @@ def solve_avoiding(d: int, Y: Pairing, avoid: Iterable[int]) -> SolveResult:
             f"{d + 1 - 2 * Y.k} forbidden vertices, got {len(avoid_set)}"
         )
     trace: list = []
-    paths = _solve(d, list(Y.pairs), avoid_set, trace)
+    paths = _solve((1 << d) - 1, list(Y.pairs), avoid_set, trace)
     return SolveResult(CubeGraph(d, avoid_set), Y, paths, tuple(trace))
 
 
@@ -795,26 +849,26 @@ def solve_link(d_plus_1: int, v: int, Y: Pairing) -> SolveResult:
         return solve_avoiding(d_plus_1, Y, {v, vo})
     pairs = list(Y.pairs)
     X = _terminals(pairs)
-    w = _free_direction(d_plus_1, set(X))
+    free = (1 << d_plus_1) - 1
+    w = _free_direction(free, set(X))
     on_v_side = sum(1 for x in X if _bit(x, w) == _bit(v, w))
     construct = _link_one_side if on_v_side in (0, len(X)) else _link_two_sides
     trace: list = []
-    paths = construct(d_plus_1, v, vo, pairs, w, trace)
+    paths = construct(free, v, vo, pairs, w, trace)
     if SELF_CHECK:
-        _self_check(d_plus_1, pairs, frozenset({v, vo}), paths)
+        _self_check(free, pairs, frozenset({v, vo}), paths)
     return SolveResult(link_graph(d_plus_1, v), Y, paths, tuple(trace))
 
 
-def _link_one_side(D: int, v: int, vo: int, pairs: list, w: int, trace: list) -> list:
+def _link_one_side(free: int, v: int, vo: int, pairs: list, w: int,
+                   trace: list) -> list:
+    D = free.bit_count()
     trace.append(f"Q{D}:link_case1")
     side = _bit(pairs[0][0], w)
-    A = facet(w, side)
     bad_A = v if _bit(v, w) == side else vo
     bad_B = vo if bad_A == v else v
-    sub_pairs = [(delete_coordinate(s, w), delete_coordinate(t, w))
-                 for s, t in pairs]
-    sub_paths = _solve(D - 1, sub_pairs, frozenset(), trace)
-    out = [_lift(p, w, side) for p in sub_paths]
+    sub = free ^ (1 << w)
+    out = _solve(sub, pairs, frozenset(), trace)
     hit = [i for i, p in enumerate(out) if bad_A in p]
     if not hit:
         return out
@@ -828,23 +882,22 @@ def _link_one_side(D: int, v: int, vo: int, pairs: list, w: int, trace: list) ->
         raise InvariantError("removed vertex surfaced as a terminal",
                              {"path": path, "v": bad_A})
     w1, w2 = path[j - 1], path[j + 1]
-    B_side = 1 - side
-    p1 = delete_coordinate(w1, w)
-    p2 = delete_coordinate(w2, w)
-    bad_B_red = delete_coordinate(bad_B, w)
-    if p1 == bad_B_red or p2 == bad_B_red:
+    p1 = w1 ^ (1 << w)
+    p2 = w2 ^ (1 << w)
+    if bad_B in (p1, p2):
         raise InvariantError("detour endpoints collide with the opposite removed vertex",
                              {"w1": w1, "w2": w2})
-    M = _route(D - 1, p1, p2, {bad_B_red})
+    M = _route(sub, p1, p2, {bad_B})
     if M is None:
         raise InvariantError("detour routing failed in the opposite facet",
                              {"D": D, "from": w1, "to": w2})
-    out[i] = path[:j] + _lift(M, w, B_side) + path[j + 1:]
+    out[i] = path[:j] + M + path[j + 1:]
     return out
 
 
-def _link_two_sides(D: int, v: int, vo: int, pairs: list, w: int, trace: list) -> list:
-    trace.append(f"Q{D}:link_case2")
+def _link_two_sides(free: int, v: int, vo: int, pairs: list, w: int,
+                    trace: list) -> list:
+    trace.append(f"Q{free.bit_count()}:link_case2")
     X = _terminals(pairs)
     side_v = _bit(v, w)
     count_v_side = sum(1 for x in X if _bit(x, w) == side_v)
@@ -860,49 +913,37 @@ def _link_two_sides(D: int, v: int, vo: int, pairs: list, w: int, trace: list) -
     s1 = pairs[j1][0] if pairs[j1][1] == t1 else pairs[j1][1]
 
     others = [i for i in range(len(pairs)) if i != j1]
-    sub_pairs = [(_push(s1, SF, w), delete_coordinate(bad, w))]
-    sub_pairs += [(_push(pairs[i][0], SF, w), _push(pairs[i][1], SF, w))
+    sub_pairs = [(project(s1, SF), bad)]  # bad lies in SF
+    sub_pairs += [(project(pairs[i][0], SF), project(pairs[i][1], SF))
                   for i in others]
-    sub_paths = _solve(D - 1, sub_pairs, frozenset(), trace)
+    sub = free ^ (1 << w)
+    sub_paths = _solve(sub, sub_pairs, frozenset(), trace)
 
-    M1 = _lift(sub_paths[0], w, solve_side)
+    M1 = sub_paths[0]
     if len(M1) < 2:
         raise InvariantError("guide path degenerated to the removed vertex",
                              {"pair": (s1, t1)})
     guide = M1[-2]
     pw = project(guide, SF.opposite_facet())
-    tail_d = D - 1
-    tail_side = 1 - solve_side
+    # S, t1 and pw lie in the tail facet, the one opposite SF.
     S = {bad_tail} | (set(tail_terms) - {t1})
     if pw == s1:
         # The guide path is a single edge out of s1; route directly.
-        tail = _route(
-            tail_d,
-            delete_coordinate(s1, w),
-            delete_coordinate(t1, w),
-            {delete_coordinate(u, w) for u in S if u != s1},
-        )
-        if tail is None:
+        L1 = _route(sub, s1, t1, {u for u in S if u != s1})
+        if L1 is None:
             raise InvariantError("direct tail routing failed", {"pair": (s1, t1)})
-        L1 = _lift(tail, w, tail_side)
     else:
         if pw in S:
             raise InvariantError("tail entry vertex is blocked",
                                  {"entry": pw, "S": sorted(S)})
-        tail = _route(
-            tail_d,
-            delete_coordinate(pw, w),
-            delete_coordinate(t1, w),
-            {delete_coordinate(u, w) for u in S},
-        )
+        tail = _route(sub, pw, t1, S)
         if tail is None:
             raise InvariantError("tail routing failed in the opposite facet",
                                  {"pair": (s1, t1), "S": sorted(S)})
-        L1 = M1[:-1] + _lift(tail, w, tail_side)
+        L1 = M1[:-1] + tail
         if not SF.contains(s1):
             L1 = [s1] + L1
-    out = dict(zip(others, _lift_attached([pairs[i] for i in others],
-                                          sub_paths[1:], w, solve_side)))
+    out = dict(zip(others, _attached([pairs[i] for i in others], sub_paths[1:])))
     out[j1] = _oriented(L1, *pairs[j1])
     return [out[i] for i in range(len(pairs))]
 

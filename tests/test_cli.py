@@ -256,6 +256,19 @@ class TestCertifyAndSuite:
         assert set(obj) >= {"p50_ms", "p90_ms", "p99_ms", "max_ms", "total_s"}
         assert set(obj["machine"]) == {"cpus", "python", "platform"}
 
+    def test_bench_warms_up_on_the_first_instance(self, capsys, monkeypatch):
+        solved = []
+
+        def engine_solve(inst):
+            solved.append(inst.index)
+
+        monkeypatch.setattr(cli, "engine_solve", engine_solve)
+        code, obj, _ = invoke_json(capsys, "bench", "--host", "cube:5",
+                                   "--k", "3", "--samples", "4")
+        assert code == 0
+        assert solved == [0, 0, 1, 2, 3]
+        assert obj["samples"] == 4
+
 
 class TestOutputStability:
     def test_json_runs_are_byte_identical(self, capsys):
@@ -296,12 +309,15 @@ class TestFailureHandling:
         assert dump["error"] == "planted failure"
         assert dump["context"] == {"detail": 7}
 
-    def test_engine_value_error_is_internal(self, capsys, monkeypatch):
-        # the engine keeps |Z| <= d; a free_direction failure is its own fault
-        def exhausted(d, Z):
-            raise ValueError("caller exceeded the |Z| <= d bound")
+    def test_engine_face_fault_is_internal(self, capsys, monkeypatch):
+        # a sub-instance leaving its face is the engine's own fault: exit 3
+        # with a replay dump, not a usage error
+        real = linkage_engine.project
 
-        monkeypatch.setattr(linkage_engine, "free_direction", exhausted)
+        def astray(v, F):
+            return real(v, F) ^ (1 << 6) if v == 63 else real(v, F)
+
+        monkeypatch.setattr(linkage_engine, "project", astray)
         code, _, err = invoke(capsys, "solve", "--dim", "6",
                               "--pairs", "000000:111111,000011:111100")
         assert code == 3
@@ -309,7 +325,9 @@ class TestFailureHandling:
         with open(path) as fh:
             dump = json.load(fh)
         os.remove(path)
-        assert dump["context"] == {"d": 6, "Z": [0, 3, 60, 63]}
+        assert dump["error"] == "recursive instance leaves its face"
+        assert dump["context"]["free"] == 0b111110
+        assert dump["context"]["vertex"] == 126
 
     def test_unknown_command(self, capsys):
         code, _, err = invoke(capsys, "frobnicate")

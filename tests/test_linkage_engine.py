@@ -155,9 +155,28 @@ class TestPreconditions:
         # {0, 1, 2, 4, 8, 16} associates all five directions of Q5: only an
         # engine fault can hand such a set to free_direction.
         with pytest.raises(InvariantError) as info:
-            _projection(5, [(0, 1), (2, 4), (8, 16)], frozenset(), [])
+            _projection((1 << 5) - 1, [(0, 1), (2, 4), (8, 16)], frozenset(), [])
         assert not isinstance(info.value, ValueError)
         assert info.value.context == {"d": 5, "Z": [0, 1, 2, 4, 8, 16]}
+
+    def test_vertex_outside_the_face_is_an_invariant_failure(self):
+        # the face's fixed bits are the first terminal's: 32 leaves Q5, and
+        # the avoid vertex 1 leaves the face "bit 0 == 0"
+        with pytest.raises(InvariantError, match="leaves its face") as info:
+            linkage_engine._solve((1 << 5) - 1, [(0, 31), (1, 32)], frozenset(), [])
+        assert not isinstance(info.value, ValueError)
+        assert info.value.context["vertex"] == 32
+        with pytest.raises(InvariantError, match="leaves its face") as info:
+            linkage_engine._solve(0b11110, [(0, 6)], frozenset({1}), [])
+        assert info.value.context["vertex"] == 1
+
+    def test_self_check_rejects_a_path_leaving_its_face(self):
+        # a valid path of Q3, but 1, 3 and 7 leave the face "bit 0 == 0"
+        with pytest.raises(InvariantError, match="leaves its face") as info:
+            linkage_engine._self_check(0b110, [(0, 6)], frozenset(),
+                                       [[0, 1, 3, 7, 6]])
+        assert info.value.context["outside"] == [1, 3, 7]
+        linkage_engine._self_check(0b110, [(0, 6)], frozenset(), [[0, 2, 6]])
 
 
 class TestConfig3F:
@@ -374,7 +393,7 @@ class TestEngineProperties:
         pairs = list(zip(picks[:2 * k:2], picks[1:2 * k:2]))
         avoid = frozenset(picks[2 * k:])
         res = check(solve_avoiding(d, Pairing(tuple(pairs)), avoid))
-        assert res.trace[0] == f"Q{d}:{_construction(d, pairs, avoid)}"
+        assert res.trace[0] == f"Q{d}:{_construction((1 << d) - 1, pairs, avoid)}"
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -414,7 +433,7 @@ class TestRouting:
         avoid = data.draw(st.sets(
             st.integers(0, (1 << d) - 1).filter(lambda v: v not in (s, t)),
             max_size=2 * d))
-        mine = _route(d, s, t, avoid)
+        mine = _route((1 << d) - 1, s, t, avoid)
         theirs = avoid_path(CubeGraph(d), s, t, avoid)
         assert (mine is None) == (theirs is None)
         if len(avoid) <= d - 1:
@@ -426,10 +445,10 @@ class TestRouting:
             assert mine[0] == s and mine[-1] == t
 
     def test_route_trivial_and_blocked(self):
-        assert _route(4, 5, 5, set()) == [5]
-        assert _route(3, 0, 3, {1, 2}) == [0, 4, 5, 7, 3]
-        assert _route(3, 0, 7, {1, 2, 4}) is None
-        assert _route(3, 0, 7, set()) == [0, 1, 3, 7]
+        assert _route((1 << 4) - 1, 5, 5, set()) == [5]
+        assert _route((1 << 3) - 1, 0, 3, {1, 2}) == [0, 4, 5, 7, 3]
+        assert _route((1 << 3) - 1, 0, 7, {1, 2, 4}) is None
+        assert _route((1 << 3) - 1, 0, 7, set()) == [0, 1, 3, 7]
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -442,7 +461,7 @@ class TestRouting:
             # force a source whose straight drop is a terminal
             a = data.draw(st.integers(0, (1 << d) - 1)) | 1 << w
             X = X[:d] + [v for v in (a, a ^ 1 << w) if v not in X[:d]]
-        routes = _facet_routes(d, X, w)
+        routes = _facet_routes((1 << d) - 1, X, w)
         sink = frozenset(face_vertices(d, facet(w, 0)))
         ref = menger_disjoint_paths(CubeGraph(d), X, sink, len(X), strict=True)
         assert len(routes) == ref.flow
@@ -461,7 +480,7 @@ class TestRouting:
 
     def test_facet_routes_drop_or_detour(self):
         # 16 and 17 have terminals below them and detour; 18 drops straight.
-        assert _facet_routes(5, [16, 0, 17, 1, 18], 4) == {
+        assert _facet_routes((1 << 5) - 1, [16, 0, 17, 1, 18], 4) == {
             0: [0], 1: [1], 16: [16, 20, 4], 17: [17, 19, 3], 18: [18, 2]}
 
     @settings(max_examples=300, deadline=None)
@@ -477,14 +496,14 @@ class TestRouting:
             X = [x & ~(1 << c) | value << c for x in X]
         naive = next((c for c in range(d) if len({x >> c & 1 for x in X}) == 1),
                      None)
-        assert _common_coord(d, X) == naive
+        assert _common_coord((1 << d) - 1, X) == naive
 
     def test_common_coord_edge_cases(self):
-        assert _common_coord(7, [93]) == 0
-        assert _common_coord(6, [5, 5 ^ 63]) is None
-        assert _common_coord(20, [0, (1 << 20) - 1, 12345]) is None
-        assert _common_coord(5, [0b10110, 0b11111, 0b10010]) == 1
-        assert _common_coord(20, [1 << 19, 3 << 18]) == 0
+        assert _common_coord((1 << 7) - 1, [93]) == 0
+        assert _common_coord((1 << 6) - 1, [5, 5 ^ 63]) is None
+        assert _common_coord((1 << 20) - 1, [0, (1 << 20) - 1, 12345]) is None
+        assert _common_coord((1 << 5) - 1, [0b10110, 0b11111, 0b10010]) == 1
+        assert _common_coord((1 << 20) - 1, [1 << 19, 3 << 18]) == 0
 
     def test_engine_owns_its_routing(self):
         # path_oracle stays independent ground truth: the engine keeps only
@@ -493,19 +512,91 @@ class TestRouting:
         assert not hasattr(linkage_engine, "menger_disjoint_paths")
 
 
+class TestFaceEquivariance:
+    """A level of the recursion works on a face of Q_D in D-bit words.  On
+    any face it must do exactly what the whole-cube call does on the
+    compressed instance (the face's fixed coordinates deleted), with the
+    result expanded back."""
+
+    @staticmethod
+    def draw_face(data, min_free=5, max_free=9):
+        D = data.draw(st.integers(min_free, 16))
+        coords = data.draw(st.lists(st.integers(0, D - 1), unique=True,
+                                    min_size=min_free,
+                                    max_size=min(D, max_free)))
+        free = sum(1 << c for c in coords)
+        fixed = data.draw(st.integers(0, (1 << D) - 1)) & ~free
+        positions = sorted(coords)
+
+        def expand(u):
+            return fixed | sum(1 << c for i, c in enumerate(positions) if u >> i & 1)
+
+        return free, positions, expand
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_solve(self, data):
+        free, positions, expand = self.draw_face(data)
+        d = len(positions)
+        k = data.draw(st.integers(1, (d + 1) // 2))
+        picks = data.draw(st.lists(st.integers(0, (1 << d) - 1), unique=True,
+                                   min_size=2 * k, max_size=d + 1))
+        pairs = list(zip(picks[:2 * k:2], picks[1:2 * k:2]))
+        avoid = frozenset(picks[2 * k:])
+        ref_trace: list = []
+        ref = linkage_engine._solve((1 << d) - 1, pairs, avoid, ref_trace)
+        trace: list = []
+        paths = linkage_engine._solve(
+            free, [(expand(s), expand(t)) for s, t in pairs],
+            frozenset(map(expand, avoid)), trace)
+        assert paths == [[expand(u) for u in p] for p in ref]
+        assert trace == ref_trace
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_route(self, data):
+        free, positions, expand = self.draw_face(data, min_free=2)
+        d = len(positions)
+        s, t = data.draw(st.lists(st.integers(0, (1 << d) - 1),
+                                  min_size=2, max_size=2, unique=True))
+        avoid = data.draw(st.sets(
+            st.integers(0, (1 << d) - 1).filter(lambda v: v not in (s, t)),
+            max_size=2 * d))
+        ref = _route((1 << d) - 1, s, t, avoid)
+        mine = _route(free, expand(s), expand(t), set(map(expand, avoid)))
+        assert mine == (None if ref is None else [expand(u) for u in ref])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_facet_routes(self, data):
+        free, positions, expand = self.draw_face(data, min_free=4)
+        d = len(positions)
+        i = data.draw(st.integers(0, d - 1))
+        X = data.draw(st.lists(st.integers(0, (1 << d) - 1),
+                               min_size=1, max_size=d + 2, unique=True))
+        if data.draw(st.booleans()):
+            # force a source whose straight drop is a terminal
+            a = data.draw(st.integers(0, (1 << d) - 1)) | 1 << i
+            X = X[:d] + [v for v in (a, a ^ 1 << i) if v not in X[:d]]
+        ref = _facet_routes((1 << d) - 1, X, i)
+        mine = _facet_routes(free, [expand(x) for x in X], positions[i])
+        assert mine == {expand(x): [expand(u) for u in p] for x, p in ref.items()}
+
+
+def pairing(X):
+    return Pairing(tuple(zip(X[::2], X[1::2])))
+
+
+def off_link(d, v, X):
+    return [u for u in X if u not in (v, opposite(d, v))]
+
+
 def _golden_solves():
     """Seeded (solver, *args) calls reaching every engine construction: plain,
     strong and link solves in Q5-Q11 at maximal and at random k, plus forced
     all-antipodal and one-facet plain instances and one-facet tight links."""
     rng = random.Random("solve/golden")
     out = []
-
-    def pairing(X):
-        return Pairing(tuple(zip(X[::2], X[1::2])))
-
-    def off_link(d, v, X):
-        return [u for u in X if u not in (v, opposite(d, v))]
-
     for d in range(5, 12):
         n = 1 << d
         for i in range(12):
@@ -539,6 +630,35 @@ def _golden_solves():
     return out
 
 
+def _deep_golden_solves():
+    """Seeded plain, strong and link solves at maximal k in Q12 and Q13, seven
+    of each per dimension: the deepest recursions under the default cap."""
+    rng = random.Random("solve/golden/deep")
+    out = []
+    for d in (12, 13):
+        n = 1 << d
+        for _ in range(7):
+            out.append((solve_linkage, d,
+                        pairing(rng.sample(range(n), 2 * ((d + 1) // 2)))))
+        for _ in range(7):
+            X = rng.sample(range(n), 2 * (d // 2) + 1)
+            out.append((solve_strong, d, pairing(X[1:]), X[0]))
+        for _ in range(7):
+            v = rng.randrange(n)
+            X = rng.sample(off_link(d, v, range(n)), 2 * (d // 2))
+            out.append((solve_link, d, v, pairing(X)))
+    return out
+
+
+def _solve_digest(calls) -> str:
+    rows = []
+    for solver, *args in calls:
+        res = check(solver(*args))
+        rows.append([res.linkage, list(res.trace)])
+    return hashlib.sha256(
+        json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+
+
 # Recorded before the scenario-3 set-up was shared with scenario3_context.
 PINNED_SOLVE_LABELS = {
     "base": 281, "even_menger": 296, "link_case1": 7, "link_case2": 33,
@@ -548,9 +668,16 @@ PINNED_SOLVE_LABELS = {
 PINNED_SOLVE_DIGEST = "60ea523b4c05a481beee9dda73004cc52ae4e88f46d6657bee2a5c0015e2e57c"
 
 
+# Recorded before the recursion kept sub-instances in face-mask words.
+PINNED_DEEP_SOLVE_DIGEST = "da4be6e3d86851847c19fd7abc237f393f34a433b35f15725ea79a0dbbb37ef5"
+
+
 class TestSolveGolden:
     """The engine's output is pinned path for path and label for label:
     a refactor of the constructions must keep every linkage and trace."""
+
+    def test_deep_solves_match_pinned_digest(self):
+        assert _solve_digest(_deep_golden_solves()) == PINNED_DEEP_SOLVE_DIGEST
 
     def test_solves_match_pinned_digest(self):
         rows = []
