@@ -11,9 +11,10 @@ Sampling uses a splitmix-style 64-bit generator so streams are identical
 across platforms and Python versions.  The algorithm, for the record:
 state advances by adding 0x9E3779B97F4A7C15 (mod 2^64); each output mixes
 the new state with xor-shifts by 30/27/31 and multiplications by
-0xBF58476D1CE4E5B9 and 0x94D049BB133111EB.  Bounded draws use rejection,
-so uniformity is exact; the instance stream for a given (host, k, n, seed)
-is part of this module's compatibility contract.
+0xBF58476D1CE4E5B9 and 0x94D049BB133111EB.  Bounded draws use rejection
+over as many 64-bit outputs as the bound needs, so uniformity is exact;
+the instance stream for a given (host, k, n, seed) is part of this
+module's compatibility contract.
 
 Parallelism: a job with workers > 1 partitions the stream by instance
 index modulo the worker count, so reports are identical to a sequential
@@ -33,6 +34,7 @@ from .cube_core import CubeGraph, associated_pairs, link_graph, opposite
 from .linkage_engine import (
     UnsupportedInstanceError,
     _construction,
+    check_supported,
     scenario3_context,
     solve_link,
     solve_linkage,
@@ -80,11 +82,20 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def randrange(self, n: int) -> int:
+        """A uniform draw from range(n).  It reads one output as a 64-bit
+        word, or ceil(bits / 64) outputs, high word first, when n > 2^64,
+        and rejects the words at or above the largest multiple of n."""
         if n <= 0:
             raise ValueError("randrange needs a positive bound")
-        bound = _MASK64 + 1 - ((_MASK64 + 1) % n)
+        span, words = _MASK64 + 1, 1
+        while span < n:
+            span <<= 64
+            words += 1
+        bound = span - span % n
         while True:
             x = self.next_u64()
+            for _ in range(1, words):
+                x = x << 64 | self.next_u64()
             if x < bound:
                 return x % n
 
@@ -377,19 +388,8 @@ def _validate_job(job: CertificationJob) -> None:
     if job.solver in (ENGINE, BOTH):
         if kind == "fixture":
             raise ValueError("the engine solves cube hosts only")
-        if kind == "cube" and not job.strong:
-            if d == 3 and job.k >= 2:
-                raise ValueError("Q3 with two pairs is outside the engine guarantee")
-            if job.k > (d + 1) // 2:
-                raise ValueError(f"engine supports at most {(d + 1) // 2} pairs in Q{d}")
-        if kind == "cube" and job.strong and job.k > d // 2:
-            raise ValueError(f"strong engine supports at most {d // 2} pairs in Q{d}")
-        if kind == "link":
-            dd = d - 1
-            if dd < 2 or dd == 3:
-                raise ValueError("link jobs need host dimension 3 or at least 5")
-            if job.k > (dd + 1) // 2:
-                raise ValueError(f"link engine supports at most {(dd + 1) // 2} pairs")
+        check_supported("link" if kind == "link" else "strong" if job.strong else "plain",
+                        d, job.k)
 
 
 def _instances(job: CertificationJob) -> Iterator[Instance]:

@@ -10,9 +10,9 @@ fixing coordinate 2 to 1 reads "1**".
 The module also carries the direction/association machinery: the d directions
 partition the edge set into parallel classes, a direction is *associated*
 with a vertex set Z when Z contains an edge of that class, and a set of at
-most d vertices always leaves some direction free.  That free direction is
-what the linkage construction uses to split the cube into a facet pair and
-project terminals across.
+most d vertices always leaves some direction free (free_direction).  The
+linkage engine does not call free_direction: it finds its free directions
+inside a face of the input cube with its own _free_direction.
 """
 
 from __future__ import annotations
@@ -138,23 +138,6 @@ def face_vertices(d: int, face: Face) -> Iterator[int]:
         yield v
 
 
-def parse_face(s: str) -> Face:
-    """Parse a {0,1,*} pattern, most significant coordinate first."""
-    d = len(s)
-    check_dim(d)
-    mask = 0
-    values = 0
-    for i, c in enumerate(s):
-        coord = d - 1 - i
-        if c == "*":
-            continue
-        if c not in "01":
-            raise ValueError(f"face pattern {s!r} has invalid character {c!r}")
-        mask |= 1 << coord
-        values |= int(c) << coord
-    return Face(mask, values)
-
-
 def format_face(d: int, face: Face) -> str:
     check_dim(d)
     if face.fixed_mask >> d:
@@ -275,20 +258,3 @@ def link_graph(d: int, v: int) -> CubeGraph:
     check_vertex(d, v)
     return CubeGraph(d, frozenset({v, opposite(d, v)}))
 
-
-# ---------------------------------------------------------------------------
-# Coordinate deletion (facet <-> lower-dimensional cube re-indexing)
-
-
-def delete_coordinate(v: int, coord: int) -> int:
-    """Drop one coordinate, shifting the higher ones down."""
-    high = v >> (coord + 1)
-    low = v & ((1 << coord) - 1)
-    return (high << coord) | low
-
-
-def insert_coordinate(v: int, coord: int, value: int) -> int:
-    """Inverse of delete_coordinate: splice a bit back in at position coord."""
-    high = v >> coord
-    low = v & ((1 << coord) - 1)
-    return (high << (coord + 1)) | (value << coord) | low

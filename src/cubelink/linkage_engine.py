@@ -2,23 +2,25 @@
 
 The entry points solve three problems on Q_d hosts:
 
-  solve_linkage(d, Y)      k disjoint paths for any pairing, k <= (d+1)//2
-  solve_strong(d, Y, x)    the same avoiding one forbidden vertex, k <= d//2
+  solve_linkage(d, Y)      k disjoint paths for any pairing
+  solve_strong(d, Y, x)    the same avoiding one forbidden vertex
   solve_link(D, v, Y)      a linkage in Q_D minus {v, opposite(v)}
 
-Every solver reduces along facets until instances are small enough for the
-exact search in path_oracle (dimension at most four), so the recursion is
-paved with guaranteed cases.  The internal contract is uniform: a call on
-Q_d with k pairs and an avoid set A is legal when 2k + |A| <= d + 1 and
-d != 3, and within that budget the solver never fails.  Violations of the
+check_supported states the range they guarantee; solve_avoiding is the
+checked entry the three share.  Every solver reduces along facets until
+instances are small enough for the exact search in path_oracle (dimension
+at most four), so the recursion is paved with guaranteed cases.  The
+contract is uniform: a call on Q_d with k pairs and an avoid set A is legal
+when 2k + |A| <= d + 1, with one pair only in Q3 (_within_budget), and
+within that budget the solver never fails.  Violations of the
 construction's internal facts raise InvariantError with a replayable
 context; they indicate bugs, not unsolvable inputs.
 
-The variants are avoid-set instances of that contract.  A strong solve is
-solve_avoiding(d, Y, {x}): k <= d//2 gives 2k + 1 <= d + 1.  A link solve is
-solve_avoiding(D, Y, {v, opposite(v)}) whenever 2k + 2 <= D + 1; only the
-tight even case k = D/2 falls outside it and keeps its own construction
-(_link_one_side / _link_two_sides).
+The variants are avoid-set instances of that contract: solve_linkage(d, Y)
+is solve_avoiding(d, Y, ()), solve_strong(d, Y, x) is solve_avoiding(d, Y,
+{x}), and solve_link(D, v, Y) is solve_avoiding(D, Y, {v, opposite(v)})
+whenever 2k + 2 <= D + 1; only the tight even case k = D/2 keeps its own
+construction (_link_one_side / _link_two_sides).
 
 Every recursion level works on a face of the top-level cube Q_D and keeps
 its vertices as D-bit words.  The face is given by its free-coordinate mask
@@ -124,6 +126,41 @@ class Config3F:
 
 
 # ---------------------------------------------------------------------------
+# The supported range
+
+
+def _within_budget(d: int, k: int, a: int) -> bool:
+    """The solver contract for k pairs and a forbidden vertices in Q_d."""
+    return 2 * k + a <= d + 1 and (d != 3 or k == 1)
+
+
+def check_supported(kind: str, d: int, k: int, forbidden: int = 0,
+                    Y: Pairing | None = None) -> None:
+    """Raise ValueError unless the engine guarantees k pairs on a "plain"
+    host (Q_d minus `forbidden` vertices), a "strong" one (Q_d minus one
+    vertex) or a "link" (Q_d minus a vertex and its opposite, d = 3 or
+    d >= 5).  A link spends one forbidden vertex of the budget: only its
+    tight even case 2k = d needs the second, and that case has a
+    construction of its own.  Two pairs in Q3 raise UnsupportedInstanceError,
+    certified by the blocking configuration of Y when Y is given."""
+    if kind == "link":
+        if d != 3 and d < 5:
+            raise ValueError(f"link hosts need dimension 3 or at least 5, got {d}")
+        a, host = 1, f"the link of a vertex in Q{d}"
+    else:
+        a = 1 if kind == "strong" else forbidden
+        host = f"Q{d} (forbidden vertices: {a})" if a else f"Q{d}"
+    if _within_budget(d, k, a):
+        return
+    if 2 * k + a <= d + 1:  # within the budget, so it is the Q3 exception
+        raise UnsupportedInstanceError(
+            "two pairs in the 3-cube are not guaranteed linkable",
+            certificate=None if Y is None else detect_config_3F(Y),
+        )
+    raise ValueError(f"{host} supports k <= {max(0, (d + 1 - a) // 2)} pairs, got k = {k}")
+
+
+# ---------------------------------------------------------------------------
 # Small helpers
 
 
@@ -198,7 +235,7 @@ def _solve_contract_check(free: int, pairs: list, avoid: frozenset) -> None:
             "recursive instance has colliding terminals",
             {"d": d, "pairs": pairs, "avoid": sorted(avoid)},
         )
-    if 2 * k + len(avoid) > d + 1 or (d == 3 and k >= 2) or k < 1:
+    if k < 1 or not _within_budget(d, k, len(avoid)):
         raise InvariantError(
             "recursive instance exceeds the solver contract",
             {"d": d, "k": k, "avoid": sorted(avoid)},
@@ -407,8 +444,8 @@ def _construction(free: int, pairs: list, avoid: frozenset) -> str:
 def _solve(free: int, pairs: list, avoid: frozenset, trace: list) -> list:
     """k disjoint paths in the face with free-coordinate mask `free` (of
     dimension d, holding every terminal and avoid vertex) avoiding `avoid`;
-    legal when 2k+|avoid| <= d+1, d != 3.  Paths come back oriented, path i
-    running pairs[i][0] -> [1]."""
+    legal when _within_budget(d, k, |avoid|).  Paths come back oriented,
+    path i running pairs[i][0] -> [1]."""
     _solve_contract_check(free, pairs, avoid)
     label = _construction(free, pairs, avoid)
     trace.append(f"Q{free.bit_count()}:{label}")
@@ -765,88 +802,52 @@ def _scenario3(free: int, pairs: list, trace: list) -> list:
 # Public solvers
 
 
-def solve_linkage(d: int, Y: Pairing) -> SolveResult:
-    """A Y-linkage in Q_d for any pairing with k <= (d+1)//2 pairs (d != 3)."""
+def _checked(d: int, Y: Pairing, avoid: Iterable[int]) -> frozenset:
+    """Validate the dimension, terminals and forbidden vertices of an
+    instance in Q_d, and return the forbidden set."""
     cube_core.check_dim(d)
-    for v in Y.terminals:
+    avoid_set = frozenset(avoid)
+    terminals = Y.terminals
+    for v in (*terminals, *avoid_set):
         cube_core.check_vertex(d, v)
-    max_k = (d + 1) // 2
-    if Y.k > max_k:
-        raise ValueError(f"Q{d} supports at most {max_k} pairs, got {Y.k}")
-    if d == 3 and Y.k >= 2:
-        cert = detect_config_3F(Y)
-        raise UnsupportedInstanceError(
-            "two pairs in the 3-cube are not guaranteed linkable",
-            certificate=cert,
-        )
-    trace: list = []
-    paths = _solve((1 << d) - 1, list(Y.pairs), frozenset(), trace)
-    return SolveResult(CubeGraph(d), Y, paths, tuple(trace))
+    hit = avoid_set.intersection(terminals)
+    if hit:
+        raise ValueError(f"forbidden vertex {min(hit)} is a terminal")
+    return avoid_set
 
 
 def solve_avoiding(d: int, Y: Pairing, avoid: Iterable[int]) -> SolveResult:
-    """A Y-linkage in Q_d dodging a set of forbidden vertices, within the
-    budget 2k + |avoid| <= d + 1 (d != 3 unless k == 1 fits)."""
-    cube_core.check_dim(d)
-    avoid_set = frozenset(avoid)
-    if not avoid_set:
-        return solve_linkage(d, Y)
-    for v in Y.terminals:
-        cube_core.check_vertex(d, v)
-    for v in avoid_set:
-        cube_core.check_vertex(d, v)
-    hit = avoid_set & frozenset(Y.terminals)
-    if hit:
-        raise ValueError(f"forbidden vertex {min(hit)} is a terminal")
-    if 2 * Y.k + len(avoid_set) > d + 1:
-        raise ValueError(
-            f"Q{d} guarantees {Y.k} pairs with at most "
-            f"{d + 1 - 2 * Y.k} forbidden vertices, got {len(avoid_set)}"
-        )
+    """A Y-linkage in Q_d dodging the forbidden vertices `avoid`, in the
+    range check_supported("plain", d, k, |avoid|) accepts."""
+    avoid_set = _checked(d, Y, avoid)
+    check_supported("plain", d, Y.k, len(avoid_set), Y)
     trace: list = []
     paths = _solve((1 << d) - 1, list(Y.pairs), avoid_set, trace)
     return SolveResult(CubeGraph(d, avoid_set), Y, paths, tuple(trace))
 
 
+def solve_linkage(d: int, Y: Pairing) -> SolveResult:
+    """A Y-linkage in Q_d: solve_avoiding with nothing forbidden."""
+    return solve_avoiding(d, Y, ())
+
+
 def solve_strong(d: int, Y: Pairing, x: int) -> SolveResult:
-    """A Y-linkage in Q_d that avoids the forbidden vertex x, k <= d//2."""
-    cube_core.check_dim(d)
-    cube_core.check_vertex(d, x)
-    for v in Y.terminals:
-        cube_core.check_vertex(d, v)
-    if Y.k > d // 2:
-        raise ValueError(f"strong linkage in Q{d} supports at most {d // 2} pairs")
-    if x in Y.terminals:
-        raise ValueError(f"forbidden vertex {x} is a terminal")
+    """A Y-linkage in Q_d that avoids the forbidden vertex x."""
     return solve_avoiding(d, Y, {x})
 
 
 def solve_link(d_plus_1: int, v: int, Y: Pairing) -> SolveResult:
-    """A Y-linkage in Q_{d+1} minus {v, opposite(v)}: the link of v.
-
-    Requires d := d_plus_1 - 1 >= 2 and d != 3, with k <= (d+1)//2 pairs
-    whose terminals avoid both removed vertices.  When 2k + 2 <= d_plus_1 + 1
-    this is solve_avoiding on the two removed vertices; only the tight even
-    case k = d_plus_1 / 2 needs the link construction.
+    """A Y-linkage in Q_{d+1} minus {v, opposite(v)}: the link of v, in the
+    range check_supported("link", d_plus_1, k) accepts.  When 2k + 2 <=
+    d_plus_1 + 1 this is solve_avoiding on the two removed vertices; only
+    the tight even case k = d_plus_1 / 2 needs the link construction.
     """
     cube_core.check_dim(d_plus_1)
-    d = d_plus_1 - 1
-    if d < 2:
-        raise ValueError("link hosts need dimension at least three")
-    if d == 3:
-        raise ValueError("the link inside Q4 is out of range (d = 3)")
-    cube_core.check_vertex(d_plus_1, v)
-    vo = opposite(d_plus_1, v)
-    for u in Y.terminals:
-        cube_core.check_vertex(d_plus_1, u)
-        if u in (v, vo):
-            raise ValueError(f"terminal {u} collides with a removed vertex")
-    if Y.k > (d + 1) // 2:
-        raise ValueError(
-            f"the link of a vertex in Q{d_plus_1} supports at most {(d + 1) // 2} pairs"
-        )
-    if 2 * Y.k + 2 <= d_plus_1 + 1:
+    vo = opposite(d_plus_1, cube_core.check_vertex(d_plus_1, v))
+    check_supported("link", d_plus_1, Y.k)
+    if _within_budget(d_plus_1, Y.k, 2):
         return solve_avoiding(d_plus_1, Y, {v, vo})
+    removed = _checked(d_plus_1, Y, {v, vo})
     pairs = list(Y.pairs)
     X = _terminals(pairs)
     free = (1 << d_plus_1) - 1
@@ -856,7 +857,7 @@ def solve_link(d_plus_1: int, v: int, Y: Pairing) -> SolveResult:
     trace: list = []
     paths = construct(free, v, vo, pairs, w, trace)
     if SELF_CHECK:
-        _self_check(free, pairs, frozenset({v, vo}), paths)
+        _self_check(free, pairs, removed, paths)
     return SolveResult(link_graph(d_plus_1, v), Y, paths, tuple(trace))
 
 

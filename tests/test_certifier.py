@@ -14,12 +14,19 @@ from cubelink.certifier import (
     SplitMix64,
     canonical_pairings,
     certify,
+    engine_solve,
     exhaustive_instances,
     parse_host_spec,
     property_suite,
     sample_instances,
 )
 from cubelink.cube_core import CubeGraph
+from cubelink.linkage_engine import (
+    UnsupportedInstanceError,
+    check_supported,
+    solve_linkage,
+)
+from cubelink.path_oracle import Pairing
 
 
 class TestSplitMix64:
@@ -49,6 +56,20 @@ class TestSplitMix64:
 
     def test_randrange_one(self):
         assert SplitMix64(7).randrange(1) == 0
+
+    def test_randrange_one_word_up_to_two_to_the_64(self):
+        # no rejection at 2^64: the draw is the stream's first output
+        assert SplitMix64(0).randrange(1 << 64) == 0xE220A8397B1DCDAF
+
+    def test_randrange_beyond_two_to_the_64(self):
+        # 2^128 takes two outputs, high word first, and rejects none
+        assert SplitMix64(0).randrange(1 << 128) == (
+            0xE220A8397B1DCDAF << 64 | 0x6E789E6AA1B965F4)
+        for n in (2**65, 2**128, 3**50):
+            rng = SplitMix64(9)
+            draws = [rng.randrange(n) for _ in range(200)]
+            assert all(0 <= x < n for x in draws)
+            assert len(set(draws)) == 200
 
     def test_shuffle_is_permutation(self):
         rng = SplitMix64(5)
@@ -293,6 +314,51 @@ class TestJobValidation:
                                      solver=ENGINE))
         with pytest.raises(ValueError):
             certify(CertificationJob(host="cube:5", k=2, solver="magic"))
+
+
+class TestSupportedRange:
+    """certify's job validation and the solvers share one range."""
+
+    @pytest.mark.parametrize("kind", ["plain", "strong", "link"])
+    def test_jobs_and_solvers_agree(self, kind):
+        accepted_count = 0
+        for d in range(1, 10):
+            host = f"link:{d}" if kind == "link" else f"cube:{d}"
+            for k in range(1, 6):
+                job = CertificationJob(host=host, k=k, mode=SAMPLED, samples=1,
+                                       solver=ENGINE, strong=kind == "strong")
+                try:
+                    report = certify(job)
+                except ValueError:
+                    accepted = False
+                else:
+                    accepted = True
+                    assert report.ok, (kind, d, k, report.failures)
+                    accepted_count += 1
+                try:
+                    inst = next(sample_instances(host, k, 1, DEFAULT_SEED,
+                                                 strong=kind == "strong"))
+                    engine_solve(inst)
+                except ValueError:
+                    solved = False
+                else:
+                    solved = True
+                assert accepted == solved, (kind, d, k)
+        assert accepted_count > 5
+
+    def test_q3_two_pairs_stay_unsupported_with_a_certificate(self):
+        with pytest.raises(UnsupportedInstanceError) as info:
+            solve_linkage(3, Pairing(((0, 3), (1, 2))))
+        assert info.value.certificate is not None
+        # no blocking face, still outside the guarantee
+        with pytest.raises(UnsupportedInstanceError) as info:
+            solve_linkage(3, Pairing(((0, 1), (2, 3))))
+        assert info.value.certificate is None
+        with pytest.raises(UnsupportedInstanceError):
+            check_supported("plain", 3, 2)
+        check_supported("plain", 3, 1)
+        check_supported("strong", 3, 1)
+        check_supported("link", 3, 1)
 
 
 class TestPropertySuites:
