@@ -36,9 +36,11 @@ the d <= 4 base case compresses its vertices to d-bit words, for the
 oracle search, and expands the paths back.
 
 The dispatch, in order (_construction names the choice): single pairs go to
-the engine's A* router (Hamming heuristic, see _route); d <= 4 goes to the
-oracle search; slack instances (k below the maximum, or a nonempty avoid
-set) project into a facet chosen through a free direction; tight even d
+the engine's router (_route), which takes the straight descent along the
+bits where the endpoints differ when no avoided vertex blocks it and runs
+an A* search (Hamming heuristic) otherwise; d <= 4 goes to the oracle
+search; slack instances (k below the maximum, or a nonempty avoid set)
+project into a facet chosen through a free direction; tight even d
 splits off a facet by disjoint-path routing onto it (_facet_routes); tight
 odd d classifies into one of three scenario constructions (all pairs
 antipodal / all terminals in one facet / the rest).  Each recursion level
@@ -157,7 +159,10 @@ def check_supported(kind: str, d: int, k: int, forbidden: int = 0,
             "two pairs in the 3-cube are not guaranteed linkable",
             certificate=None if Y is None else detect_config_3F(Y),
         )
-    raise ValueError(f"{host} supports k <= {max(0, (d + 1 - a) // 2)} pairs, got k = {k}")
+    most = max(0, (d + 1 - a) // 2)
+    if d == 3:
+        most = min(most, 1)
+    raise ValueError(f"{host} supports k <= {most} pairs, got k = {k}")
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +291,67 @@ def _self_check(free: int, pairs: list, avoid: frozenset, paths: list) -> None:
 
 
 def _route(free: int, s: int, t: int, avoid: set | frozenset) -> list | None:
-    """Shortest s-t path in the face (s and t in it) minus `avoid`, or None.
+    """Shortest s-t path in the face (s and t in it) minus `avoid`, or None:
+    the straight descent when nothing blocks it, else the A* search.
 
-    A* with the Hamming heuristic h(v) = popcount(v ^ t), which is consistent
-    on unit edges, so the first time t is generated its path is shortest.
-    The heap key (g + h, -g, v) breaks ties toward the larger g, which keeps
-    the search on a straight descent when nothing blocks it, then toward the
-    smaller vertex, which makes the result deterministic.
+    The descent is the path the A* takes when it never backtracks, so the two
+    agree.  The A* heap key (g + h, -g, v) never drops below h(s), and every
+    entry at depth g + 1 with f = h(s) comes from the vertex v just popped at
+    depth g: while the search has not backtracked, earlier vertices pushed
+    only entries of depth at most g.  So the next pop is the smallest
+    non-avoided neighbour one bit closer to t, if there is one.  It is new:
+    it lies at distance g + 1 from s, while every vertex closed or in `best`
+    before the popped vertex expands lies within distance g.  The smallest
+    such neighbour of v clears the highest bit set in v and clear in t, or,
+    when every such flip is avoided or none is left, sets the lowest bit
+    clear in v and set in t; that is the order _descent tries.  When it
+    finds no step, the A* runs from s unchanged.
     """
     if s in avoid or t in avoid:
         raise InvariantError("route endpoints lie in the avoid set",
                              {"free": free, "pair": (s, t), "avoid": sorted(avoid)})
     if s == t:
         return [s]
+    path = _descent(s, t, avoid)
+    return path if path is not None else _astar(free, s, t, avoid)
+
+
+def _descent(s: int, t: int, avoid: set | frozenset) -> list | None:
+    """The straight s-t descent of _route, or None where it is blocked.  Its
+    steps flip the bits where s and t differ: those set in s, highest first,
+    then those clear in s, lowest first, each time the first remaining one
+    whose flip is not avoided."""
+    order = []
+    down = s & ~t
+    while down:
+        high = 1 << (down.bit_length() - 1)
+        order.append(high)
+        down ^= high
+    up = t & ~s
+    while up:
+        low = up & -up
+        order.append(low)
+        up ^= low
+    path = [s]
+    v = s
+    while order:
+        for i, b in enumerate(order):
+            if v ^ b not in avoid:
+                break
+        else:
+            return None
+        v ^= order.pop(i)
+        path.append(v)
+    return path
+
+
+def _astar(free: int, s: int, t: int, avoid: set | frozenset) -> list | None:
+    """Shortest s-t path in the face minus `avoid` (s != t, neither avoided),
+    or None.  A* with the Hamming heuristic h(v) = popcount(v ^ t), which is
+    consistent on unit edges, so the first time t is generated its path is
+    shortest.  The heap key (g + h, -g, v) breaks ties toward the larger g,
+    then toward the smaller vertex, which makes the result deterministic.
+    """
     bits = _bits(free)
     parent = {s: None}
     best = {s: 0}

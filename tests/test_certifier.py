@@ -360,6 +360,17 @@ class TestSupportedRange:
         check_supported("strong", 3, 1)
         check_supported("link", 3, 1)
 
+    def test_q3_budget_message_names_one_pair(self):
+        # the bound in the message honours the Q3 exception: one pair only
+        Y = Pairing(((0, 7), (1, 6), (2, 5)))
+        with pytest.raises(ValueError,
+                           match=r"^Q3 supports k <= 1 pairs, got k = 3$") as info:
+            solve_linkage(3, Y)
+        assert not isinstance(info.value, UnsupportedInstanceError)
+        with pytest.raises(ValueError, match=r"^Q3 \(forbidden vertices: 1\) "
+                                             r"supports k <= 1 pairs, got k = 2$"):
+            check_supported("strong", 3, 2)
+
 
 class TestPropertySuites:
     def test_names_stable(self):

@@ -240,6 +240,13 @@ class TestCertifyAndSuite:
                               "--k", "2", "--solver", "engine")
         assert code == 2
 
+    def test_certify_q3_range_message(self, capsys):
+        code, out, err = invoke(capsys, "certify", "--host", "cube:3",
+                                "--k", "3", "--solver", "engine")
+        assert code == 2
+        assert out == ""
+        assert err == "error: Q3 supports k <= 1 pairs, got k = 3\n"
+
     def test_suite(self, capsys):
         code, obj, _ = invoke_json(capsys, "suite", "shared_neighbors")
         assert code == 0

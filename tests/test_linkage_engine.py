@@ -19,8 +19,10 @@ from cubelink.path_oracle import (
 )
 from cubelink.linkage_engine import (
     UnsupportedInstanceError,
+    _astar,
     _common_coord,
     _construction,
+    _descent,
     _facet_routes,
     _projection,
     _route,
@@ -420,6 +422,56 @@ class TestEngineProperties:
         assert all(x not in p for p in res.linkage)
 
 
+def _golden_routes():
+    """About 2,000 seeded _route calls: face dimension 3-20, whole cubes and
+    proper faces of cubes up to Q20, and 0 to 2d avoided vertices drawn
+    around s and t (on shortest s-t paths, next to s or t, or anywhere in
+    the face).  Every tenth call also avoids all neighbours of s."""
+    rng = random.Random("route/golden")
+    out = []
+    for i in range(2000):
+        d = rng.randint(3, 20)
+        if i % 2 == 0:
+            D, free = d, (1 << d) - 1
+        else:
+            D = rng.randint(d, 20)
+            free = sum(1 << c for c in rng.sample(range(D), d))
+        base = rng.getrandbits(D) & ~free
+        bits = [1 << c for c in range(D) if free >> c & 1]
+
+        def point():
+            return base | rng.getrandbits(D) & free
+
+        s = point()
+        t = point()
+        while t == s:
+            t = point()
+        diff = [b for b in bits if (s ^ t) & b]
+        avoid = set()
+        if i % 10 == 9:
+            avoid.update(s ^ b for b in bits)
+        for _ in range(rng.randint(0, 2 * d - len(avoid))):
+            kind = rng.randrange(4)
+            if kind == 0:
+                v = s
+                for b in rng.sample(diff, rng.randint(1, len(diff))):
+                    v ^= b
+            elif kind == 1:
+                v = s ^ rng.choice(bits)
+            elif kind == 2:
+                v = t ^ rng.choice(bits)
+            else:
+                v = point()
+            avoid.add(v)
+        avoid -= {s, t}
+        out.append((free, s, t, avoid))
+    return out
+
+
+# Recorded before _route tried the straight descent ahead of its A* search.
+PINNED_ROUTE_DIGEST = "847b438ab8aac915edc0f1e33d760812bf615b25f5046592b04be8e836c23c32"
+
+
 class TestRouting:
     """The engine's own routers agree with the oracle's BFS and max-flow."""
 
@@ -449,6 +501,48 @@ class TestRouting:
         assert _route((1 << 3) - 1, 0, 3, {1, 2}) == [0, 4, 5, 7, 3]
         assert _route((1 << 3) - 1, 0, 7, {1, 2, 4}) is None
         assert _route((1 << 3) - 1, 0, 7, set()) == [0, 1, 3, 7]
+
+    def test_route_descent_dead_ends_midway(self):
+        # 0 -> 1 -> 3, then both flips left (to 7 and 11) are avoided; the A*
+        # backtracks to a shortest path through 5 instead.
+        assert _descent(0, 15, {7, 11}) is None
+        assert _route((1 << 4) - 1, 0, 15, {7, 11}) == [0, 1, 5, 13, 15]
+        assert _descent(0, 15, {7}) == [0, 1, 3, 11, 15]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_descent_matches_astar(self, data):
+        free, positions, expand = TestFaceEquivariance.draw_face(
+            data, min_free=1, max_free=12, max_dim=12)
+        d = len(positions)
+        s, t = data.draw(st.lists(st.integers(0, (1 << d) - 1),
+                                  min_size=2, max_size=2, unique=True))
+        # vertices on shortest s-t paths block the descent; others need not
+        on_path = st.integers(0, (1 << d) - 1).map(lambda m: s ^ m & (s ^ t))
+        vertex = st.one_of(st.integers(0, (1 << d) - 1), on_path)
+        avoid = data.draw(st.sets(vertex.filter(lambda v: v not in (s, t)),
+                                  max_size=2 * d))
+        args = expand(s), expand(t), set(map(expand, avoid))
+        ref = _astar(free, *args)
+        descent = _descent(*args)
+        if descent is not None:
+            assert descent == ref
+        assert _route(free, *args) == ref
+
+    def test_routes_match_pinned_digest(self):
+        calls = _golden_routes()
+        rows = [_route(free, s, t, avoid) for free, s, t, avoid in calls]
+        digest = hashlib.sha256(
+            json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+        assert digest == PINNED_ROUTE_DIGEST
+        # the calls reach the A* and its dead ends, not just the descent
+        blocked = [(row, s, t) for row, (_, s, t, avoid) in zip(rows, calls)
+                   if _descent(s, t, avoid) is None]
+        assert len(blocked) == 426
+        assert sum(row is None for row in rows) == 199
+        # blocked descents that still have a shortest path around the block
+        assert sum(row is not None and len(row) - 1 == (s ^ t).bit_count()
+                   for row, s, t in blocked) == 137
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -519,8 +613,8 @@ class TestFaceEquivariance:
     result expanded back."""
 
     @staticmethod
-    def draw_face(data, min_free=5, max_free=9):
-        D = data.draw(st.integers(min_free, 16))
+    def draw_face(data, min_free=5, max_free=9, max_dim=16):
+        D = data.draw(st.integers(min_free, max_dim))
         coords = data.draw(st.lists(st.integers(0, D - 1), unique=True,
                                     min_size=min_free,
                                     max_size=min(D, max_free)))
