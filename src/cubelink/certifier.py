@@ -635,6 +635,8 @@ def property_suite(name: str, seed: int = DEFAULT_SEED,
     """Run one named invariant suite; see _SUITES for the menu."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; options: {sorted(_SUITES)}")
+    if samples < 1:
+        raise ValueError(f"suites need a positive sample count, got {samples}")
     start = time.perf_counter()
     report = _SUITES[name](seed, samples)
     report.wall_time = time.perf_counter() - start

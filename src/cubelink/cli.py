@@ -37,6 +37,7 @@ from .certifier import (
     SAMPLED,
     SUITE_NAMES,
     CertificationJob,
+    _validate_job,
     certify,
     engine_solve,
     parse_host_spec,
@@ -94,8 +95,13 @@ def _env_int(name: str, fallback: int) -> int:
 
 def _budget(args) -> int:
     if getattr(args, "budget", None) is not None:
-        return args.budget
-    return _env_int("LINKAGE_BUDGET", DEFAULT_NODE_BUDGET)
+        source, budget = "--budget", args.budget
+    else:
+        source = "environment variable LINKAGE_BUDGET"
+        budget = _env_int("LINKAGE_BUDGET", DEFAULT_NODE_BUDGET)
+    if budget < 0:
+        raise ValueError(f"{source} must be nonnegative, got {budget}")
+    return budget
 
 
 def _workers(args) -> int:
@@ -320,9 +326,10 @@ def _percentile(sorted_times: list, q: float) -> float:
 
 
 def _cmd_bench(args) -> int:
-    kind, _ = parse_host_spec(args.host)
-    if kind == "fixture":
-        raise ValueError("bench drives the engine, which needs a cube host")
+    # the checks and messages of a sampled engine certification job
+    _validate_job(CertificationJob(host=args.host, k=args.k, mode=SAMPLED,
+                                   samples=args.samples, seed=args.seed,
+                                   strong=args.strong))
     instances = list(sample_instances(args.host, args.k, args.samples, args.seed,
                                       strong=args.strong))
     # One untimed solve first, so one-off first-call costs (imports, caches)
@@ -341,6 +348,7 @@ def _cmd_bench(args) -> int:
         "k": args.k,
         "samples": args.samples,
         "seed": args.seed,
+        "strong": args.strong,
         "total_s": round(total, 3),
         "p50_ms": round(1000 * _percentile(times, 0.50), 3),
         "p90_ms": round(1000 * _percentile(times, 0.90), 3),

@@ -35,6 +35,13 @@ lowest free or agreeing bit) picks what it would pick in Q_d words.  Only
 the d <= 4 base case compresses its vertices to d-bit words, for the
 oracle search, and expands the paths back.
 
+A facet of the face is one free bit b with a side value v, 0 or b:
+membership is x & b == v, projection onto it is x & ~b | v, and crossing to
+the other side is x ^ b.  Every step that projects terminals onto a facet,
+solves there and attaches the terminals left outside goes through one
+helper, _in_facet.  cube_core.Face appears only where a facet or 2-face is
+handed out: ScenarioContext.face and the Q3 obstruction's certificate.
+
 The dispatch, in order (_construction names the choice): single pairs go to
 the engine's router (_route), which takes the straight descent along the
 bits where the endpoints differ when no avoided vertex blocks it and runs
@@ -64,15 +71,7 @@ from operator import and_, or_
 from typing import Iterable
 
 from . import cube_core
-from .cube_core import (
-    CubeGraph,
-    Face,
-    face_vertices,
-    facet,
-    link_graph,
-    opposite,
-    project,
-)
+from .cube_core import CubeGraph, Face, face_vertices, link_graph, opposite
 from .path_oracle import (
     LINKED,
     HostGraph,
@@ -169,10 +168,6 @@ def check_supported(kind: str, d: int, k: int, forbidden: int = 0,
 # Small helpers
 
 
-def _bit(v: int, c: int) -> int:
-    return (v >> c) & 1
-
-
 def _oriented(path: list, s: int, t: int) -> list:
     if path and path[0] == s and path[-1] == t:
         return path
@@ -198,10 +193,10 @@ def _bits(free: int) -> tuple:
 
 
 def _free_direction(free: int, Z: set) -> int:
-    """The smallest free coordinate of the face that no edge inside Z (a
-    vertex set of the face) runs along.  One exists whenever |Z| <= d; the
-    construction keeps within that bound, so running out is an engine fault,
-    not bad input."""
+    """The lowest free bit of the face, as a one-bit mask, that no edge
+    inside Z (a vertex set of the face) runs along.  One exists whenever
+    |Z| <= d; the construction keeps within that bound, so running out is an
+    engine fault, not bad input."""
     assoc = 0
     for z in Z:
         for b in _bits(free):
@@ -211,24 +206,11 @@ def _free_direction(free: int, Z: set) -> int:
     if not left:
         raise InvariantError("no free direction: Z breaks the |Z| <= d bound",
                              {"d": free.bit_count(), "Z": sorted(Z)})
-    return (left & -left).bit_length() - 1
+    return left & -left
 
 
 def _terminals(pairs: list) -> list:
     return [v for p in pairs for v in p]
-
-
-def _attached(pairs: list, sub_paths: list) -> list:
-    """Extend sub-paths solved in a facet by the terminals lying off it: a
-    sub-path starts at its source's projection, which is one edge away."""
-    out = []
-    for (s, t), path in zip(pairs, sub_paths):
-        if path[0] != s:
-            path = [s] + path
-        if path[-1] != t:
-            path = path + [t]
-        out.append(path)
-    return out
 
 
 def _solve_contract_check(free: int, pairs: list, avoid: frozenset) -> None:
@@ -527,6 +509,23 @@ def _solve(free: int, pairs: list, avoid: frozenset, trace: list) -> list:
     return paths
 
 
+def _in_facet(free: int, b: int, v: int, pairs: list, avoid: frozenset,
+              trace: list) -> list:
+    """Solve `pairs` in the facet "x & b == v" of the face (b a free bit, v
+    either 0 or b) avoiding `avoid`, which lies in the facet: project every
+    terminal onto it (x & ~b | v), solve there, and extend each sub-path by
+    its terminals off the facet, one edge away across b."""
+    sub_pairs = [(s & ~b | v, t & ~b | v) for s, t in pairs]
+    out = []
+    for (s, t), path in zip(pairs, _solve(free ^ b, sub_pairs, avoid, trace)):
+        if s & b != v:
+            path = [s] + path
+        if t & b != v:
+            path = path + [t]
+        out.append(path)
+    return out
+
+
 def _common_coord(free: int, X: list) -> int | None:
     """The smallest free coordinate on which every vertex of X (nonempty)
     agrees, or None: the lowest free bit set in the AND of X or the AND of
@@ -584,17 +583,14 @@ def _projection(free: int, pairs: list, avoid: frozenset, trace: list) -> list:
     if avoid:
         z_star = min(avoid)
         rest = avoid - {z_star}
-        w = _free_direction(free, X | rest)
-        side = 1 - _bit(z_star, w)  # solve on the side away from z_star
+        b = _free_direction(free, X | rest)
+        v = z_star & b ^ b  # solve on the side away from z_star
     else:
         rest = frozenset()
-        w = _free_direction(free, X)
-        side = 0
-    F = facet(w, side)
-    sub_pairs = [(project(s, F), project(t, F)) for s, t in pairs]
-    sub_avoid = frozenset(a for a in rest if F.contains(a))
-    sub_paths = _solve(free ^ (1 << w), sub_pairs, sub_avoid, trace)
-    return _attached(pairs, sub_paths)
+        b = _free_direction(free, X)
+        v = 0
+    return _in_facet(free, b, v, pairs,
+                     frozenset(a for a in rest if a & b == v), trace)
 
 
 # ---------------------------------------------------------------------------
@@ -628,16 +624,12 @@ def _scenario1(free: int, pairs: list, trace: list) -> list:
     k = len(pairs)
     s1 = pairs[0][0]
     X = set(_terminals(pairs))
-    w = _free_direction(free, X - {s1})
-    side = _bit(s1, w)
-    Fo = facet(w, side)  # the facet holding every s_i after orientation
-    F = Fo.opposite_facet()
-    oriented = [(s, t) if _bit(s, w) == side else (t, s) for s, t in pairs]
-    # Pick the second special pair: its F-side terminal must not project
-    # back onto s1.  At most one pair can fail this, so a pick exists.
-    idx2 = next(
-        (i for i in range(1, k) if project(oriented[i][1], Fo) != s1), None
-    )
+    b = _free_direction(free, X - {s1})
+    v = s1 & b  # F^o = "x & b == v" holds every s_i after orientation
+    oriented = [(s, t) if s & b == v else (t, s) for s, t in pairs]
+    # Pick the second special pair: its F-side terminal must not cross back
+    # onto s1.  At most one pair can fail this, so a pick exists.
+    idx2 = next((i for i in range(1, k) if oriented[i][1] ^ b != s1), None)
     if idx2 is None:
         raise InvariantError("no usable second pair among antipodal pairs",
                              {"free": free, "pairs": pairs})
@@ -645,21 +637,10 @@ def _scenario1(free: int, pairs: list, trace: list) -> list:
     rest = [i for i in range(1, k) if i != idx2]
     down = [oriented[i] for i in rest]
 
-    sub = free ^ (1 << w)
-    down_paths = _solve(
-        sub,
-        [(project(s, F), project(t, F)) for s, t in down],
-        frozenset(t for _, t in up),
-        trace,
-    )
-    up_paths = _solve(
-        sub,
-        [(project(s, Fo), project(t, Fo)) for s, t in up],
-        frozenset(s for s, _ in down),
-        trace,
-    )
-    out = dict(zip((0, idx2), _attached(up, up_paths)))
-    out.update(zip(rest, _attached(down, down_paths)))
+    down_paths = _in_facet(free, b, v ^ b, down, frozenset(t for _, t in up), trace)
+    up_paths = _in_facet(free, b, v, up, frozenset(s for s, _ in down), trace)
+    out = dict(zip((0, idx2), up_paths))
+    out.update(zip(rest, down_paths))
     return [_oriented(out[i], s, t) for i, (s, t) in enumerate(pairs)]
 
 
@@ -668,23 +649,22 @@ def _scenario1(free: int, pairs: list, trace: list) -> list:
 
 
 def _scenario2(free: int, pairs: list, trace: list) -> list:
-    """Every terminal has the same bit c.  Join the first pair that routes
-    inside that facet around the other terminals; solve the rest on the
-    terminals' mirror images in the opposite facet."""
-    c = _common_coord(free, _terminals(pairs))
-    sub = free ^ (1 << c)
-    others = set(_terminals(pairs))
+    """Every terminal has the same value at bit b.  Join the first pair that
+    routes inside that facet around the other terminals; solve the rest on
+    the terminals' mirror images in the opposite facet."""
+    X = _terminals(pairs)
+    b = 1 << _common_coord(free, X)
+    others = set(X)
     # At most one pair can be blocked, so the first or second try succeeds.
     for idx, (s, t) in enumerate(pairs):
-        path = _route(sub, s, t, others - {s, t})
+        path = _route(free ^ b, s, t, others - {s, t})
         if path is not None:
             break
     else:
         raise InvariantError("every pair is blocked inside the facet",
                              {"free": free, "pairs": pairs})
     rest = pairs[:idx] + pairs[idx + 1:]
-    mirrored = [(s ^ (1 << c), t ^ (1 << c)) for s, t in rest]
-    out = _attached(rest, _solve(sub, mirrored, frozenset(), trace))
+    out = _in_facet(free, b, s & b ^ b, rest, frozenset(), trace)  # across b
     out.insert(idx, path)
     return out
 
@@ -698,7 +678,8 @@ class ScenarioContext:
     """The set-up of the general odd-dimension construction: the special
     pair `first` and its facet, the partner involution rho, the in-facet
     terminal classes, the entry map omega into F^o, and the avoid set S of
-    the special pair's route inside F."""
+    the special pair's route inside F.  `face` is F as a Face: its
+    fixed_mask is the facet bit b and its fixed_values the side v."""
 
     d: int
     face: Face
@@ -714,55 +695,56 @@ class ScenarioContext:
 
 def _scenario3_context(free: int, pairs: list) -> ScenarioContext:
     """The special pair is the first non-antipodal one; F is the facet of
-    the first free coordinate its two terminals agree on."""
+    the lowest free bit b its two terminals agree on, on their side."""
     d = free.bit_count()
     first = next(i for i, (s, t) in enumerate(pairs) if s ^ t != free)
     s1, t1 = pairs[first]
-    agree_bits = free & ~(s1 ^ t1)
-    agree = (agree_bits & -agree_bits).bit_length() - 1
-    F = facet(agree, _bit(s1, agree))
+    agree = free & ~(s1 ^ t1)
+    b = agree & -agree
+    v = s1 & b
     rho = {}
     for s, t in pairs:
         rho[s] = t
         rho[t] = s
-    X_F = frozenset(x for x in rho if x not in (s1, t1) and F.contains(x))
+    X_F = frozenset(x for x in rho if x not in (s1, t1) and x & b == v)
     alpha_idx = tuple(
         i for i, (s, t) in enumerate(pairs)
-        if i != first and F.contains(s) and F.contains(t)
-        and cube_core.adjacent(s, t)
+        if i != first and s & b == v and t & b == v and cube_core.adjacent(s, t)
     )
-    X_alpha = frozenset(v for i in alpha_idx for v in pairs[i])
+    X_alpha = frozenset(x for i in alpha_idx for x in pairs[i])
     X_beta = tuple(sorted(X_F - X_alpha))
-    omega = _build_omega(free, F, rho, X_beta)
+    omega = _build_omega(free, b, rho, X_beta)
     S = X_F | (frozenset(omega.values()) - frozenset(rho))
     if len(S) > d - 1:
         raise InvariantError("avoid set for the special pair is too large",
                              {"S": sorted(S), "d": d})
-    return ScenarioContext(d, F, first, rho, X_F, X_alpha, alpha_idx, X_beta,
-                           omega, S)
+    return ScenarioContext(d, Face(b, v), first, rho, X_F, X_alpha, alpha_idx,
+                           X_beta, omega, S)
 
 
-def _build_omega(free: int, F: Face, rho: dict, X_beta: tuple) -> dict:
-    """Assign each blocked F-side terminal an entry vertex in F.
+def _build_omega(free: int, b: int, rho: dict, X_beta: tuple) -> dict:
+    """Assign each blocked F-side terminal an entry vertex in F, the facet of
+    the face `free` whose fixed bit b every member of X_beta shares.  Across
+    F is one flip of b: a vertex's projection into F^o is x ^ b.
 
-    omega(x) = x unless x's projection into F^o collides with a foreign
-    terminal; then omega(x) becomes the smallest neighbor of x in F that
-    dodges terminals, foreign projections onto F, and earlier assignments.
-    The obstruction set has at most d-2 members, so a candidate survives.
+    omega(x) = x unless x ^ b is a terminal other than rho(x); then omega(x)
+    becomes the smallest neighbour n of x in F (n = x ^ c for a free bit c
+    other than b) that is no terminal, no foreign projection onto F (n ^ b
+    a terminal other than rho(x)) and no earlier assignment.  The
+    obstruction set has at most d-2 members, so a candidate survives.
     """
-    Fo = F.opposite_facet()
     bits = _bits(free)
     X = frozenset(rho)
     omega: dict = {}
     for x in X_beta:
-        px = project(x, Fo)
+        px = x ^ b
         if px not in X or px == rho[x]:
             omega[x] = x
             continue
-        nf = [x ^ b for b in bits if F.contains(x ^ b)]
-        foreign = {project(z, F) for z in X if z != rho[x]}
+        nf = [x ^ c for c in bits if c != b]
         taken = set(omega.values())
-        obstruction = [n for n in nf if n in X or n in foreign or n in taken]
+        obstruction = [n for n in nf if n in X or n in taken
+                       or (n ^ b in X and n ^ b != rho[x])]
         if len(obstruction) > len(bits) - 2:
             raise InvariantError("entry obstruction set is too large",
                                  {"x": x, "obstruction": obstruction})
@@ -775,7 +757,7 @@ def _build_omega(free: int, F: Face, rho: dict, X_beta: tuple) -> dict:
     if len(set(values)) != len(values):
         raise InvariantError("entry map is not injective", {"omega": omega})
     for x, wx in omega.items():
-        clash = {wx, project(wx, Fo)} & (X - {x, rho[x]})
+        clash = {wx, wx ^ b} & (X - {x, rho[x]})
         if clash:
             raise InvariantError("entry vertex touches a foreign terminal",
                                  {"x": x, "omega_x": wx, "clash": sorted(clash)})
@@ -800,8 +782,7 @@ def _scenario3(free: int, pairs: list, trace: list) -> list:
     k = len(pairs)
     ctx = _scenario3_context(free, pairs)
     s1, t1 = pairs[ctx.first]
-    agree = ctx.face.fixed_mask.bit_length() - 1  # F's fixed coordinate
-    Fo = ctx.face.opposite_facet()
+    b, v = ctx.face.fixed_mask, ctx.face.fixed_values  # F is "x & b == v"
 
     routed = set(ctx.Y_alpha) | {ctx.first}
     M: dict = {}  # terminal -> its entry path into F^o
@@ -809,11 +790,11 @@ def _scenario3(free: int, pairs: list, trace: list) -> list:
         if i in routed:
             continue
         for x in pairs[i]:
-            if Fo.contains(x):
+            if x & b != v:
                 M[x] = [x]
             else:
                 wx = ctx.omega[x]
-                M[x] = [x, project(x, Fo)] if wx == x else [x, wx, project(wx, Fo)]
+                M[x] = [x, x ^ b] if wx == x else [x, wx, wx ^ b]
 
     out = {i: list(pairs[i]) for i in ctx.Y_alpha}
     complete, open_idx = [], []
@@ -830,10 +811,10 @@ def _scenario3(free: int, pairs: list, trace: list) -> list:
         else:
             open_idx.append(i)
 
-    sub = free ^ (1 << agree)
+    sub = free ^ b
     if open_idx:
         sub_avoid = frozenset(
-            out[i][0] if Fo.contains(out[i][0]) else out[i][-1] for i in complete)
+            out[i][0] if out[i][0] & b != v else out[i][-1] for i in complete)
         sub_pairs = [(M[pairs[i][0]][-1], M[pairs[i][1]][-1]) for i in open_idx]
         sub_paths = _solve(sub, sub_pairs, sub_avoid, trace)
         for i, mid in zip(open_idx, sub_paths):
@@ -904,24 +885,23 @@ def solve_link(d_plus_1: int, v: int, Y: Pairing) -> SolveResult:
     pairs = list(Y.pairs)
     X = _terminals(pairs)
     free = (1 << d_plus_1) - 1
-    w = _free_direction(free, set(X))
-    on_v_side = sum(1 for x in X if _bit(x, w) == _bit(v, w))
+    b = _free_direction(free, set(X))
+    on_v_side = sum(1 for x in X if x & b == v & b)
     construct = _link_one_side if on_v_side in (0, len(X)) else _link_two_sides
     trace: list = []
-    paths = construct(free, v, vo, pairs, w, trace)
+    paths = construct(free, v, vo, pairs, b, trace)
     if SELF_CHECK:
         _self_check(free, pairs, removed, paths)
     return SolveResult(link_graph(d_plus_1, v), Y, paths, tuple(trace))
 
 
-def _link_one_side(free: int, v: int, vo: int, pairs: list, w: int,
+def _link_one_side(free: int, v: int, vo: int, pairs: list, b: int,
                    trace: list) -> list:
     D = free.bit_count()
     trace.append(f"Q{D}:link_case1")
-    side = _bit(pairs[0][0], w)
-    bad_A = v if _bit(v, w) == side else vo
+    bad_A = v if v & b == pairs[0][0] & b else vo
     bad_B = vo if bad_A == v else v
-    sub = free ^ (1 << w)
+    sub = free ^ b
     out = _solve(sub, pairs, frozenset(), trace)
     hit = [i for i, p in enumerate(out) if bad_A in p]
     if not hit:
@@ -936,8 +916,8 @@ def _link_one_side(free: int, v: int, vo: int, pairs: list, w: int,
         raise InvariantError("removed vertex surfaced as a terminal",
                              {"path": path, "v": bad_A})
     w1, w2 = path[j - 1], path[j + 1]
-    p1 = w1 ^ (1 << w)
-    p2 = w2 ^ (1 << w)
+    p1 = w1 ^ b
+    p2 = w2 ^ b
     if bad_B in (p1, p2):
         raise InvariantError("detour endpoints collide with the opposite removed vertex",
                              {"w1": w1, "w2": w2})
@@ -949,38 +929,34 @@ def _link_one_side(free: int, v: int, vo: int, pairs: list, w: int,
     return out
 
 
-def _link_two_sides(free: int, v: int, vo: int, pairs: list, w: int,
+def _link_two_sides(free: int, v: int, vo: int, pairs: list, b: int,
                     trace: list) -> list:
     trace.append(f"Q{free.bit_count()}:link_case2")
     X = _terminals(pairs)
-    side_v = _bit(v, w)
-    count_v_side = sum(1 for x in X if _bit(x, w) == side_v)
+    count_v_side = sum(1 for x in X if x & b == v & b)
     if count_v_side >= len(X) - count_v_side:
-        solve_side, bad, bad_tail = side_v, v, vo
+        bad, bad_tail = v, vo
     else:
-        solve_side, bad, bad_tail = 1 - side_v, vo, v
-    SF = facet(w, solve_side)
-    tail_terms = [x for x in X if not SF.contains(x)]
-    pref = project(bad, SF.opposite_facet())  # the unique tail-side neighbor of bad
+        bad, bad_tail = vo, v
+    side = bad & b  # solve in the facet "x & b == side", which holds bad
+    tail_terms = [x for x in X if x & b != side]
+    pref = bad ^ b  # the unique tail-side neighbor of bad
     t1 = pref if pref in tail_terms else min(tail_terms)
     j1 = next(i for i, p in enumerate(pairs) if t1 in p)
     s1 = pairs[j1][0] if pairs[j1][1] == t1 else pairs[j1][1]
 
     others = [i for i in range(len(pairs)) if i != j1]
-    sub_pairs = [(project(s1, SF), bad)]  # bad lies in SF
-    sub_pairs += [(project(pairs[i][0], SF), project(pairs[i][1], SF))
-                  for i in others]
-    sub = free ^ (1 << w)
-    sub_paths = _solve(sub, sub_pairs, frozenset(), trace)
+    sub_paths = _in_facet(free, b, side, [(s1, bad)] + [pairs[i] for i in others],
+                          frozenset(), trace)
 
-    M1 = sub_paths[0]
+    M1 = sub_paths[0]  # s1 -> bad; it crosses b first when s1 is tail-side
     if len(M1) < 2:
         raise InvariantError("guide path degenerated to the removed vertex",
                              {"pair": (s1, t1)})
-    guide = M1[-2]
-    pw = project(guide, SF.opposite_facet())
-    # S, t1 and pw lie in the tail facet, the one opposite SF.
+    pw = M1[-2] ^ b  # the guide, M1's last vertex before bad, carried across
+    # S, t1 and pw lie in the tail facet, the one opposite the solved one.
     S = {bad_tail} | (set(tail_terms) - {t1})
+    sub = free ^ b
     if pw == s1:
         # The guide path is a single edge out of s1; route directly.
         L1 = _route(sub, s1, t1, {u for u in S if u != s1})
@@ -995,9 +971,7 @@ def _link_two_sides(free: int, v: int, vo: int, pairs: list, w: int,
             raise InvariantError("tail routing failed in the opposite facet",
                                  {"pair": (s1, t1), "S": sorted(S)})
         L1 = M1[:-1] + tail
-        if not SF.contains(s1):
-            L1 = [s1] + L1
-    out = dict(zip(others, _attached([pairs[i] for i in others], sub_paths[1:])))
+    out = dict(zip(others, sub_paths[1:]))
     out[j1] = _oriented(L1, *pairs[j1])
     return [out[i] for i in range(len(pairs))]
 

@@ -379,6 +379,13 @@ class TestPropertySuites:
         with pytest.raises(ValueError):
             property_suite("unknown_suite")
 
+    @pytest.mark.parametrize("name", ["association_bound", "separator_structure",
+                                      "shared_neighbors", "omega_conditions"])
+    def test_rejects_nonpositive_samples(self, name):
+        for samples in (0, -3):
+            with pytest.raises(ValueError, match="positive sample count"):
+                property_suite(name, samples=samples)
+
     def test_association_bound(self):
         rep = property_suite("association_bound", samples=50)
         assert rep.ok

@@ -152,6 +152,20 @@ class TestDecide:
                                    "--budget", "100000")
         assert code == 0
 
+    @pytest.mark.parametrize("flag, env", [("-5", None), (None, "-1")])
+    def test_negative_budget_is_a_usage_error(self, capsys, monkeypatch,
+                                              flag, env):
+        argv = ["decide", "--dim", "4", "--pairs", "0000:1111"]
+        if flag is not None:
+            argv += ["--budget", flag]
+        if env is not None:
+            monkeypatch.setenv("LINKAGE_BUDGET", env)
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        source = "--budget" if flag is not None else "LINKAGE_BUDGET"
+        assert source in err and "must be nonnegative" in err
+
     def test_link_host_spec(self, capsys):
         code, obj, _ = invoke_json(capsys, "decide", "--host", "link:5",
                                    "--pairs", "00011:01100,00101:11000")
@@ -263,6 +277,28 @@ class TestCertifyAndSuite:
         assert set(obj) >= {"p50_ms", "p90_ms", "p99_ms", "max_ms", "total_s"}
         assert set(obj["machine"]) == {"cpus", "python", "platform"}
 
+    def test_bench_rejects_strong_on_a_link_host(self, capsys):
+        code, out, err = invoke(capsys, "bench", "--host", "link:6", "--k", "3",
+                                "--samples", "3", "--strong")
+        assert code == 2
+        assert out == ""
+        assert "strong does not apply" in err
+
+    def test_bench_names_its_family(self, capsys):
+        for extra, strong in (((), False), (("--strong",), True)):
+            code, obj, _ = invoke_json(capsys, "bench", "--host", "cube:6",
+                                       "--k", "3", "--samples", "2", *extra)
+            assert code == 0
+            assert obj["strong"] is strong
+
+    def test_suite_needs_a_positive_sample_count(self, capsys):
+        for name, samples in (("separator_structure", "-3"),
+                              ("omega_conditions", "0")):
+            code, out, err = invoke(capsys, "suite", name, "--samples", samples)
+            assert code == 2
+            assert out == ""
+            assert f"suites need a positive sample count, got {samples}" in err
+
     def test_bench_warms_up_on_the_first_instance(self, capsys, monkeypatch):
         solved = []
 
@@ -319,12 +355,14 @@ class TestFailureHandling:
     def test_engine_face_fault_is_internal(self, capsys, monkeypatch):
         # a sub-instance leaving its face is the engine's own fault: exit 3
         # with a replay dump, not a usage error
-        real = linkage_engine.project
+        real = linkage_engine._in_facet
 
-        def astray(v, F):
-            return real(v, F) ^ (1 << 6) if v == 63 else real(v, F)
+        def astray(free, b, v, pairs, avoid, trace):
+            # terminal 63 is handed over as 127, so its projection is 126
+            moved = [tuple(x ^ (1 << 6) if x == 63 else x for x in p) for p in pairs]
+            return real(free, b, v, moved, avoid, trace)
 
-        monkeypatch.setattr(linkage_engine, "project", astray)
+        monkeypatch.setattr(linkage_engine, "_in_facet", astray)
         code, _, err = invoke(capsys, "solve", "--dim", "6",
                               "--pairs", "000000:111111,000011:111100")
         assert code == 3

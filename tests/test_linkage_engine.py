@@ -219,6 +219,44 @@ class TestConfig3F:
             assert (detect_config_3F(inst.pairing) is not None) == blocked
 
 
+def _scenario3_contexts():
+    """Seeded scenario-3 set-ups at maximal k in Q5, Q7, Q9 and Q11, 40 per
+    dimension.  Every second instance plants a terminal y on the special
+    pair's side of F and a terminal of another pair at y's neighbour across
+    F, which forces omega entries to move; plain sampling rarely does."""
+    rng = random.Random("scenario3/context")
+    out = []
+    for d in (5, 7, 9, 11):
+        n, k = 1 << d, (d + 1) // 2
+        for i in range(40):
+            while True:
+                X = rng.sample(range(n), 2 * k)
+                if i % 2:
+                    first = next((j for j in range(k)
+                                  if X[2 * j] ^ X[2 * j + 1] != n - 1), None)
+                    if first is None:
+                        continue
+                    s1, t1 = X[2 * first], X[2 * first + 1]
+                    agree = (n - 1) & ~(s1 ^ t1)
+                    b = agree & -agree  # F's fixed bit
+                    p, q = rng.sample([j for j in range(k) if j != first], 2)
+                    y = rng.randrange(n) & ~b | s1 & b
+                    if y in X or y ^ b in X:
+                        continue
+                    X[2 * p], X[2 * q] = y, y ^ b
+                try:
+                    out.append((d, scenario3_context(d, pairing(X))))
+                    break
+                except ValueError:
+                    continue
+    return out
+
+
+# Recorded before facets became one-bit masks inside the engine.
+PINNED_CONTEXT_MOVED = 85
+PINNED_CONTEXT_DIGEST = "320166978fb10e29626244c6db7d50fe9555a9ec11fb81ad1664c0d58102dec7"
+
+
 class TestScenario3Context:
     def test_frozen_fields(self):
         ctx = scenario3_context(5, Pairing(((0, 31), (1, 30), (2, 28))))
@@ -258,6 +296,20 @@ class TestScenario3Context:
         for x, w in ctx.omega.items():
             assert ctx.face.contains(w)
             assert w == x or bin(w ^ x).count("1") == 1
+
+    def test_contexts_match_pinned_digest(self):
+        rows = []
+        moved = 0
+        for d, ctx in _scenario3_contexts():
+            rows.append([d, ctx.first, ctx.face.fixed_mask, ctx.face.fixed_values,
+                         sorted(ctx.rho.items()), sorted(ctx.omega.items()),
+                         sorted(ctx.S)])
+            moved += sum(1 for x, w in ctx.omega.items() if w != x)
+        assert len(rows) == 160
+        assert moved == PINNED_CONTEXT_MOVED
+        digest = hashlib.sha256(
+            json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+        assert digest == PINNED_CONTEXT_DIGEST
 
     def test_rejects_all_antipodal(self):
         with pytest.raises(ValueError):
