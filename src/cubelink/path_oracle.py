@@ -625,11 +625,36 @@ def _bitset_view(G: HostGraph):
     return position.__getitem__, expand, usable
 
 
+def _toward(G: HostGraph, t: Vertex):
+    """Sort key that puts vertices closer to t first, ties by ascending vertex.
+
+    On a cube the distance is the Hamming distance; on a fixture host it is
+    the BFS distance to t in G, with vertices that cannot reach t last.
+    """
+    if isinstance(G, CubeGraph):
+        return lambda w: ((w ^ t).bit_count(), w)
+    dist = {t: 0}
+    queue = deque([t])
+    while queue:
+        v = queue.popleft()
+        for w in G.neighbors(v):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    far = len(G.adjacency)
+    return lambda w: (dist.get(w, far), w)
+
+
 def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -> DecideOutcome:
     """Exact backtracking decision: is the pairing linked in G?
 
-    Deterministic: pairs are routed in input order and paths extend through
-    the lowest neighbor first.  Pruning is sound: a partial state is
+    Deterministic: pairs are routed in input order, and a path extends
+    through the neighbors of its end in order of their distance to the
+    pair's target, ties broken by ascending vertex (``_toward``).  On a cube
+    the neighbors one step closer come first: bits set at the end and clear
+    at the target, highest first, then bits clear at the end and set at the
+    target, lowest first; so the first path tried is a straight descent
+    whenever nothing blocks it.  Pruning is sound: a partial state is
     abandoned when some unfinished pair has its endpoints separated in the
     graph minus the vertices already used and minus all other terminals
     (terminals of other pairs can never lie on a pair's path, since each is
@@ -659,6 +684,7 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
     terminal_mask = sum(source_bits) + sum(target_bits)
     # blocked[j]: the terminals a path of pair j may not pass through.
     blocked = [terminal_mask ^ a ^ b for a, b in zip(source_bits, target_bits)]
+    closer = [_toward(G, t) for t in targets]
     order = tuple(range(k))
 
     def feasible(i: int, here: int, used_bits: int) -> bool:
@@ -692,7 +718,8 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
             continue
         free = usable & ~(used_bits | blocked[i])
         if feasible(i, 1 << index(cur), used_bits):
-            options = [w for w in sorted(G.neighbors(cur)) if free >> index(w) & 1]
+            options = [w for w in sorted(G.neighbors(cur), key=closer[i])
+                       if free >> index(w) & 1]
             stack.append((i, len(paths[i]), iter(options)))
         # Backtrack to the deepest vertex with an untried neighbor.
         while stack:

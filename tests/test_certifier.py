@@ -275,6 +275,23 @@ class TestCertify:
         assert rep.instances == rep.successes == 50
         assert not rep.failures and rep.ok
 
+    @pytest.mark.parametrize("host,k,strong", [
+        ("cube:6", 3, False),
+        ("cube:7", 4, False),
+        ("cube:8", 4, False),
+        ("cube:7", 3, True),
+        ("link:7", 3, False),
+    ])
+    def test_exact_cross_validation_beyond_q5(self, host, k, strong):
+        # Every engine linkage is confirmed by decide_linked at the default
+        # budget, which the search must never exhaust on these hosts.
+        rep = certify(CertificationJob(host=host, k=k, mode=SAMPLED, samples=300,
+                                       solver=BOTH, strong=strong))
+        assert rep.instances == rep.successes == 300
+        assert rep.budget_exceeded == 0
+        assert rep.ok
+        assert rep.scenario_counters["oracle:linked"] == 300
+
 
 class TestJobValidation:
     def test_engine_rejects_fixture(self):

@@ -172,10 +172,19 @@ class TestDecide:
         assert code == 0
         assert obj["status"] == "linked"
 
-    def test_long_witness_path_needs_no_recursion(self):
-        # The lowest-neighbor-first search walks a 1,001-vertex path here.
-        proc = run_subprocess("decide", "--dim", "10", "--pairs",
-                              "0000000000:1111111111,0000000001:1111111110")
+    def test_long_witness_path_needs_no_recursion(self, tmp_path):
+        # A 1,200-vertex path u0000-...-u1199 plus a hub adjacent to every
+        # u and to s and t.  Pair (s, t) needs the hub, so every witness
+        # routes pair (u0000, u1199) along the whole path.
+        names = [f"u{i:04d}" for i in range(1200)]
+        edges = [list(e) for e in zip(names, names[1:])]
+        edges += [["hub", v] for v in names + ["s", "t"]]
+        instance = tmp_path / "path.json"
+        instance.write_text(json.dumps({
+            "host": {"type": "graph", "vertices": names + ["hub", "s", "t"],
+                     "edges": edges},
+            "pairs": [[names[0], names[-1]], ["s", "t"]]}))
+        proc = run_subprocess("decide", str(instance))
         assert proc.returncode == 0
         assert "Traceback" not in proc.stderr
         obj = json.loads(proc.stdout)
