@@ -127,12 +127,6 @@ def pyramid2_quad() -> FixtureGraph:
     return fixture_graph("pyramid2-quad", cycle + apex + [("x", "y")])
 
 
-def host_adjacent(G: HostGraph, u: Vertex, v: Vertex) -> bool:
-    if isinstance(G, CubeGraph):
-        return G.has_vertex(u) and G.has_vertex(v) and cube_core.adjacent(u, v)
-    return G.has_vertex(u) and G.has_vertex(v) and v in G.adjacency[u]
-
-
 # ---------------------------------------------------------------------------
 # Pairings
 
@@ -580,8 +574,11 @@ def _cube_sweeps(d: int) -> tuple:
     out = []
     for i in range(d):
         shift = 1 << i
-        period_ones = ((1 << n) - 1) // ((1 << (2 * shift)) - 1)
-        out.append((shift, ((1 << shift) - 1) * period_ones))
+        mask, width = (1 << shift) - 1, 2 * shift
+        while width < n:  # double the period-2^(i+1) pattern up to n bits
+            mask |= mask << width
+            width *= 2
+        out.append((shift, mask))
     return tuple(out)
 
 
@@ -625,14 +622,34 @@ def _bitset_view(G: HostGraph):
     return position.__getitem__, expand, usable
 
 
-def _toward(G: HostGraph, t: Vertex):
-    """Sort key that puts vertices closer to t first, ties by ascending vertex.
+@lru_cache(maxsize=4096)
+def _cube_steps(d: int, cur: int, t: int) -> tuple:
+    """The d neighbours of cur in Q_d, closer to t first, ties by ascending
+    vertex: ``sorted(neighbours, key=lambda w: ((w ^ t).bit_count(), w))``.
 
-    On a cube the distance is the Hamming distance; on a fixture host it is
-    the BFS distance to t in G, with vertices that cannot reach t last.
+    Read off the bits: set in cur and clear in t, highest first; clear in
+    cur and set in t, lowest first; then set in both, highest first; clear
+    in both, lowest first.  The cache holds every (cur, t) of Q5 or of Q6.
+    """
+    ascending = ([cur ^ (1 << i) for i in reversed(range(d)) if cur >> i & 1]
+                 + [cur ^ (1 << i) for i in range(d) if not cur >> i & 1])
+    differ = cur ^ t
+    return tuple([w for w in ascending if (w ^ cur) & differ]
+                 + [w for w in ascending if not (w ^ cur) & differ])
+
+
+def _toward(G: HostGraph, t: Vertex):
+    """The neighbours of a vertex, closer to t first, ties by ascending vertex.
+
+    Returns a function of the path's end.  On a cube the distance is the
+    Hamming distance and the order is one ``_cube_steps`` table lookup; it
+    lists removed vertices too, which the caller's free mask filters out.
+    On a fixture host the distance is the BFS distance to t in G, with
+    vertices that cannot reach t last, and each call sorts the neighbours.
     """
     if isinstance(G, CubeGraph):
-        return lambda w: ((w ^ t).bit_count(), w)
+        d = G.d
+        return lambda cur: _cube_steps(d, cur, t)
     dist = {t: 0}
     queue = deque([t])
     while queue:
@@ -642,7 +659,7 @@ def _toward(G: HostGraph, t: Vertex):
                 dist[w] = dist[v] + 1
                 queue.append(w)
     far = len(G.adjacency)
-    return lambda w: (dist.get(w, far), w)
+    return lambda cur: sorted(G.neighbors(cur), key=lambda w: (dist.get(w, far), w))
 
 
 def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -> DecideOutcome:
@@ -654,7 +671,9 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
     the neighbors one step closer come first: bits set at the end and clear
     at the target, highest first, then bits clear at the end and set at the
     target, lowest first; so the first path tried is a straight descent
-    whenever nothing blocks it.  Pruning is sound: a partial state is
+    whenever nothing blocks it.  A cube reads this order from a cached
+    table (``_cube_steps``) and keeps the neighbours in the free mask; a
+    graph host sorts by BFS distance.  Pruning is sound: a partial state is
     abandoned when some unfinished pair has its endpoints separated in the
     graph minus the vertices already used and minus all other terminals
     (terminals of other pairs can never lie on a pair's path, since each is
@@ -664,12 +683,14 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
 
     The separation test is exact reachability on bitsets (``_bitset_view``):
     a vertex set is one int, the used vertices and the terminals are masks
-    kept alongside the paths, and a pair's reachable set grows by whole
-    coordinate sweeps (cubes) or adjacency masks (fixtures) until it meets
-    the far endpoint or stops growing.  The search itself is iterative: an
-    explicit stack holds, for each path vertex, the neighbors still to try,
-    so witness length is bounded by memory, not by Python's recursion
-    limit.  Each search node is one extension step of one path (``nodes_used``
+    kept alongside the paths, and a pair's reachable set grows from its
+    newest layer only, by whole coordinate sweeps (cubes) or adjacency masks
+    (fixtures), until it meets the far endpoint or a layer comes out empty.
+    Every older vertex had its neighbours added when it was new, so this is
+    the same exact reachability at O(layer) cost per step on a graph host.
+    The search itself is iterative: an explicit stack holds, for each path
+    vertex, the neighbors still to try, so witness length is bounded by
+    memory, not by Python's recursion limit.  Each search node is one extension step of one path (``nodes_used``
     counts them), and reaching a pair's target starts the next pair.
     """
     for v in Y.terminals:
@@ -684,19 +705,19 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
     terminal_mask = sum(source_bits) + sum(target_bits)
     # blocked[j]: the terminals a path of pair j may not pass through.
     blocked = [terminal_mask ^ a ^ b for a, b in zip(source_bits, target_bits)]
-    closer = [_toward(G, t) for t in targets]
+    steps = [_toward(G, t) for t in targets]
     order = tuple(range(k))
 
     def feasible(i: int, here: int, used_bits: int) -> bool:
         for j in range(i, k):
-            reach = here if j == i else source_bits[j]
+            reach = layer = here if j == i else source_bits[j]
             allowed = usable & ~(used_bits | blocked[j])
             goal = target_bits[j]
             while not reach & goal:
-                grown = expand(reach, allowed)
-                if grown == reach:
+                layer = expand(layer, allowed) & ~reach
+                if not layer:
                     return False
-                reach = grown
+                reach |= layer
         return True
 
     paths = [[sources[0]]]
@@ -718,8 +739,7 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
             continue
         free = usable & ~(used_bits | blocked[i])
         if feasible(i, 1 << index(cur), used_bits):
-            options = [w for w in sorted(G.neighbors(cur), key=closer[i])
-                       if free >> index(w) & 1]
+            options = [w for w in steps[i](cur) if free >> index(w) & 1]
             stack.append((i, len(paths[i]), iter(options)))
         # Backtrack to the deepest vertex with an untried neighbor.
         while stack:
@@ -827,6 +847,12 @@ def validate_linkage(G: HostGraph, Y: Pairing, L: Linkage) -> ValidationReport:
     forbidden), REPEAT (paths are simple), ADJACENCY (consecutive hops are
     edges), DISJOINTNESS (no vertex on two paths).
     """
+    # MEMBERSHIP has passed every vertex of a path before its hops are read.
+    if isinstance(G, CubeGraph):
+        hop = cube_core.adjacent
+    else:
+        def hop(a, b):
+            return b in G.adjacency[a]
     if len(L) != Y.k:
         return ValidationReport(
             False, "PATH_COUNT", len(L), f"expected {Y.k} paths, got {len(L)}"
@@ -850,7 +876,7 @@ def validate_linkage(G: HostGraph, Y: Pairing, L: Linkage) -> ValidationReport:
                 False, "REPEAT", dup, f"path {i} repeats vertex {dup!r}"
             )
         for a, b in zip(path, path[1:]):
-            if not host_adjacent(G, a, b):
+            if not hop(a, b):
                 return ValidationReport(
                     False, "ADJACENCY", (a, b), f"path {i} hop {a!r}-{b!r} is not an edge"
                 )

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import time
 from collections import Counter, deque
 from itertools import combinations
 
@@ -307,6 +308,26 @@ class TestValidateLinkage:
         report = validate_linkage(self.G, self.Y, [[0, 5], [4, 6]])
         assert report.clause == "ENDPOINTS"
 
+    def test_fixture_hop_that_is_no_edge(self):
+        G = pyramid2_quad()
+        report = validate_linkage(G, Pairing((("s1", "t1"),)), [["s1", "t1"]])
+        assert report.clause == "ADJACENCY"
+        assert report.witness == ("s1", "t1")
+
+    def test_clause_order_membership_before_adjacency(self):
+        # hop 0-5 is no edge and comes first on the path, but vertex 1 is
+        # forbidden: the membership clause wins
+        host = CubeGraph(3, frozenset({1}))
+        report = validate_linkage(host, self.Y, [[0, 5, 1, 3], [4, 6]])
+        assert report.clause == "MEMBERSHIP"
+        assert report.witness == 1
+
+    def test_out_of_range_cube_vertex(self):
+        # every hop flips one bit, but 8 and 9 lie outside Q3
+        report = validate_linkage(self.G, self.Y, [[0, 8, 9, 1, 3], [4, 6]])
+        assert report.clause == "MEMBERSHIP"
+        assert report.witness == 8
+
 
 class TestFixtures:
     def test_pyramid_shape(self):
@@ -455,12 +476,61 @@ def reach_cases(draw):
     return G, seed, blocked
 
 
+def _layer_reach(G, seed, blocked) -> set:
+    """Grow from the newest layer only, as decide_linked's cut test does."""
+    index, expand, usable = path_oracle._bitset_view(G)
+    bit = {v: 1 << index(v) for v in G.vertex_list()}
+    allowed = usable & ~sum(bit[v] for v in blocked)
+    reach = layer = bit[seed]
+    while layer:
+        layer = expand(layer, allowed) & ~reach
+        reach |= layer
+    return {v for v in G.vertex_list() if reach & bit[v]}
+
+
 class TestBitsetReach:
     @settings(max_examples=300, deadline=None)
     @given(reach_cases())
     def test_matches_plain_bfs(self, case):
         G, seed, blocked = case
         assert _bitset_reach(G, seed, blocked) == _bfs_reach(G, seed, blocked)
+
+    @settings(max_examples=300, deadline=None)
+    @given(reach_cases())
+    def test_growth_by_newest_layer_matches_plain_bfs(self, case):
+        G, seed, blocked = case
+        assert _layer_reach(G, seed, blocked) == _bfs_reach(G, seed, blocked)
+
+    @pytest.mark.parametrize("d", range(1, 15))
+    def test_sweep_masks_match_division_formula(self, d):
+        n = 1 << d
+        expected = tuple(
+            (1 << i, ((1 << (1 << i)) - 1)
+             * (((1 << n) - 1) // ((1 << (2 << i)) - 1)))
+            for i in range(d))
+        assert path_oracle._cube_sweeps(d) == expected
+
+
+def _closer_first(d, cur, t) -> list:
+    return sorted((cur ^ (1 << i) for i in range(d)),
+                  key=lambda w: ((w ^ t).bit_count(), w))
+
+
+class TestCubeSteps:
+    def test_matches_sort_key_exhaustively(self):
+        for d in range(1, 8):
+            for cur in range(1 << d):
+                for t in range(1 << d):
+                    assert list(path_oracle._cube_steps(d, cur, t)) == \
+                        _closer_first(d, cur, t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_sort_key_up_to_q20(self, data):
+        d = data.draw(st.integers(1, 20))
+        cur = data.draw(st.integers(0, (1 << d) - 1))
+        t = data.draw(st.integers(0, (1 << d) - 1))
+        assert list(path_oracle._cube_steps(d, cur, t)) == _closer_first(d, cur, t)
 
 
 def _golden_instances():
@@ -531,9 +601,22 @@ class TestDecideGolden:
         assert _sha256(rows) == PINNED_DIGEST
 
     def test_antipodal_pairs_take_a_straight_descent(self):
-        d = 16
-        top = (1 << d) - 1
-        out = decide_linked(CubeGraph(d), Pairing(((0, top), (1, top ^ 1))))
+        for d, nodes in ((16, 34), (20, 42)):
+            top = (1 << d) - 1
+            out = decide_linked(CubeGraph(d), Pairing(((0, top), (1, top ^ 1))))
+            assert out.status == LINKED
+            assert len(out.linkage[0]) == d + 1
+            assert out.nodes_used == nodes
+
+    def test_long_bare_path_fixture(self):
+        # One end-to-end pair on a 1,200-vertex path: the cut test at each
+        # node walks the whole remaining path, one layer per step.
+        names = [f"v{i:04d}" for i in range(1200)]
+        G = fixture_graph("bare-path", zip(names, names[1:]))
+        start = time.perf_counter()
+        out = decide_linked(G, Pairing(((names[0], names[-1]),)))
+        elapsed = time.perf_counter() - start
         assert out.status == LINKED
-        assert len(out.linkage[0]) == d + 1
-        assert out.nodes_used == 34
+        assert out.linkage == [names]
+        assert out.nodes_used == 1200
+        assert elapsed < 10
