@@ -2,7 +2,7 @@
 
 The package splits into five modules:
 
-- ``cube_core``       the d-cube model (vertices, faces, projections, directions)
+- ``cube_core``       the d-cube model (vertices, faces, directions and association)
 - ``path_oracle``     exact oracles (max-flow routing, backtracking decision,
                       separator checks, linkage validation)
 - ``linkage_engine``  the constructive solvers (cube linkage, strong linkage,
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .cube_core import CubeGraph, Face, facet, link_graph
+from .cube_core import CubeGraph, Face, link_graph
 from .path_oracle import (
     DecideOutcome,
     Pairing,
@@ -37,7 +37,6 @@ __all__ = [
     "__version__",
     "CubeGraph",
     "Face",
-    "facet",
     "link_graph",
     "DecideOutcome",
     "Pairing",

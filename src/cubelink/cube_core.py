@@ -7,12 +7,12 @@ O(d) word arithmetic.  Serialization uses binary strings with the most
 significant coordinate first: in Q3 the vertex 6 reads "110", and the facet
 fixing coordinate 2 to 1 reads "1**".
 
-The module also carries the direction/association machinery: the d directions
+The module also carries the direction/association fact: the d directions
 partition the edge set into parallel classes, a direction is *associated*
 with a vertex set Z when Z contains an edge of that class, and a set of at
-most d vertices always leaves some direction free (free_direction).  The
-linkage engine does not call free_direction: it finds its free directions
-inside a face of the input cube with its own _free_direction.
+most d vertices always leaves some direction free.  associated(free, Z)
+computes the association mask inside a face; the linkage engine takes its
+free directions from it, and free_direction is the index form over Q_d.
 """
 
 from __future__ import annotations
@@ -38,12 +38,6 @@ def check_vertex(d: int, v: int) -> int:
     if not 0 <= v < (1 << d):
         raise ValueError(f"vertex {v} outside Q_{d} (need 0 <= v < {1 << d})")
     return v
-
-
-def vertices(d: int) -> range:
-    """All 2^d vertices of Q_d."""
-    check_dim(d)
-    return range(1 << d)
 
 
 def neighbors(d: int, v: int) -> list[int]:
@@ -104,27 +98,6 @@ class Face:
     def contains(self, v: int) -> bool:
         return (v & self.fixed_mask) == self.fixed_values
 
-    def dim(self, d: int) -> int:
-        """Dimension of the face inside Q_d."""
-        return d - self.fixed_mask.bit_count()
-
-    def is_facet(self) -> bool:
-        return self.fixed_mask.bit_count() == 1
-
-    def opposite_facet(self) -> Face:
-        if not self.is_facet():
-            raise ValueError("opposite_facet is defined for facets only")
-        return Face(self.fixed_mask, self.fixed_values ^ self.fixed_mask)
-
-
-def facet(coord: int, value: int) -> Face:
-    """The facet fixing one coordinate to 0 or 1."""
-    if value not in (0, 1):
-        raise ValueError(f"facet value must be 0 or 1, got {value!r}")
-    if coord < 0:
-        raise ValueError(f"facet coordinate must be nonnegative, got {coord}")
-    return Face(1 << coord, value << coord)
-
 
 def face_vertices(d: int, face: Face) -> Iterator[int]:
     """Iterate the vertices of a face in ascending order."""
@@ -151,54 +124,40 @@ def format_face(d: int, face: Face) -> str:
     return "".join(out)
 
 
-def project(v: int, target: Face) -> int:
-    """Project v onto a facet: identity inside, the unique neighbor across.
-
-    Restricted to the opposite facet this is a bijection onto the target.
-    """
-    if not target.is_facet():
-        raise ValueError("project requires a facet target")
-    return (v & ~target.fixed_mask) | target.fixed_values
-
-
 # ---------------------------------------------------------------------------
 # Directions and association
 
 
-def associated_pairs(d: int, Z: Iterable[int]) -> set[int]:
-    """Directions whose edge class meets the induced subgraph on Z.
-
-    Returns every coordinate i such that some z in Z has z XOR 2^i in Z.
-    The count is at most |Z| - 1 (the classes of a spanning forest of the
-    induced subgraph).
-    """
-    check_dim(d)
+def associated(free: int, Z: Iterable[int]) -> int:
+    """The free bits (of the face with free-coordinate mask `free`, holding
+    Z) along which some edge inside Z runs, as a mask: every free bit c such
+    that some z in Z has z ^ c in Z.  A nonempty Z associates at most
+    |Z| - 1 bits (the classes of a spanning forest of its induced subgraph).
+    O(|Z| d) set lookups."""
     zset = frozenset(Z)
-    if not zset:
-        raise ValueError("associated_pairs requires a nonempty vertex set")
-    found: set[int] = set()
+    assoc = 0
     for z in zset:
-        check_vertex(d, z)
-        for i in range(d):
-            if i not in found and z ^ (1 << i) in zset:
-                found.add(i)
-    return found
+        left = free & ~assoc
+        while left:
+            c = left & -left
+            if z ^ c in zset:
+                assoc |= c
+            left ^= c
+    return assoc
 
 
 def free_direction(d: int, Z: Iterable[int]) -> int:
-    """Smallest direction not associated with Z; exists whenever |Z| <= d."""
-    zset = frozenset(Z)
-    if not zset:
-        check_dim(d)
-        return 0
-    assoc = associated_pairs(d, zset)
-    for i in range(d):
-        if i not in assoc:
-            return i
-    raise ValueError(
-        f"no free direction: all {d} directions are associated with the "
-        f"{len(zset)} given vertices (caller exceeded the |Z| <= d bound)"
-    )
+    """Smallest direction not associated with Z; exists whenever |Z| <= d.
+    Nothing in the package calls it; perfbench's per-layer tracer wraps it."""
+    check_dim(d)
+    zset = frozenset(check_vertex(d, z) for z in Z)
+    left = ((1 << d) - 1) & ~associated((1 << d) - 1, zset)
+    if not left:
+        raise ValueError(
+            f"no free direction: all {d} directions are associated with the "
+            f"{len(zset)} given vertices (caller exceeded the |Z| <= d bound)"
+        )
+    return (left & -left).bit_length() - 1
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,10 @@ oracle search, and expands the paths back.
 
 A facet of the face is one free bit b with a side value v, 0 or b:
 membership is x & b == v, projection onto it is x & ~b | v, and crossing to
-the other side is x ^ b.  Every step that projects terminals onto a facet,
+the other side is x ^ b.  Facets are chosen as such masks too: the lowest
+free bit off cube_core.associated(free, Z) (_free_direction), the lowest
+bit on which a set of terminals agrees (_common_coord, 0 when none does)
+or the highest free bit.  Every step that projects terminals onto a facet,
 solves there and attaches the terminals left outside goes through one
 helper, _in_facet.  cube_core.Face appears only where a facet or 2-face is
 handed out: ScenarioContext.face and the Q3 obstruction's certificate.
@@ -48,7 +51,8 @@ bits where the endpoints differ when no avoided vertex blocks it and runs
 an A* search (Hamming heuristic) otherwise; d <= 4 goes to the oracle
 search; slack instances (k below the maximum, or a nonempty avoid set)
 project into a facet chosen through a free direction; tight even d
-splits off a facet by disjoint-path routing onto it (_facet_routes); tight
+routes its terminals by disjoint paths onto the facet "x & b == 0" of its
+highest free bit b (_facet_routes takes b) and solves there; tight
 odd d classifies into one of three scenario constructions (all pairs
 antipodal / all terminals in one facet / the rest).  Each recursion level
 appends a label to the scenario trace of the result, e.g. "Q7:scenario3",
@@ -71,7 +75,7 @@ from operator import and_, or_
 from typing import Iterable
 
 from . import cube_core
-from .cube_core import CubeGraph, Face, face_vertices, link_graph, opposite
+from .cube_core import CubeGraph, Face, associated, face_vertices, link_graph, opposite
 from .path_oracle import (
     LINKED,
     HostGraph,
@@ -197,12 +201,7 @@ def _free_direction(free: int, Z: set) -> int:
     inside Z (a vertex set of the face) runs along.  One exists whenever
     |Z| <= d; the construction keeps within that bound, so running out is an
     engine fault, not bad input."""
-    assoc = 0
-    for z in Z:
-        for b in _bits(free):
-            if z ^ b in Z:
-                assoc |= b
-    left = free & ~assoc
+    left = free & ~associated(free, Z)
     if not left:
         raise InvariantError("no free direction: Z breaks the |Z| <= d bound",
                              {"d": free.bit_count(), "Z": sorted(Z)})
@@ -361,16 +360,16 @@ def _astar(free: int, s: int, t: int, avoid: set | frozenset) -> list | None:
     return None
 
 
-def _facet_routes(free: int, X: list, w: int) -> dict:
-    """Disjoint paths in the face from its terminals X to its facet "bit w ==
-    0", w a free coordinate.
+def _facet_routes(free: int, X: list, b: int) -> dict:
+    """Disjoint paths in the face from its terminals X to its facet "x & b ==
+    0", b a free bit.
 
     Returns {x: path starting at x}.  A terminal already in the facet is its
     own one-vertex path; every other path meets the facet only at its last
     vertex, holds no other terminal, and shares no vertex with the rest.
     Fewer paths than terminals come back only when no full routing exists.
 
-    A source a (bit w == 1) whose straight drop u = a ^ 2^w is not a
+    A source a (a & b set) whose straight drop u = a ^ b is not a
     terminal takes the edge [a, u] at once.  The flow below would pick the
     same edges: a drop is the only augmenting path of four arcs, so the
     shortest-augmenting search claims every free drop first, in ascending
@@ -388,10 +387,10 @@ def _facet_routes(free: int, X: list, w: int) -> dict:
     source, sink = -1, -2
     bits = _bits(free)
     terminals = frozenset(X)
-    routes = {x: [x] for x in X if not x >> w & 1}
+    routes = {x: [x] for x in X if not x & b}
     blocked = []  # ascending
-    for a in sorted(x for x in X if x >> w & 1):
-        u = a ^ (1 << w)
+    for a in sorted(x for x in X if x & b):
+        u = a ^ b
         if u in terminals:
             blocked.append(a)
         else:
@@ -402,8 +401,8 @@ def _facet_routes(free: int, X: list, w: int) -> dict:
             return [2 * a for a in blocked]
         v = node >> 1
         if not node & 1:
-            return [sink] if not v >> w & 1 else [node + 1]
-        return [2 * u for u in sorted(v ^ b for b in bits)
+            return [sink] if not v & b else [node + 1]
+        return [2 * u for u in sorted(v ^ c for c in bits)
                 if u not in terminals]
 
     flow: set = set()  # saturated arcs; every capacity is one
@@ -471,7 +470,7 @@ def _construction(free: int, pairs: list, avoid: frozenset) -> str:
         return "even_menger"
     if all(s ^ t == free for s, t in pairs):
         return "scenario1"
-    if _common_coord(free, _terminals(pairs)) is not None:
+    if _common_coord(free, _terminals(pairs)):
         return "scenario2"
     return "scenario3"
 
@@ -526,12 +525,12 @@ def _in_facet(free: int, b: int, v: int, pairs: list, avoid: frozenset,
     return out
 
 
-def _common_coord(free: int, X: list) -> int | None:
-    """The smallest free coordinate on which every vertex of X (nonempty)
-    agrees, or None: the lowest free bit set in the AND of X or the AND of
-    complements."""
+def _common_coord(free: int, X: list) -> int:
+    """The lowest free bit on which every vertex of X (nonempty) agrees, as
+    a one-bit mask, or 0 when there is none: the lowest free bit set in the
+    AND of X or the AND of complements."""
     agree = (reduce(and_, X) | ~reduce(or_, X)) & free
-    return (agree & -agree).bit_length() - 1 if agree else None
+    return agree & -agree
 
 
 # ---------------------------------------------------------------------------
@@ -598,16 +597,16 @@ def _projection(free: int, pairs: list, avoid: frozenset, trace: list) -> list:
 
 
 def _even_reduction(free: int, pairs: list, trace: list) -> list:
-    w = free.bit_length() - 1  # the highest free coordinate
+    b = 1 << (free.bit_length() - 1)  # the highest free bit
     X = _terminals(pairs)
-    stub = _facet_routes(free, X, w)
+    stub = _facet_routes(free, X, b)
     if len(stub) < len(X):
         raise InvariantError(
             "facet routing found fewer paths than the connectivity guarantees",
             {"free": free, "pairs": pairs, "found": len(stub)},
         )
     sub_pairs = [(stub[s][-1], stub[t][-1]) for s, t in pairs]
-    sub_paths = _solve(free ^ (1 << w), sub_pairs, frozenset(), trace)
+    sub_paths = _solve(free ^ b, sub_pairs, frozenset(), trace)
     out = []
     for (s, t), sub in zip(pairs, sub_paths):
         path = stub[s] + sub[1:]
@@ -653,7 +652,7 @@ def _scenario2(free: int, pairs: list, trace: list) -> list:
     routes inside that facet around the other terminals; solve the rest on
     the terminals' mirror images in the opposite facet."""
     X = _terminals(pairs)
-    b = 1 << _common_coord(free, X)
+    b = _common_coord(free, X)
     others = set(X)
     # At most one pair can be blocked, so the first or second try succeeds.
     for idx, (s, t) in enumerate(pairs):
@@ -699,8 +698,7 @@ def _scenario3_context(free: int, pairs: list) -> ScenarioContext:
     d = free.bit_count()
     first = next(i for i, (s, t) in enumerate(pairs) if s ^ t != free)
     s1, t1 = pairs[first]
-    agree = free & ~(s1 ^ t1)
-    b = agree & -agree
+    b = _common_coord(free, [s1, t1])
     v = s1 & b
     rho = {}
     for s, t in pairs:

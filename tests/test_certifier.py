@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
+from cubelink import certifier
 from cubelink.certifier import (
     BOTH,
     DEFAULT_SEED,
@@ -325,6 +330,11 @@ class TestJobValidation:
             certify(CertificationJob(host="cube:5", k=2, mode=SAMPLED,
                                      solver=ENGINE))
 
+    def test_exhaustive_rejects_samples(self):
+        # a sample count on an exhaustive job would be silently ignored
+        with pytest.raises(ValueError, match="--mode sampled"):
+            certify(CertificationJob(host="cube:5", k=3, samples=2, solver=ENGINE))
+
     def test_unknown_mode_and_solver(self):
         with pytest.raises(ValueError):
             certify(CertificationJob(host="cube:5", k=2, mode="census",
@@ -427,3 +437,33 @@ class TestPropertySuites:
         rep = property_suite("omega_conditions", samples=60)
         assert rep.ok
         assert rep.scenario_counters.get("moved", 0) > 0
+
+    def test_omega_conditions_reports_a_foreign_terminal(self, monkeypatch):
+        # Undo every moved omega entry: x ^ b is then a terminal other than
+        # rho(x), which the suite must report.
+        real = certifier.scenario3_context
+
+        def unmoved(d, Y):
+            ctx = real(d, Y)
+            return dataclasses.replace(ctx, omega={x: x for x in ctx.omega})
+
+        monkeypatch.setattr(certifier, "scenario3_context", unmoved)
+        rep = property_suite("omega_conditions", samples=60)
+        assert rep.failures
+        assert len(rep.failures) + rep.successes == rep.instances
+        for failure in rep.failures:
+            assert "touches a foreign terminal" in failure["reason"]
+            assert "not x or an in-facet neighbor" not in failure["reason"]
+
+    # Digests of the suites' JSON, serialised as the CLI prints it, recorded
+    # before the suites moved onto cube_core.associated and x ^ b.
+    @pytest.mark.parametrize("name, samples, digest", [
+        ("association_bound", 200,
+         "fbab37b75baa03ab56cfc28d78d3868df718e92d0591c9b26bb68135ac11e503"),
+        ("omega_conditions", 300,
+         "63f4108607b5c75ee8ed12766e79d3cba312509d4c4652cd339a93320911d9ee"),
+    ])
+    def test_suite_json_matches_pinned_digest(self, name, samples, digest):
+        rep = property_suite(name, samples=samples)
+        text = json.dumps(rep.to_json(), indent=2, sort_keys=True, default=str)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

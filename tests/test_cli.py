@@ -263,6 +263,14 @@ class TestCertifyAndSuite:
                               "--k", "2", "--solver", "engine")
         assert code == 2
 
+    def test_certify_samples_need_sampled_mode(self, capsys):
+        code, out, err = invoke(capsys, "certify", "--host", "cube:5", "--k", "3",
+                                "--samples", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--mode sampled" in err
+        assert "Traceback" not in err
+
     def test_certify_q3_range_message(self, capsys):
         code, out, err = invoke(capsys, "certify", "--host", "cube:3",
                                 "--k", "3", "--solver", "engine")

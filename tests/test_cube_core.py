@@ -8,12 +8,11 @@ from cubelink.cube_core import (
     CubeGraph,
     Face,
     adjacent,
-    associated_pairs,
+    associated,
     check_dim,
     check_vertex,
     distance,
     face_vertices,
-    facet,
     format_face,
     format_vertex,
     free_direction,
@@ -21,8 +20,6 @@ from cubelink.cube_core import (
     neighbors,
     opposite,
     parse_vertex,
-    project,
-    vertices,
 )
 
 
@@ -40,7 +37,6 @@ class TestVertices:
             check_dim(True)
 
     def test_vertex_range(self):
-        assert list(vertices(2)) == [0, 1, 2, 3]
         with pytest.raises(ValueError):
             check_vertex(3, 8)
         with pytest.raises(ValueError):
@@ -77,49 +73,35 @@ class TestVertices:
 
 class TestFaces:
     def test_facet_contains(self):
-        F = facet(2, 1)
+        F = Face(1 << 2, 1 << 2)
         assert F.contains(0b100)
         assert F.contains(0b111)
         assert not F.contains(0b011)
-        assert F.is_facet()
-        assert F.dim(3) == 2
-
-    def test_opposite_facet(self):
-        F = facet(0, 0)
-        Fo = F.opposite_facet()
-        assert Fo.contains(1)
-        assert not Fo.contains(0)
-        assert Fo.opposite_facet() == F
 
     def test_two_face(self):
         F = Face(0b011, 0b001)
         assert F.contains(0b101)
         assert not F.contains(0b111)
-        assert not F.is_facet()
-        assert F.dim(3) == 1
 
     def test_face_vertices(self):
-        assert sorted(face_vertices(3, facet(1, 0))) == [0, 1, 4, 5]
+        assert sorted(face_vertices(3, Face(0b010, 0))) == [0, 1, 4, 5]
         full = Face(0, 0)
         assert len(list(face_vertices(3, full))) == 8
 
     def test_format_face(self):
         assert format_face(3, Face(0b101, 0b001)) == "0*1"
 
-    def test_project(self):
-        F = facet(2, 1)
-        assert project(0b011, F) == 0b111
-        assert project(0b111, F) == 0b111
-        with pytest.raises(ValueError):
-            project(0, Face(0b011, 0))
 
 
 class TestDirections:
-    def test_associated_pairs(self):
+    def test_associated(self):
         # 0 and 1 differ in coordinate 0 only, so they associate it
-        assert sorted(associated_pairs(3, [0, 1, 3])) == [0, 1]
-        assert associated_pairs(3, [0, 7]) == frozenset()
-        assert sorted(associated_pairs(3, [0, 1, 2, 4])) == [0, 1, 2]
+        assert associated(0b111, [0, 1, 3]) == 0b011
+        assert associated(0b111, [0, 7]) == 0
+        assert associated(0b111, [0, 1, 2, 4]) == 0b111
+        assert associated(0b111, []) == 0
+        # only free bits count: the edge [0, 4] runs along a fixed bit
+        assert associated(0b011, [0, 4]) == 0
 
     def test_free_direction(self):
         assert free_direction(4, {0b0011, 0b0101}) == 0
@@ -128,14 +110,14 @@ class TestDirections:
 
     def test_free_direction_exhausted(self):
         # all three directions of Q3 associated
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no free direction"):
             free_direction(3, {0, 1, 2, 4})
 
     def test_association_bound_small(self):
         # any nonempty Z associates at most |Z| - 1 directions
         for mask in range(1, 1 << 8):
             Z = [v for v in range(8) if (mask >> v) & 1]
-            assert len(associated_pairs(3, Z)) <= len(Z) - 1
+            assert associated(0b111, Z).bit_count() <= len(Z) - 1
 
 
 class TestCubeGraph:
@@ -171,10 +153,3 @@ class TestCoordinateSurgery:
     def test_distance_symmetric(self, u, v):
         assert distance(u, v) == distance(v, u)
         assert (distance(u, v) == 0) == (u == v)
-
-    @given(st.integers(0, (1 << 5) - 1))
-    def test_projection_is_neighbor_or_fixed(self, v):
-        F = facet(2, 1)
-        p = project(v, F)
-        assert F.contains(p)
-        assert p == v or adjacent(v, p)

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cubelink.linkage_engine as linkage_engine
-from cubelink.cube_core import CubeGraph, face_vertices, facet, link_graph, opposite
+from cubelink.cube_core import (
+    CubeGraph,
+    Face,
+    associated,
+    face_vertices,
+    link_graph,
+    opposite,
+)
 from cubelink.path_oracle import (
     InvariantError,
     Pairing,
@@ -24,6 +31,7 @@ from cubelink.linkage_engine import (
     _construction,
     _descent,
     _facet_routes,
+    _free_direction,
     _projection,
     _route,
     base_solve,
@@ -115,7 +123,7 @@ class TestPreconditions:
         with pytest.raises(UnsupportedInstanceError) as info:
             solve_linkage(3, Pairing(((0, 3), (1, 2))))
         cert = info.value.certificate
-        assert cert.face == facet(2, 0)
+        assert cert.face == Face(1 << 2, 0)
         assert cert.witness_terminal == 0
 
     def test_pair_budget(self):
@@ -198,7 +206,7 @@ class TestConfig3F:
             # the witness terminal and its partner sit on the named 2-face,
             # and the other pair straddles it
             assert cert.witness_terminal in {v for p in pairs for v in p}
-            assert cert.face.dim(3) == 2
+            assert 3 - cert.face.fixed_mask.bit_count() == 2
 
     def test_clean_pairings_pass(self):
         assert detect_config_3F(Pairing(((0, 6), (3, 5)))) is None
@@ -206,7 +214,7 @@ class TestConfig3F:
 
     def test_frozen_certificate(self):
         cert = detect_config_3F(Pairing(((0, 3), (1, 2))))
-        assert cert.face == facet(2, 0)
+        assert cert.face == Face(1 << 2, 0)
         assert cert.witness_terminal == 0
         assert cert.to_json() == {"face": "0**", "witness_terminal": "000"}
 
@@ -262,7 +270,7 @@ class TestScenario3Context:
         ctx = scenario3_context(5, Pairing(((0, 31), (1, 30), (2, 28))))
         assert ctx.d == 5
         assert ctx.first == 2
-        assert ctx.face == facet(0, 0)
+        assert ctx.face == Face(1 << 0, 0)
         assert ctx.rho == {0: 31, 31: 0, 1: 30, 30: 1, 2: 28, 28: 2}
         assert ctx.omega == {0: 4, 30: 14}
         assert ctx.X_F == frozenset({0, 30})
@@ -607,8 +615,8 @@ class TestRouting:
             # force a source whose straight drop is a terminal
             a = data.draw(st.integers(0, (1 << d) - 1)) | 1 << w
             X = X[:d] + [v for v in (a, a ^ 1 << w) if v not in X[:d]]
-        routes = _facet_routes((1 << d) - 1, X, w)
-        sink = frozenset(face_vertices(d, facet(w, 0)))
+        routes = _facet_routes((1 << d) - 1, X, 1 << w)
+        sink = frozenset(face_vertices(d, Face(1 << w, 0)))
         ref = menger_disjoint_paths(CubeGraph(d), X, sink, len(X), strict=True)
         assert len(routes) == ref.flow
         assert routes == {p[0]: p for p in ref.paths}
@@ -626,7 +634,7 @@ class TestRouting:
 
     def test_facet_routes_drop_or_detour(self):
         # 16 and 17 have terminals below them and detour; 18 drops straight.
-        assert _facet_routes((1 << 5) - 1, [16, 0, 17, 1, 18], 4) == {
+        assert _facet_routes((1 << 5) - 1, [16, 0, 17, 1, 18], 1 << 4) == {
             0: [0], 1: [1], 16: [16, 20, 4], 17: [17, 19, 3], 18: [18, 2]}
 
     @settings(max_examples=300, deadline=None)
@@ -642,14 +650,14 @@ class TestRouting:
             X = [x & ~(1 << c) | value << c for x in X]
         naive = next((c for c in range(d) if len({x >> c & 1 for x in X}) == 1),
                      None)
-        assert _common_coord((1 << d) - 1, X) == naive
+        assert _common_coord((1 << d) - 1, X) == (0 if naive is None else 1 << naive)
 
     def test_common_coord_edge_cases(self):
-        assert _common_coord((1 << 7) - 1, [93]) == 0
-        assert _common_coord((1 << 6) - 1, [5, 5 ^ 63]) is None
-        assert _common_coord((1 << 20) - 1, [0, (1 << 20) - 1, 12345]) is None
-        assert _common_coord((1 << 5) - 1, [0b10110, 0b11111, 0b10010]) == 1
-        assert _common_coord((1 << 20) - 1, [1 << 19, 3 << 18]) == 0
+        assert _common_coord((1 << 7) - 1, [93]) == 1 << 0
+        assert _common_coord((1 << 6) - 1, [5, 5 ^ 63]) == 0
+        assert _common_coord((1 << 20) - 1, [0, (1 << 20) - 1, 12345]) == 0
+        assert _common_coord((1 << 5) - 1, [0b10110, 0b11111, 0b10010]) == 1 << 1
+        assert _common_coord((1 << 20) - 1, [1 << 19, 3 << 18]) == 1 << 0
 
     def test_engine_owns_its_routing(self):
         # path_oracle stays independent ground truth: the engine keeps only
@@ -665,11 +673,11 @@ class TestFaceEquivariance:
     result expanded back."""
 
     @staticmethod
-    def draw_face(data, min_free=5, max_free=9, max_dim=16):
-        D = data.draw(st.integers(min_free, max_dim))
+    def draw_face(data, min_free=5, max_free=9, max_dim=16, proper=False):
+        D = data.draw(st.integers(min_free + proper, max_dim))
         coords = data.draw(st.lists(st.integers(0, D - 1), unique=True,
                                     min_size=min_free,
-                                    max_size=min(D, max_free)))
+                                    max_size=min(D - proper, max_free)))
         free = sum(1 << c for c in coords)
         fixed = data.draw(st.integers(0, (1 << D) - 1)) & ~free
         positions = sorted(coords)
@@ -724,9 +732,28 @@ class TestFaceEquivariance:
             # force a source whose straight drop is a terminal
             a = data.draw(st.integers(0, (1 << d) - 1)) | 1 << i
             X = X[:d] + [v for v in (a, a ^ 1 << i) if v not in X[:d]]
-        ref = _facet_routes((1 << d) - 1, X, i)
-        mine = _facet_routes(free, [expand(x) for x in X], positions[i])
+        ref = _facet_routes((1 << d) - 1, X, 1 << i)
+        mine = _facet_routes(free, [expand(x) for x in X], 1 << positions[i])
         assert mine == {expand(x): [expand(u) for u in p] for x, p in ref.items()}
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_associated_and_free_direction(self, data):
+        free, positions, expand = self.draw_face(data, min_free=1, proper=True)
+        d = len(positions)
+        Z = set(map(expand, data.draw(st.lists(st.integers(0, (1 << d) - 1),
+                                               max_size=min(1 << d, 3 * d)))))
+        naive = sum(1 << c for c in positions
+                    if any(z ^ 1 << c in Z for z in Z))
+        mask = associated(free, Z)
+        assert mask == naive
+        left = free & ~mask
+        if left:
+            assert _free_direction(free, Z) == left & -left
+        else:
+            with pytest.raises(InvariantError):
+                _free_direction(free, Z)
 
 
 def pairing(X):
@@ -764,12 +791,14 @@ def _golden_solves():
             out.append((solve_linkage, d,
                         Pairing(tuple((s, opposite(d, s)) for s in S))))
         for _ in range(6):
-            F = facet(rng.randrange(d), rng.randrange(2))
+            c = rng.randrange(d)
+            F = Face(1 << c, rng.randrange(2) << c)
             X = rng.sample(list(face_vertices(d, F)), 2 * k)
             out.append((solve_linkage, d, pairing(X)))
     for d in (6, 8, 10):
         for _ in range(6):
-            F = facet(rng.randrange(d), rng.randrange(2))
+            c = rng.randrange(d)
+            F = Face(1 << c, rng.randrange(2) << c)
             v = rng.randrange(1 << d)
             X = rng.sample(off_link(d, v, face_vertices(d, F)), d)
             out.append((solve_link, d, v, pairing(X)))
