@@ -116,7 +116,7 @@ class CertificationJob:
     mode: str = EXHAUSTIVE
     solver: str = ENGINE
     samples: int = 0
-    seed: int = DEFAULT_SEED
+    seed: int | None = None     # sampled jobs only; None means DEFAULT_SEED
     strong: bool = False
     budget: int = DEFAULT_NODE_BUDGET
     fail_fast: bool = False
@@ -384,6 +384,9 @@ def _validate_job(job: CertificationJob) -> None:
     if job.mode == EXHAUSTIVE and job.samples != 0:
         raise ValueError("a sample count needs --mode sampled; exhaustive jobs "
                          "run every instance")
+    if job.mode == EXHAUSTIVE and job.seed is not None:
+        raise ValueError("a seed needs --mode sampled; exhaustive jobs "
+                         "run every instance")
     if job.workers < 1:
         raise ValueError("workers must be at least one")
     if kind == "link" and job.strong:
@@ -398,7 +401,11 @@ def _validate_job(job: CertificationJob) -> None:
 def _instances(job: CertificationJob) -> Iterator[Instance]:
     if job.mode == EXHAUSTIVE:
         return exhaustive_instances(job.host, job.k, strong=job.strong)
-    return sample_instances(job.host, job.k, job.samples, job.seed, strong=job.strong)
+    return sample_instances(job.host, job.k, job.samples, _seed(job), strong=job.strong)
+
+
+def _seed(job: CertificationJob) -> int:
+    return DEFAULT_SEED if job.seed is None else job.seed
 
 
 def engine_solve(inst: Instance):
@@ -483,7 +490,7 @@ def _job_label(job: CertificationJob) -> str:
     bits = [job.host, f"k={job.k}", job.mode]
     if job.mode == SAMPLED:
         bits.append(f"n={job.samples}")
-        bits.append(f"seed={job.seed}")
+        bits.append(f"seed={_seed(job)}")
     if job.strong:
         bits.append("strong")
     bits.append(job.solver)

@@ -426,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=(EXHAUSTIVE, SAMPLED), default=EXHAUSTIVE)
     p.add_argument("--samples", type=int, default=0)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, help=f"sampled mode only (default {DEFAULT_SEED})")
     p.add_argument("--solver", choices=(ENGINE, ORACLE, BOTH), default=ENGINE)
     p.add_argument("--strong", action="store_true",
                    help="route around a forbidden vertex as well")

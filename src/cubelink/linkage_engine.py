@@ -32,8 +32,10 @@ paths it returns are already in the caller's words.  Deleting the fixed
 bits preserves order, distance and adjacency among the vertices of a face,
 so every tie-break (min, sorted, the A* heap key, ascending neighbours, the
 lowest free or agreeing bit) picks what it would pick in Q_d words.  Only
-the d <= 4 base case compresses its vertices to d-bit words, for the
-oracle search, and expands the paths back.
+the d <= 4 base case (_base) leaves the face's words: it maps the instance
+onto its representative under Aut(Q_d) (translation and coordinate
+permutation) in d-bit words, runs the oracle search once per representative
+and maps the stored paths back.
 
 A facet of the face is one free bit b with a side value v, 0 or b:
 membership is x & b == v, projection onto it is x & ~b | v, and crossing to
@@ -49,8 +51,8 @@ The dispatch, in order (_construction names the choice): single pairs go to
 the engine's router (_route), which takes the straight descent along the
 bits where the endpoints differ when no avoided vertex blocks it and runs
 an A* search (Hamming heuristic) otherwise; d <= 4 goes to the oracle
-search; slack instances (k below the maximum, or a nonempty avoid set)
-project into a facet chosen through a free direction; tight even d
+search, once per orbit; slack instances (k below the maximum, or a nonempty
+avoid set) project into a facet chosen through a free direction; tight even d
 routes its terminals by disjoint paths onto the facet "x & b == 0" of its
 highest free bit b (_facet_routes takes b) and solves there; tight
 odd d classifies into one of three scenario constructions (all pairs
@@ -554,23 +556,53 @@ def base_solve(G: HostGraph, Y: Pairing, avoid: Iterable[int] = ()) -> list:
     return [_oriented(p, s, t) for p, (s, t) in zip(outcome.linkage, Y.pairs)]
 
 
-@lru_cache(maxsize=256)
-def _base_words(free: int) -> tuple:
-    """For a face of dimension d <= 4: words[i] is the vertex, fixed bits
-    zero, whose free bits spell i, and index inverts words."""
+# The base's paths per orbit key (see _base), in the representative's Q_d
+# words.  Q4 with k = 2 and at most one avoid vertex has 1,744 keys, so the
+# memo needs no eviction.
+_BASE_ORBITS: dict = {}
+
+
+@lru_cache(maxsize=1024)
+def _spread(bits: tuple) -> tuple:
+    """words[y] is the OR of bits[j] over the set bits j of y."""
     words = [0]
-    for b in _bits(free):
+    for b in bits:
         words += [v | b for v in words]
-    return tuple(words), {v: i for i, v in enumerate(words)}
+    return tuple(words)
 
 
 def _base(free: int, pairs: list, avoid: frozenset) -> list:
-    """base_solve on the face's Q_d words, with the paths expanded back."""
-    words, index = _base_words(free)
-    fixed = pairs[0][0] & ~free
-    Y = Pairing(tuple((index[s ^ fixed], index[t ^ fixed]) for s, t in pairs))
-    paths = base_solve(CubeGraph(free.bit_count()), Y, [index[a ^ fixed] for a in avoid])
-    return [[words[u] | fixed for u in p] for p in paths]
+    """base_solve once per orbit of Aut(Q_d), with the paths mapped back.
+
+    Every automorphism of the face (a translation composed with a coordinate
+    permutation) maps a linkage onto a linkage of the image instance, pairs,
+    orientation and avoid set included.  The representative translates the
+    first source to 0 (every word XOR the first source) and orders the free
+    bits by their column, ties by ascending bit: the column of bit b reads
+    b in each translated terminal in pair order, then in each avoid vertex,
+    as a binary number, first word highest.  Bit j of a representative word
+    is the j-th free bit in that order.  The key (d, k, |A|, sorted columns)
+    fixes the representative, so the paths are a function of the key alone,
+    whatever the memo holds."""
+    s0 = pairs[0][0]
+    rel = [x ^ s0 for p in pairs for x in p] + [a ^ s0 for a in sorted(avoid)]
+    cols = []
+    for b in _bits(free):
+        col = 0
+        for x in rel:
+            col = col << 1 | (x & b != 0)
+        cols.append((col, b))
+    cols.sort()
+    key = (len(cols), len(pairs), len(avoid), tuple([col for col, _ in cols]))
+    words = _spread(tuple([b for _, b in cols]))
+    paths = _BASE_ORBITS.get(key)
+    if paths is None:
+        rep = [words.index(x) for x in rel]
+        k = len(pairs)
+        Y = Pairing(tuple(zip(rep[0:2 * k:2], rep[1:2 * k:2])))
+        paths = base_solve(CubeGraph(len(cols)), Y, rep[2 * k:])
+        _BASE_ORBITS[key] = paths = tuple(map(tuple, paths))
+    return [[words[y] ^ s0 for y in p] for p in paths]
 
 
 # ---------------------------------------------------------------------------

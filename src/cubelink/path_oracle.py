@@ -8,7 +8,8 @@ routing (linkage_engine._route and _facet_routes), so an engine routing bug
 cannot hide behind an oracle bug.  Its declared shared points with this
 module are:
 
-  * decide_linked, which is the engine's exact base case (the Q4 base);
+  * decide_linked, which is the engine's exact base case (the Q4 base),
+    run once per Aut(Q4) orbit representative and mapped back;
   * validate_linkage, which checks every recursion level under SELF_CHECK;
   * the Pairing, HostGraph and InvariantError types, LINKED, and
     instance_to_json for error contexts.

@@ -335,6 +335,14 @@ class TestJobValidation:
         with pytest.raises(ValueError, match="--mode sampled"):
             certify(CertificationJob(host="cube:5", k=3, samples=2, solver=ENGINE))
 
+    def test_exhaustive_rejects_seed(self):
+        # so would a seed; a sampled job without one draws from DEFAULT_SEED
+        with pytest.raises(ValueError, match="--mode sampled"):
+            certify(CertificationJob(host="cube:3", k=1, seed=9, solver=ORACLE))
+        job = dict(host="cube:5", k=3, mode=SAMPLED, samples=20, solver=ENGINE)
+        assert (certify(CertificationJob(**job)).to_json()
+                == certify(CertificationJob(**job, seed=DEFAULT_SEED)).to_json())
+
     def test_unknown_mode_and_solver(self):
         with pytest.raises(ValueError):
             certify(CertificationJob(host="cube:5", k=2, mode="census",

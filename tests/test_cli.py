@@ -271,6 +271,25 @@ class TestCertifyAndSuite:
         assert err.startswith("error: ") and "--mode sampled" in err
         assert "Traceback" not in err
 
+    def test_certify_seed_needs_sampled_mode(self, capsys):
+        for seed in ("1", "2024"):
+            code, out, err = invoke(capsys, "certify", "--host", "cube:3", "--k", "1",
+                                    "--solver", "oracle", "--seed", seed)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and "--mode sampled" in err
+            assert "Traceback" not in err
+
+    def test_certify_sampled_seed_defaults(self, capsys):
+        args = ("certify", "--host", "cube:5", "--k", "3", "--mode", "sampled",
+                "--samples", "20", "--format", "text")
+        code, default, _ = invoke(capsys, *args)
+        assert code == 0
+        assert "seed=2024" in default
+        assert invoke(capsys, *args, "--seed", "2024")[1] == default
+        code, other, _ = invoke(capsys, *args, "--seed", "9")
+        assert code == 0 and "seed=9" in other
+
     def test_certify_q3_range_message(self, capsys):
         code, out, err = invoke(capsys, "certify", "--host", "cube:3",
                                 "--k", "3", "--solver", "engine")

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 import random
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -66,8 +71,8 @@ class TestDispatch:
         res = check(solve_linkage(5, Pairing(((0, 31), (1, 30), (2, 29)))))
         assert res.trace == ("Q5:scenario1", "Q4:trivial_pair", "Q4:base")
         assert res.linkage == [
-            [0, 8, 9, 11, 27, 31],
-            [1, 3, 19, 18, 26, 30],
+            [0, 8, 24, 25, 27, 31],
+            [1, 9, 11, 10, 26, 30],
             [2, 6, 4, 5, 13, 29],
         ]
 
@@ -84,8 +89,8 @@ class TestDispatch:
         res = check(solve_linkage(5, Pairing(((0, 31), (1, 30), (2, 28)))))
         assert res.trace == ("Q5:scenario3", "Q4:base")
         assert res.linkage == [
-            [0, 4, 5, 7, 23, 31],
-            [1, 3, 11, 15, 14, 30],
+            [0, 4, 5, 21, 23, 31],
+            [1, 3, 7, 15, 14, 30],
             [2, 6, 22, 20, 28],
         ]
 
@@ -93,8 +98,8 @@ class TestDispatch:
         res = check(solve_linkage(6, Pairing(((0, 63), (1, 62), (2, 61)))))
         assert res.trace == ("Q6:even_menger", "Q5:scenario1", "Q4:trivial_pair", "Q4:base")
         assert res.linkage == [
-            [0, 8, 9, 11, 27, 31, 63],
-            [1, 3, 19, 18, 26, 30, 62],
+            [0, 8, 24, 25, 27, 31, 63],
+            [1, 9, 11, 10, 26, 30, 62],
             [2, 6, 4, 5, 13, 29, 61],
         ]
 
@@ -102,8 +107,8 @@ class TestDispatch:
         res = check(solve_linkage(6, Pairing(((0, 63), (5, 58)))))
         assert res.trace == ("Q6:projection", "Q5:projection", "Q4:base")
         assert res.linkage == [
-            [0, 8, 12, 28, 60, 62, 63],
-            [5, 4, 20, 16, 24, 56, 58],
+            [0, 8, 24, 28, 60, 62, 63],
+            [5, 4, 12, 44, 40, 56, 58],
         ]
 
     def test_orientation_matches_pairs(self):
@@ -340,8 +345,8 @@ class TestStrong:
         assert res.trace == ("Q5:projection", "Q4:base")
         assert all(7 not in p for p in res.linkage)
         assert res.linkage == [
-            [0, 4, 6, 14, 30, 31],
-            [3, 2, 10, 8, 12, 28],
+            [0, 4, 12, 14, 30, 31],
+            [3, 2, 6, 22, 20, 28],
         ]
 
     def test_projection_route(self):
@@ -350,8 +355,8 @@ class TestStrong:
                              "Q4:trivial_pair", "Q4:base")
         assert all(17 not in p for p in res.linkage)
         assert res.linkage == [
-            [0, 16, 20, 28, 60, 62, 63],
-            [5, 4, 12, 44, 40, 56, 58],
+            [0, 16, 48, 52, 60, 62, 63],
+            [5, 4, 20, 28, 24, 56, 58],
             [9, 8, 10, 2, 6, 22, 54],
         ]
 
@@ -390,13 +395,13 @@ class TestLink:
         ]
 
     def test_case_one_side_with_detour(self):
-        res = check(solve_link(6, 0, Pairing(((60, 18), (50, 8), (28, 6)))))
+        res = check(solve_link(6, 0, Pairing(((46, 52), (14, 4), (16, 54)))))
         assert res.trace == ("Q6:link_case1", "Q5:scenario3", "Q4:base",
                              "Q6:link_detour")
         assert res.linkage == [
-            [60, 52, 20, 16, 18],
-            [50, 34, 2, 3, 1, 9, 8],
-            [28, 12, 4, 6],
+            [46, 38, 36, 52],
+            [14, 10, 8, 9, 1, 5, 4],
+            [16, 18, 50, 54],
         ]
 
     def test_case_two_sides_tail_fallback(self):
@@ -834,7 +839,8 @@ def _solve_digest(calls) -> str:
         json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
 
 
-# Both digests are recorded with decide_linked, the Q4 base, trying the
+# Both digests are recorded with the Q4 base solving one representative per
+# Aut(Q4) orbit (linkage_engine._base), by decide_linked trying the
 # neighbors closer to the target first.  Its shorter sub-paths pass the
 # removed vertex of a link host less often, so link_detour runs less.
 PINNED_SOLVE_LABELS = {
@@ -842,10 +848,10 @@ PINNED_SOLVE_LABELS = {
     "link_detour": 2, "projection": 482, "scenario1": 35, "scenario2": 53,
     "scenario3": 365, "trivial_pair": 72,
 }
-PINNED_SOLVE_DIGEST = "7b22e26c4329095c2520c44fdd001dc7566d4ce73d16d149603d913f34fbaef7"
+PINNED_SOLVE_DIGEST = "87511e7830fb162811601bb72426a8f78cc29c43b90955cdc0970a81534efd52"
 
 
-PINNED_DEEP_SOLVE_DIGEST = "92104a394d715dfd4398460b0fec7b06260286dddf9187cce3a9404e48fad9fc"
+PINNED_DEEP_SOLVE_DIGEST = "ccc1372cd032050933b3263a5d2bbaf76141d569ee5e31caead440634a1af868"
 
 
 class TestSolveGolden:
@@ -869,6 +875,85 @@ class TestSolveGolden:
         digest = hashlib.sha256(
             json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
         assert digest == PINNED_SOLVE_DIGEST
+
+
+def _face_instance(rng, with_avoid):
+    """Two pairs and at most one avoid vertex, all distinct, in a random
+    4-dimensional face of Q8: (free, pairs, avoid)."""
+    free = sum(1 << c for c in rng.sample(range(8), 4))
+    fixed = rng.randrange(256) & ~free
+    words = linkage_engine._spread(linkage_engine._bits(free))
+    X = [words[i] | fixed for i in rng.sample(range(16), 5 if with_avoid else 4)]
+    return free, [(X[0], X[1]), (X[2], X[3])], frozenset(X[4:])
+
+
+class TestOrbitBase:
+    """The Q4 base solves one representative per Aut(Q4) orbit and maps its
+    paths back; every mapped linkage must be a linkage of the instance."""
+
+    @staticmethod
+    def _check(D, free, pairs, avoid, paths):
+        host = CubeGraph(D).without(avoid)
+        assert validate_linkage(host, Pairing(tuple(pairs)), paths).ok
+        fixed = pairs[0][0] & ~free
+        for path, (s, t) in zip(paths, pairs):
+            assert path[0] == s and path[-1] == t
+            assert all(v & ~free == fixed for v in path)
+
+    def test_every_two_pair_q4_instance(self, monkeypatch):
+        calls = []
+        real = linkage_engine.base_solve
+        monkeypatch.setattr(linkage_engine, "base_solve",
+                            lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(linkage_engine, "_BASE_ORBITS", {})
+        n = 0
+        for s0, t0, s1, t1 in itertools.permutations(range(16), 4):
+            pairs = [(s0, t0), (s1, t1)]
+            self._check(4, 15, pairs, frozenset(),
+                        linkage_engine._base(15, pairs, frozenset()))
+            n += 1
+        assert n == 43_680
+        # 169 orbits: one exact search each, however many instances share it.
+        assert len(calls) == 169
+        assert len(linkage_engine._BASE_ORBITS) == 169
+
+    def test_one_avoid_vertex_on_faces_of_q8(self):
+        rng = random.Random("base/orbits/avoid")
+        for _ in range(20_000):
+            free, pairs, avoid = _face_instance(rng, with_avoid=True)
+            self._check(8, free, pairs, avoid, linkage_engine._base(free, pairs, avoid))
+        # Q4 with k = 2 and |A| <= 1 has 1,744 orbit keys in all.
+        assert len(linkage_engine._BASE_ORBITS) <= 1_744
+
+    def test_output_does_not_depend_on_the_memo(self, monkeypatch):
+        rng = random.Random("base/orbits/memo")
+        instances = [_face_instance(rng, with_avoid=i % 2 == 1) for i in range(300)]
+        monkeypatch.setattr(linkage_engine, "_BASE_ORBITS", {})
+        cold = []
+        for free, pairs, avoid in instances:
+            linkage_engine._BASE_ORBITS.clear()
+            cold.append(linkage_engine._base(free, pairs, avoid))
+        for _ in range(3_000):
+            X = rng.sample(range(32), 7)
+            if rng.random() < 0.5:
+                check(solve_linkage(5, pairing(X[1:])))
+            else:
+                check(solve_strong(5, pairing(X[1:5]), X[0]))
+        assert len(linkage_engine._BASE_ORBITS) > 100
+        warm = [linkage_engine._base(*inst) for inst in instances]
+        assert warm == cold
+
+
+def test_readme_library_example():
+    """README's library example prints what its comments say."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    expected = re.findall(r"^print\(.*\)\s+# (.*)$", code, re.M)
+    assert len(expected) == 2
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    assert out.getvalue().splitlines() == expected
 
 
 def test_solve_result_json_shape():
