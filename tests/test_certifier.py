@@ -177,6 +177,58 @@ class TestInstanceStreams:
         assert obj["pairs"] == [["000", "001"], ["010", "011"]]
 
 
+def _stream_digest(instances) -> str:
+    h = hashlib.sha256()
+    for inst in instances:
+        row = [inst.index, inst.kind, inst.d, inst.pairing.pairs, inst.forbidden,
+               inst.apex, inst.fixture, inst.to_json()]
+        h.update(json.dumps(row, sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
+
+class TestStreamPins:
+    """The instance streams are a compatibility contract (see the module
+    docstring); these digests were recorded before the generators shared
+    one host resolution."""
+
+    @pytest.mark.parametrize("host, k, strong, digest", [
+        ("cube:3", 2, False,
+         "a0c41203b239bd08f402d9f391c110cc5d02f014f0361218215c1bcb79eb0adf"),
+        ("cube:4", 2, False,
+         "764fb67022f17f00ba9c9ee974248d4c0a0130e8c8f0d43185deec9dc305dccd"),
+        ("cube:4", 2, True,
+         "73e83d20516d70f3e13559f73a7ade6330cd0990da97264566f993b541be9e95"),
+        ("link:5", 2, False,
+         "c841444915993598076550356dd5a883e4bd5fe1b24a587c0d4343311d869d00"),
+        ("pyramid2-quad", 2, False,
+         "183af302b94b7d6c987cebc7fc1a2b326101278c8ac5e2fdd8b79a326cf5ad5f"),
+        ("pyramid2-quad", 2, True,
+         "27e17825707a71925df6f6cbfb16526861e66b46cdb4d85c20c9bce06e07af20"),
+    ])
+    def test_exhaustive(self, host, k, strong, digest):
+        assert _stream_digest(exhaustive_instances(host, k, strong=strong)) == digest
+
+    @pytest.mark.parametrize("host, k, strong, digest", [
+        ("cube:5", 3, False,
+         "c7bc38d445980a9f827f5665b2c6c7b2ca02981387d53553684b3fe4bb9ecac7"),
+        ("cube:9", 4, True,
+         "416a72b8ba417c2120edfe926c23b58ec7475dcb9557606da8d71b02929c2e30"),
+        ("link:6", 3, False,
+         "e9523e0d5f5e1edbe8958ab1dddff01107fd7767c3cd804438f72ab96453fef6"),
+        ("link:13", 6, False,
+         "7a8144d6a47a416596a52d3e42260b52ba586dbfdfe47ca43638c649bb6735f5"),
+        ("pyramid2-quad", 2, False,
+         "a9e6dd845e41fecbdd3ba02c4ea3123f5a49ba4efce06d32b57a9edbf3152d8a"),
+        ("pyramid2-quad", 2, True,
+         "eadd46dcbc5144e58f0a3f9377ae19db197632ad1d7d4b2dbfb5fa1fe145f2da"),
+    ])
+    def test_sampled(self, host, k, strong, digest):
+        # 300 instances for each of three seeds, one stream after another
+        stream = (inst for seed in (0, 7, 2024)
+                  for inst in sample_instances(host, k, 300, seed, strong=strong))
+        assert _stream_digest(stream) == digest
+
+
 class TestCertify:
     def test_q3_oracle_exhaustive_frozen(self):
         rep = certify(CertificationJob(host="cube:3", k=2, solver=ORACLE))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -370,6 +371,76 @@ class TestOutputStability:
                            "--pairs", "000:111,001:110")
         obj = json.loads(out)
         assert list(obj) == sorted(obj)
+
+
+_CUBE5_FILE = {"host": {"type": "cube", "d": 5, "forbidden": ["00111"]},
+               "pairs": [["00000", "11111"], ["00011", "11100"]]}
+_LINK6_FILE = {"host": {"type": "cube", "d": 6, "forbidden": ["000000", "111111"]},
+               "pairs": [["000011", "110000"], ["000101", "101000"],
+                         ["000110", "100001"]]}
+_LINK6_PAIRS = "000011:110000,000101:101000,000110:100001"
+
+
+class TestStdoutPins:
+    """Exit code and stdout of a fixed set of invocations, recorded before
+    the commands shared one input reader."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("solve", "--dim", "5", "--pairs", "00000:11111,00011:11100",
+          "--avoid", "00111"),
+         "5c6b02e0f034562705866387c607a6faa3dae3afd791e77ff26d0126feac3d13"),
+        (("solve", "@cube5"),
+         "5c6b02e0f034562705866387c607a6faa3dae3afd791e77ff26d0126feac3d13"),
+        (("solve", "@cube5", "--format", "text"),
+         "2ca10e60253a06d9e36756b9be88b19be7d41865872eeef6d5c59bc433c70727"),
+        (("strong-solve", "--dim", "5", "--pairs", "00000:11111,00011:11100",
+          "--avoid", "00111"),
+         "5c6b02e0f034562705866387c607a6faa3dae3afd791e77ff26d0126feac3d13"),
+        (("strong-solve", "@cube5"),
+         "5c6b02e0f034562705866387c607a6faa3dae3afd791e77ff26d0126feac3d13"),
+        (("link-solve", "--dim", "6", "--apex", "000000", "--pairs", _LINK6_PAIRS),
+         "d144a5f2f2721d92e0f8a48bd85c8c692c7689aa51b13db7763e2d75b5e2f8b5"),
+        (("link-solve", "--dim", "6", "--apex", "111111", "--pairs", _LINK6_PAIRS),
+         "3bdb2dfd2acb6ee7a4b2d73b34ed62457a28726c361ba646728f528fbeaae50c"),
+        (("link-solve", "@link6"),
+         "d144a5f2f2721d92e0f8a48bd85c8c692c7689aa51b13db7763e2d75b5e2f8b5"),
+        (("decide", "--dim", "4", "--pairs", "0000:1111,0001:1110",
+          "--avoid", "0011"),
+         "03c8390e151385dd2c5d16a0d31952c6662f5f806f21cc41352c53ca413f90a2"),
+        (("decide", "--dim", "3", "--pairs", "000:011,001:010"),
+         "f74864df37e4bbc53b5042da59697d9b3c4d7478a477fb27222bfa921407a643"),
+        (("decide", "--host", "link:5", "--pairs", "00011:01100,00101:11000"),
+         "d3bc7ee7cbb1aa834efc1efdc90552027d69d6ccd3d179fe7f34b1050c0bb0ae"),
+        (("decide", "--host", "link:5", "--apex", "00100",
+          "--pairs", "00011:01100,00101:11000"),
+         "b85a83b2eb5630849acc1e200a23ca3cca2c9314c33e5c5722c0a8b8acd69918"),
+        (("decide", "--host", "pyramid2-quad", "--pairs", "s1:t1,s2:t2",
+          "--avoid", "x"),
+         "dacd133c1643bf731ac29c434a2816df20221a8117efabe92fd2b1b4fd4db979"),
+        (("decide", "@cube5", "--format", "text"),
+         "57da8b2c8caccab43c57beaf4b18aaf4b0d7c75e1fdd0cb11953b290a48706fe"),
+        (("certify", "--host", "cube:5", "--k", "3", "--mode", "sampled",
+          "--samples", "20"),
+         "83f74030420b4b9e79be8a696d79ac3fc24363b1dbd05a503d01b41a26dd183d"),
+        (("certify", "--host", "link:6", "--k", "3", "--mode", "sampled",
+          "--samples", "20", "--seed", "7"),
+         "c1a363bd444b4ae3628e74142aeda6340625da41476b0a0f64f8e8192946e5cb"),
+        (("certify", "--host", "pyramid2-quad", "--k", "2", "--mode", "sampled",
+          "--samples", "30", "--solver", "oracle", "--strong"),
+         "e50d4326ce72bd0ba5fffd07579b1f0d5a1518f93c098502de0b62c2211e0635"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+    def test_stdout_matches_pinned_digest(self, capsys, tmp_path, argv, digest):
+        files = {"@cube5": _CUBE5_FILE, "@link6": _LINK6_FILE}
+        args = []
+        for arg in argv:
+            if arg in files:
+                path = tmp_path / f"{arg[1:]}.json"
+                path.write_text(json.dumps(files[arg]))
+                arg = str(path)
+            args.append(arg)
+        code, out, _ = invoke(capsys, *args)
+        text = f"{code}\n{out}"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestFailureHandling:
