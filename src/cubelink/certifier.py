@@ -27,7 +27,7 @@ import multiprocessing
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import cube_core, path_oracle
 from .cube_core import CubeGraph, associated, link_graph, opposite
@@ -136,16 +136,10 @@ class Instance:
     fixture: str | None = None
 
     def host_graph(self):
-        if self.fixture is not None:
-            G = pyramid2_quad()
-            if self.forbidden is not None:
-                G = G.without({self.forbidden})
-            return G
         if self.kind == "link":
             return link_graph(self.d, self.apex)
-        if self.forbidden is not None:
-            return CubeGraph(self.d, frozenset({self.forbidden}))
-        return CubeGraph(self.d)
+        G = CubeGraph(self.d) if self.fixture is None else pyramid2_quad()
+        return G if self.forbidden is None else G.without({self.forbidden})
 
     def to_json(self) -> dict:
         G = self.host_graph()
@@ -257,48 +251,51 @@ def canonical_pairings(X: tuple) -> Iterator[tuple]:
             yield ((s, X[i]),) + tail
 
 
-def _cube_pool(d: int, excluded: tuple = ()) -> list:
-    out = [v for v in range(1 << d) if v not in excluded]
-    return out
+def _host_space(host: str, k: int, strong: bool) -> tuple[str, int, Sequence]:
+    """Resolve a host spec to (kind, d, vertices) for instances of k pairs.
+
+    kind is plain, strong or link; d is 0 on a fixture, as in Instance.  The
+    vertices are range(2^d) on a cube or link host and the fixture's sorted
+    names otherwise.  A host too small for 2k terminals plus the vertices
+    each instance removes (a forbidden vertex; the apex and its opposite)
+    is a ValueError, so no job runs over an empty instance space.
+    """
+    spec, d = parse_host_spec(host)
+    if spec == "link" and strong:
+        raise ValueError("link jobs already remove two vertices; strong does not apply")
+    kind = "link" if spec == "link" else "strong" if strong else "plain"
+    removed = 2 if spec == "link" else int(strong)
+    vertices = range(1 << d) if d else tuple(pyramid2_quad().vertex_list())
+    if 2 * k + removed > len(vertices):
+        raise ValueError(f"{host} has {len(vertices)} vertices, too few for "
+                         f"2k = {2 * k} terminals"
+                         + (f" plus {removed} removed" if removed else ""))
+    return kind, d or 0, vertices
 
 
 def exhaustive_instances(host: str, k: int, strong: bool = False) -> Iterator[Instance]:
-    kind, d = parse_host_spec(host)
-    idx = 0
-    if kind == "cube" and not strong:
-        for X in combinations(range(1 << d), 2 * k):
-            for pairs in canonical_pairings(X):
-                yield Instance(idx, "plain", d, Pairing(pairs))
-                idx += 1
-    elif kind == "cube" and strong:
-        for x in range(1 << d):
-            pool = _cube_pool(d, (x,))
-            for X in combinations(pool, 2 * k):
-                for pairs in canonical_pairings(X):
-                    yield Instance(idx, "strong", d, Pairing(pairs), forbidden=x)
-                    idx += 1
+    """Every instance of k pairs on the host, indexed in a fixed order that
+    failure rows depend on: first the removal choice (nothing; each
+    forbidden vertex in ascending order when strong; the apex 0 and its
+    opposite on a link), then the ascending 2k-combinations of the
+    remaining vertices, then canonical_pairings of each combination."""
+    kind, d, vertices = _host_space(host, k, strong)
+    fixture = None if d else host
+    if kind == "strong":
+        removals = [(x,) for x in vertices]
     elif kind == "link":
-        v = 0
-        pool = _cube_pool(d, (v, opposite(d, v)))
+        removals = [(0, opposite(d, 0))]
+    else:
+        removals = [()]
+    idx = 0
+    for removed in removals:
+        forbidden = removed[0] if kind == "strong" else None
+        apex = removed[0] if kind == "link" else None
+        pool = [v for v in vertices if v not in removed]
         for X in combinations(pool, 2 * k):
             for pairs in canonical_pairings(X):
-                yield Instance(idx, "link", d, Pairing(pairs), apex=v)
+                yield Instance(idx, kind, d, Pairing(pairs), forbidden, apex, fixture)
                 idx += 1
-    elif kind == "fixture" and not strong:
-        verts = tuple(pyramid2_quad().vertex_list())
-        for X in combinations(verts, 2 * k):
-            for pairs in canonical_pairings(X):
-                yield Instance(idx, "plain", 0, Pairing(pairs), fixture="pyramid2-quad")
-                idx += 1
-    else:
-        verts = tuple(pyramid2_quad().vertex_list())
-        for x in verts:
-            rest = tuple(u for u in verts if u != x)
-            for X in combinations(rest, 2 * k):
-                for pairs in canonical_pairings(X):
-                    yield Instance(idx, "strong", 0, Pairing(pairs),
-                                   forbidden=x, fixture="pyramid2-quad")
-                    idx += 1
 
 
 def _draw_distinct(rng: SplitMix64, size: int, count: int, taken: set) -> list:
@@ -313,7 +310,7 @@ def _draw_distinct(rng: SplitMix64, size: int, count: int, taken: set) -> list:
     return out
 
 
-def _draw_pairing(rng: SplitMix64, terminals: list) -> tuple:
+def _draw_pairing(rng: SplitMix64, terminals) -> tuple:
     order = list(terminals)
     rng.shuffle(order)
     return tuple((order[2 * i], order[2 * i + 1]) for i in range(len(order) // 2))
@@ -326,45 +323,28 @@ def sample_instances(host: str, k: int, n: int, seed: int,
     Draw order per instance is fixed: link hosts draw the apex first, then
     terminals (rejection sampling among usable vertices), then the pairing
     by shuffling the drawn terminals; strong hosts draw the forbidden
-    vertex after the pairing.  Changing this order would silently change
-    every seeded stream, so it is part of the contract.
+    vertex after the pairing.  Every draw is an index into the host's
+    vertices (see _host_space), on a fixture as on a cube.  Changing this
+    order would silently change every seeded stream, so it is part of the
+    contract.
     """
     if n < 1:
         raise ValueError("sample_instances needs n >= 1")
-    kind, d = parse_host_spec(host)
+    kind, d, vertices = _host_space(host, k, strong)
+    fixture = None if d else host
+    size = len(vertices)
     rng = SplitMix64(seed)
-    if kind == "fixture":
-        verts = tuple(pyramid2_quad().vertex_list())
-        need = 2 * k + (1 if strong else 0)
-        if need > len(verts):
-            raise ValueError("not enough fixture vertices for 2k terminals")
-        for i in range(n):
-            ids = _draw_distinct(rng, len(verts), 2 * k, set())
-            pairs = _draw_pairing(rng, [verts[j] for j in ids])
-            if strong:
-                x = verts[_draw_distinct(rng, len(verts), 1, set(ids))[0]]
-                yield Instance(i, "strong", 0, Pairing(pairs), forbidden=x,
-                               fixture="pyramid2-quad")
-            else:
-                yield Instance(i, "plain", 0, Pairing(pairs), fixture="pyramid2-quad")
-        return
-    size = 1 << d
-    blocked = 2 if kind == "link" else (1 if strong else 0)
-    if 2 * k + blocked > size:
-        raise ValueError(f"Q{d} has too few vertices for 2k={2 * k} terminals")
     for i in range(n):
+        forbidden = apex = None
+        taken = set()
         if kind == "link":
-            v = rng.randrange(size)
-            terms = _draw_distinct(rng, size, 2 * k, {v, opposite(d, v)})
-            yield Instance(i, "link", d, Pairing(_draw_pairing(rng, terms)), apex=v)
-        elif strong:
-            terms = _draw_distinct(rng, size, 2 * k, set())
-            pairs = _draw_pairing(rng, terms)
-            x = _draw_distinct(rng, size, 1, set(terms))[0]
-            yield Instance(i, "strong", d, Pairing(pairs), forbidden=x)
-        else:
-            terms = _draw_distinct(rng, size, 2 * k, set())
-            yield Instance(i, "plain", d, Pairing(_draw_pairing(rng, terms)))
+            apex = vertices[rng.randrange(size)]
+            taken = {apex, opposite(d, apex)}
+        ids = _draw_distinct(rng, size, 2 * k, taken)
+        pairs = _draw_pairing(rng, map(vertices.__getitem__, ids))
+        if kind == "strong":
+            forbidden = vertices[_draw_distinct(rng, size, 1, set(ids))[0]]
+        yield Instance(i, kind, d, Pairing(pairs), forbidden, apex, fixture)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +352,7 @@ def sample_instances(host: str, k: int, n: int, seed: int,
 
 
 def _validate_job(job: CertificationJob) -> None:
-    kind, d = parse_host_spec(job.host)
+    kind, d, _ = _host_space(job.host, job.k, job.strong)
     if job.k < 1:
         raise ValueError("jobs need k >= 1")
     if job.mode not in (EXHAUSTIVE, SAMPLED):
@@ -389,13 +369,10 @@ def _validate_job(job: CertificationJob) -> None:
                          "run every instance")
     if job.workers < 1:
         raise ValueError("workers must be at least one")
-    if kind == "link" and job.strong:
-        raise ValueError("link jobs already remove two vertices; strong does not apply")
     if job.solver in (ENGINE, BOTH):
-        if kind == "fixture":
+        if not d:
             raise ValueError("the engine solves cube hosts only")
-        check_supported("link" if kind == "link" else "strong" if job.strong else "plain",
-                        d, job.k)
+        check_supported(kind, d, job.k)
 
 
 def _instances(job: CertificationJob) -> Iterator[Instance]:

@@ -44,7 +44,7 @@ from .certifier import (
     property_suite,
     sample_instances,
 )
-from .cube_core import CubeGraph, link_graph, opposite
+from .cube_core import CubeGraph, link_graph, opposite, parse_vertex
 from .linkage_engine import (
     SolveResult,
     UnsupportedInstanceError,
@@ -120,12 +120,6 @@ def _parse_pairs(G, text: str) -> Pairing:
     return Pairing(tuple(pairs))
 
 
-def _parse_avoid(G, text: str | None) -> frozenset:
-    if not text:
-        return frozenset()
-    return frozenset(G.parse_vertex(v.strip()) for v in text.split(","))
-
-
 def _require(args, *names: str) -> None:
     for name in names:
         if getattr(args, name, None) is None:
@@ -150,88 +144,74 @@ def _print_solve(result: SolveResult, args, wall: float) -> None:
         _emit(_result_json(result, args, wall))
 
 
+def _input(args, spec: str):
+    """The (host, pairing) a solve or decide command works on.
+
+    An instance file wins over every flag.  Otherwise the host is --host,
+    or spec:--dim (spec is "cube" or "link"); a link host loses --apex (by
+    default 0) and its opposite, and only a link host takes --apex; then
+    --avoid removes vertices and --pairs is read on what is left.
+    """
+    if args.instance:
+        return parse_instance(_read_json(args.instance))
+    host = getattr(args, "host", None)
+    if host is None:
+        _require(args, "dim")
+        host = f"{spec}:{args.dim}"
+    elif args.dim is not None:
+        raise ValueError("--dim and --host both name the host; give one")
+    _require(args, "pairs")
+    kind, d = parse_host_spec(host)
+    apex = getattr(args, "apex", None)
+    if kind == "link":
+        G = link_graph(d, 0 if apex is None else parse_vertex(d, apex))
+    elif apex is not None:
+        raise ValueError(f"--apex needs a link host, got {host}")
+    else:
+        G = CubeGraph(d) if kind == "cube" else pyramid2_quad()
+    if getattr(args, "avoid", None):
+        G = G.without(G.parse_vertex(v.strip()) for v in args.avoid.split(","))
+    return G, _parse_pairs(G, args.pairs)
+
+
 def _cmd_solve(args) -> int:
     start = time.perf_counter()
-    if args.instance:
-        host, Y = parse_instance(_read_json(args.instance))
-        if not isinstance(host, CubeGraph):
-            raise ValueError("solve expects a cube host")
-        result = solve_avoiding(host.d, Y, host.removed)
-    else:
-        _require(args, "dim", "pairs")
-        G = CubeGraph(args.dim)
-        Y = _parse_pairs(G, args.pairs)
-        result = solve_avoiding(args.dim, Y, _parse_avoid(G, args.avoid))
+    host, Y = _input(args, "cube")
+    if not isinstance(host, CubeGraph):
+        raise ValueError("solve expects a cube host")
+    result = solve_avoiding(host.d, Y, host.removed)
     _print_solve(result, args, time.perf_counter() - start)
     return 0
 
 
 def _cmd_strong_solve(args) -> int:
     start = time.perf_counter()
-    if args.instance:
-        host, Y = parse_instance(_read_json(args.instance))
-        if not isinstance(host, CubeGraph) or len(host.removed) != 1:
-            raise ValueError("strong-solve expects a cube host with one forbidden vertex")
-        result = solve_strong(host.d, Y, next(iter(host.removed)))
-    else:
-        _require(args, "dim", "pairs", "avoid")
-        G = CubeGraph(args.dim)
-        forbidden = sorted(_parse_avoid(G, args.avoid))
-        if len(forbidden) != 1:
-            raise ValueError("strong-solve needs exactly one forbidden vertex in --avoid")
-        result = solve_strong(args.dim, _parse_pairs(G, args.pairs), forbidden[0])
+    host, Y = _input(args, "cube")
+    if not isinstance(host, CubeGraph) or len(host.removed) != 1:
+        raise ValueError("strong-solve expects a cube host with one forbidden vertex")
+    result = solve_strong(host.d, Y, next(iter(host.removed)))
     _print_solve(result, args, time.perf_counter() - start)
     return 0
 
 
 def _cmd_link_solve(args) -> int:
     start = time.perf_counter()
-    if args.instance:
-        host, Y = parse_instance(_read_json(args.instance))
-        if not isinstance(host, CubeGraph) or len(host.removed) != 2:
-            raise ValueError("link-solve expects a cube host minus two opposite vertices")
-        a, b = sorted(host.removed)
-        if b != opposite(host.d, a):
-            raise ValueError("link-solve expects the two removed vertices to be opposite")
-        apex = a
-        if args.apex is not None:
-            apex = host.parse_vertex(args.apex)
-            if apex not in (a, b):
-                raise ValueError("--apex must be one of the removed vertices")
-        result = solve_link(host.d, apex, Y)
-    else:
-        _require(args, "dim", "pairs", "apex")
-        G = CubeGraph(args.dim)
-        result = solve_link(args.dim, G.parse_vertex(args.apex),
-                            _parse_pairs(G, args.pairs))
+    host, Y = _input(args, "link")
+    if not isinstance(host, CubeGraph) or len(host.removed) != 2:
+        raise ValueError("link-solve expects a cube host minus two opposite vertices")
+    a, b = sorted(host.removed)
+    if b != opposite(host.d, a):
+        raise ValueError("link-solve expects the two removed vertices to be opposite")
+    apex = a if args.apex is None else parse_vertex(host.d, args.apex)
+    if apex not in (a, b):
+        raise ValueError("--apex must be one of the removed vertices")
+    result = solve_link(host.d, apex, Y)
     _print_solve(result, args, time.perf_counter() - start)
     return 0
 
 
-def _decide_host(args):
-    if args.instance:
-        return parse_instance(_read_json(args.instance))
-    _require(args, "pairs")
-    spec = args.host
-    if spec is None:
-        _require(args, "dim")
-        spec = f"cube:{args.dim}"
-    kind, d = parse_host_spec(spec)
-    if kind == "cube":
-        G = CubeGraph(d)
-        G = G.without(_parse_avoid(G, args.avoid))
-    elif kind == "link":
-        plain = CubeGraph(d)
-        apex = plain.parse_vertex(args.apex) if args.apex is not None else 0
-        G = link_graph(d, apex)
-    else:
-        G = pyramid2_quad()
-        G = G.without(_parse_avoid(G, args.avoid))
-    return G, _parse_pairs(G, args.pairs)
-
-
 def _cmd_decide(args) -> int:
-    G, Y = _decide_host(args)
+    G, Y = _input(args, "cube")
     start = time.perf_counter()
     outcome = decide_linked(G, Y, budget=_budget(args))
     wall = time.perf_counter() - start
@@ -404,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_strong_solve)
 
     p = solver_parser("link-solve", "engine: linkage in Q_D minus an opposite pair")
-    p.add_argument("--apex", help="the removed vertex v (its opposite goes too)")
+    p.add_argument("--apex", help="the removed vertex v (its opposite goes too; "
+                                  "default 0...0)")
     p.set_defaults(func=_cmd_link_solve)
 
     p = solver_parser("decide", "oracle: exact linked/unlinked decision")

@@ -553,9 +553,10 @@ def _reaches(G, A_set, B_set, removed) -> bool:
 class DecideOutcome:
     """Result of decide_linked.
 
-    ``status`` is one of LINKED / UNLINKED / BUDGET_EXCEEDED.  An UNLINKED
-    certificate records the routing order whose search space was exhausted;
-    a LINKED outcome carries the witness linkage.
+    ``status`` is one of LINKED / UNLINKED / BUDGET_EXCEEDED.  A LINKED
+    outcome carries the witness linkage.  ``pair_order`` is always the
+    input order ``tuple(range(k))``: the search routes the pairs in that
+    order whatever the verdict.
     """
 
     status: str

@@ -169,6 +169,38 @@ class TestInstanceStreams:
         with pytest.raises(ValueError):
             list(sample_instances("cube:2", 3, 5, seed=1))
 
+    @pytest.mark.parametrize("host, k, strong, message", [
+        ("cube:3", 5, False, "cube:3 has 8 vertices, too few for 2k = 10 terminals"),
+        ("cube:3", 4, True,
+         "cube:3 has 8 vertices, too few for 2k = 8 terminals plus 1 removed"),
+        ("link:3", 4, False,
+         "link:3 has 8 vertices, too few for 2k = 8 terminals plus 2 removed"),
+        ("pyramid2-quad", 3, True,
+         "pyramid2-quad has 6 vertices, too few for 2k = 6 terminals plus 1 removed"),
+    ])
+    def test_empty_instance_space_is_rejected(self, host, k, strong, message):
+        # both generators and both job modes refuse, with one message
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            list(exhaustive_instances(host, k, strong=strong))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            list(sample_instances(host, k, 5, seed=1, strong=strong))
+        for mode, samples in ((EXHAUSTIVE, 0), (SAMPLED, 5)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                certify(CertificationJob(host=host, k=k, mode=mode, samples=samples,
+                                         solver=ORACLE, strong=strong))
+
+    def test_full_host_is_not_empty(self):
+        # 2k terminals plus the removed vertices may use every vertex
+        assert len(list(exhaustive_instances("pyramid2-quad", 3))) == 15
+        assert len(list(exhaustive_instances("link:2", 1))) == 1
+        assert len(list(sample_instances("cube:3", 4, 3, seed=1))) == 3
+
+    def test_generators_reject_strong_on_a_link_host(self):
+        with pytest.raises(ValueError, match="strong does not apply"):
+            list(exhaustive_instances("link:5", 2, strong=True))
+        with pytest.raises(ValueError, match="strong does not apply"):
+            list(sample_instances("link:5", 2, 5, seed=1, strong=True))
+
     def test_instance_host_graph(self):
         inst = next(iter(exhaustive_instances("cube:3", 2)))
         assert inst.host_graph() == CubeGraph(3)

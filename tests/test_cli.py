@@ -409,6 +409,8 @@ class TestStdoutPins:
          "03c8390e151385dd2c5d16a0d31952c6662f5f806f21cc41352c53ca413f90a2"),
         (("decide", "--dim", "3", "--pairs", "000:011,001:010"),
          "f74864df37e4bbc53b5042da59697d9b3c4d7478a477fb27222bfa921407a643"),
+        (("decide", "--dim", "3", "--pairs", "000:011,001:010", "--format", "text"),
+         "adeb906aee6e830f36f7de13ffd683c2975d085004e5893916091db78cc2f6da"),
         (("decide", "--host", "link:5", "--pairs", "00011:01100,00101:11000"),
          "d3bc7ee7cbb1aa834efc1efdc90552027d69d6ccd3d179fe7f34b1050c0bb0ae"),
         (("decide", "--host", "link:5", "--apex", "00100",
@@ -441,6 +443,87 @@ class TestStdoutPins:
         code, out, _ = invoke(capsys, *args)
         text = f"{code}\n{out}"
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestInputReader:
+    """solve, strong-solve, link-solve and decide share one input reader."""
+
+    def test_decide_avoids_on_a_link_host(self, capsys):
+        code, obj, _ = invoke_json(capsys, "decide", "--host", "link:5",
+                                   "--avoid", "00001",
+                                   "--pairs", "00011:11000,00101:10100")
+        assert code == 0
+        assert obj["host"]["forbidden"] == ["00000", "00001", "11111"]
+        assert all("00001" not in path for path in obj["paths"])
+
+    @pytest.mark.parametrize("host, argv", [
+        ("cube:5", ("--host", "cube:5", "--apex", "00001", "--pairs", "00011:11000")),
+        ("cube:5", ("--dim", "5", "--apex", "00001", "--pairs", "00011:11000")),
+        ("pyramid2-quad", ("--host", "pyramid2-quad", "--apex", "x",
+                           "--pairs", "s1:t1")),
+    ])
+    def test_decide_apex_needs_a_link_host(self, capsys, host, argv):
+        code, out, err = invoke(capsys, "decide", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --apex needs a link host, got {host}\n"
+
+    def test_decide_dim_and_host_conflict(self, capsys):
+        code, out, err = invoke(capsys, "decide", "--host", "cube:5", "--dim", "3",
+                                "--pairs", "00011:11000")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --dim and --host both name the host; give one\n"
+
+    def test_removed_terminal_is_a_usage_error(self, capsys):
+        for argv in (("solve", "--dim", "5", "--pairs", "00000:11111",
+                      "--avoid", "00000"),
+                     ("link-solve", "--dim", "6", "--apex", "000000",
+                      "--pairs", "000000:110000")):
+            code, out, err = invoke(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: vertex ") and "removed from this host" in err
+
+    def test_strong_solve_flag_errors(self, capsys):
+        for avoid in ((), ("--avoid", "00111,01110")):
+            code, out, err = invoke(capsys, "strong-solve", "--dim", "5",
+                                    "--pairs", "00000:11111,00011:11100", *avoid)
+            assert code == 2
+            assert out == ""
+            assert err == ("error: strong-solve expects a cube host with one "
+                           "forbidden vertex\n")
+
+    def test_link_solve_apex_defaults_to_zero(self, capsys):
+        argv = ("link-solve", "--dim", "6", "--pairs", _LINK6_PAIRS)
+        code, default, _ = invoke(capsys, *argv)
+        assert code == 0
+        assert invoke(capsys, *argv, "--apex", "000000")[1] == default
+
+    def test_link_solve_apex_picks_a_removed_vertex_of_a_file(self, capsys, tmp_path):
+        path = tmp_path / "link6.json"
+        path.write_text(json.dumps(_LINK6_FILE))
+        code, out, _ = invoke(capsys, "link-solve", str(path), "--apex", "111111")
+        assert code == 0
+        flags = invoke(capsys, "link-solve", "--dim", "6", "--apex", "111111",
+                       "--pairs", _LINK6_PAIRS)
+        assert (code, out) == flags[:2]
+        code, _, err = invoke(capsys, "link-solve", str(path), "--apex", "000001")
+        assert code == 2
+        assert err == "error: --apex must be one of the removed vertices\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--host", "cube:3", "--k", "5", "--solver", "oracle"),
+         "cube:3 has 8 vertices, too few for 2k = 10 terminals"),
+        (("--host", "pyramid2-quad", "--k", "3", "--solver", "oracle", "--strong"),
+         "pyramid2-quad has 6 vertices, too few for 2k = 6 terminals plus 1 removed"),
+    ])
+    def test_certify_rejects_an_empty_instance_space(self, capsys, argv, message):
+        for mode in ((), ("--mode", "sampled", "--samples", "3")):
+            code, out, err = invoke(capsys, "certify", *argv, *mode)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {message}\n"
 
 
 class TestFailureHandling:
