@@ -8,7 +8,8 @@ Exit codes: 0 on success / linked / valid; 1 when an instance is unlinked,
 a linkage is invalid, or a certification run records failures; 2 for usage
 problems, including malformed JSON (reported with line and column); 3 for
 internal invariant failures, which also write a replayable dump to a temp
-file, and for exhausted search budgets.
+file, and for exhausted search budgets; 141 (128 + SIGPIPE), with no
+message, when the reader of stdout closes it early.
 
 Vertices are binary strings, most significant coordinate first; pair lists
 look like "00000:11111,00001:11110"; avoid lists are comma separated.  An
@@ -441,7 +442,17 @@ def run(argv: list | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: exit as a filter that SIGPIPE ended
+        # would, and point stdout at devnull so that the interpreter's own
+        # flush at exit writes nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON at line {exc.lineno} column {exc.colno}: "
               f"{exc.msg}", file=sys.stderr)

@@ -215,27 +215,36 @@ def _terminals(pairs: list) -> list:
 
 
 def _solve_contract_check(free: int, pairs: list, avoid: frozenset) -> None:
-    d = free.bit_count()
     k = len(pairs)
-    flat = _terminals(pairs)
-    if len(set(flat)) != 2 * k or set(flat) & avoid:
+    terminals = {v for p in pairs for v in p}
+    if len(terminals) != 2 * k or not terminals.isdisjoint(avoid):
         raise InvariantError(
             "recursive instance has colliding terminals",
-            {"d": d, "pairs": pairs, "avoid": sorted(avoid)},
+            {"d": free.bit_count(), "pairs": pairs, "avoid": sorted(avoid)},
         )
-    if k < 1 or not _within_budget(d, k, len(avoid)):
+    if k < 1 or not _within_budget(free.bit_count(), k, len(avoid)):
         raise InvariantError(
             "recursive instance exceeds the solver contract",
-            {"d": d, "k": k, "avoid": sorted(avoid)},
+            {"d": free.bit_count(), "k": k, "avoid": sorted(avoid)},
         )
-    fixed_mask = ~free
-    fixed = flat[0] & fixed_mask
-    for v in (*flat, *avoid):
-        if v & fixed_mask != fixed:
-            raise InvariantError(
-                "recursive instance leaves its face",
-                {"free": free, "pairs": pairs, "avoid": sorted(avoid), "vertex": v},
-            )
+    # Every vertex lies in the face exactly when no fixed bit differs among
+    # them (both ^ either); only when one does is the first vertex off the
+    # face looked for.
+    both = either = pairs[0][0]
+    for s, t in pairs:
+        both &= s & t
+        either |= s | t
+    for v in avoid:
+        both &= v
+        either |= v
+    if (both ^ either) & ~free:
+        fixed_mask = ~free
+        fixed = pairs[0][0] & fixed_mask
+        v = next(v for v in (*_terminals(pairs), *avoid) if v & fixed_mask != fixed)
+        raise InvariantError(
+            "recursive instance leaves its face",
+            {"free": free, "pairs": pairs, "avoid": sorted(avoid), "vertex": v},
+        )
 
 
 def _self_check(free: int, pairs: list, avoid: frozenset, paths: list) -> None:
@@ -385,6 +394,20 @@ def _facet_routes(free: int, X: list, b: int) -> dict:
     by shortest augmenting paths.  Node 2v is v's entry and 2v + 1 its exit;
     a facet entry drains to the sink, and an exit leads to the entries of
     its non-terminal neighbours in ascending order.
+
+    Its first search starts from the empty flow, so it finds no backward
+    arc and runs in layers: the entries of the blocked sources in order,
+    their exits, then the entries of their non-terminal neighbours u (each
+    source's ascending, a u that an earlier source reached not again; none
+    is in the facet, since the drop of a blocked source is a terminal),
+    then the exits of those u in the same order.  A facet vertex w is
+    entered only from the exit of w ^ b, so the first facet entry the
+    search pops is the drop u ^ b of the first such u whose drop is no
+    terminal, and the search ends there.  That path, source -> a -> u ->
+    u ^ b -> sink with a the first source next to u, is the two-step drop,
+    taken here directly with its arcs saturated; the flow's loop then runs
+    only for the remaining blocked sources, or for all of them when no u
+    drops freely.
     """
     source, sink = -1, -2
     bits = _bits(free)
@@ -397,6 +420,8 @@ def _facet_routes(free: int, X: list, b: int) -> dict:
             blocked.append(a)
         else:
             routes[a] = [a, u]
+    if not blocked:
+        return routes
 
     def successors(node: int) -> list:
         if node == source:
@@ -409,7 +434,17 @@ def _facet_routes(free: int, X: list, b: int) -> dict:
 
     flow: set = set()  # saturated arcs; every capacity is one
     into: dict = {}    # node -> the node whose saturated arc enters it
-    for _ in blocked:
+    searches = len(blocked)
+    drop = next(((a, u) for a in blocked for u in sorted(a ^ c for c in bits)
+                 if u not in terminals and u ^ b not in terminals), None)
+    if drop is not None:
+        a, u = drop
+        nodes = [source, 2 * a, 2 * a + 1, 2 * u, 2 * u + 1, 2 * (u ^ b), sink]
+        for prev, node in zip(nodes, nodes[1:]):
+            flow.add((prev, node))
+            into[node] = prev
+        searches -= 1
+    for _ in range(searches):
         parent = {source: None}
         queue = deque([source])
         while queue and sink not in parent:
@@ -472,7 +507,11 @@ def _construction(free: int, pairs: list, avoid: frozenset) -> str:
         return "even_menger"
     if all(s ^ t == free for s, t in pairs):
         return "scenario1"
-    if _common_coord(free, _terminals(pairs)):
+    both = either = pairs[0][0]
+    for s, t in pairs:
+        both &= s & t
+        either |= s | t
+    if ~(both ^ either) & free:  # a free bit every terminal agrees on
         return "scenario2"
     return "scenario3"
 
@@ -730,32 +769,42 @@ def _scenario3_context(free: int, pairs: list) -> ScenarioContext:
     d = free.bit_count()
     first = next(i for i, (s, t) in enumerate(pairs) if s ^ t != free)
     s1, t1 = pairs[first]
-    b = _common_coord(free, [s1, t1])
+    agree = ~(s1 ^ t1) & free  # _common_coord(free, [s1, t1])
+    b = agree & -agree
     v = s1 & b
     rho = {}
-    for s, t in pairs:
+    in_F = []
+    alpha_idx = []
+    for i, (s, t) in enumerate(pairs):
         rho[s] = t
         rho[t] = s
-    X_F = frozenset(x for x in rho if x not in (s1, t1) and x & b == v)
-    alpha_idx = tuple(
-        i for i, (s, t) in enumerate(pairs)
-        if i != first and s & b == v and t & b == v and cube_core.adjacent(s, t)
-    )
+        if i == first:
+            continue
+        s_in = s & b == v
+        t_in = t & b == v
+        if s_in:
+            in_F.append(s)
+        if t_in:
+            in_F.append(t)
+        if s_in and t_in and cube_core.adjacent(s, t):
+            alpha_idx.append(i)
+    X_F = frozenset(in_F)
     X_alpha = frozenset(x for i in alpha_idx for x in pairs[i])
     X_beta = tuple(sorted(X_F - X_alpha))
     omega = _build_omega(free, b, rho, X_beta)
-    S = X_F | (frozenset(omega.values()) - frozenset(rho))
+    S = X_F.union(w for w in omega.values() if w not in rho)
     if len(S) > d - 1:
         raise InvariantError("avoid set for the special pair is too large",
                              {"S": sorted(S), "d": d})
-    return ScenarioContext(d, Face(b, v), first, rho, X_F, X_alpha, alpha_idx,
-                           X_beta, omega, S)
+    return ScenarioContext(d, Face(b, v), first, rho, X_F, X_alpha,
+                           tuple(alpha_idx), X_beta, omega, S)
 
 
 def _build_omega(free: int, b: int, rho: dict, X_beta: tuple) -> dict:
     """Assign each blocked F-side terminal an entry vertex in F, the facet of
     the face `free` whose fixed bit b every member of X_beta shares.  Across
-    F is one flip of b: a vertex's projection into F^o is x ^ b.
+    F is one flip of b: a vertex's projection into F^o is x ^ b.  rho maps
+    every terminal to its partner, so it doubles as the terminal set.
 
     omega(x) = x unless x ^ b is a terminal other than rho(x); then omega(x)
     becomes the smallest neighbour n of x in F (n = x ^ c for a free bit c
@@ -764,31 +813,37 @@ def _build_omega(free: int, b: int, rho: dict, X_beta: tuple) -> dict:
     obstruction set has at most d-2 members, so a candidate survives.
     """
     bits = _bits(free)
-    X = frozenset(rho)
     omega: dict = {}
+    taken: set = set()  # the values of omega so far
     for x in X_beta:
         px = x ^ b
-        if px not in X or px == rho[x]:
-            omega[x] = x
-            continue
-        nf = [x ^ c for c in bits if c != b]
-        taken = set(omega.values())
-        obstruction = [n for n in nf if n in X or n in taken
-                       or (n ^ b in X and n ^ b != rho[x])]
-        if len(obstruction) > len(bits) - 2:
-            raise InvariantError("entry obstruction set is too large",
-                                 {"x": x, "obstruction": obstruction})
-        candidates = sorted(set(nf) - set(obstruction))
-        if not candidates:
-            raise InvariantError("no entry vertex available",
-                                 {"x": x, "neighbors": nf})
-        omega[x] = candidates[0]
-    values = list(omega.values())
-    if len(set(values)) != len(values):
+        if px in rho and px != rho[x]:
+            obstruction = []
+            wx = None
+            for c in bits:
+                if c == b:
+                    continue
+                n = x ^ c
+                if n in rho or n in taken or (n ^ b in rho and n ^ b != rho[x]):
+                    obstruction.append(n)
+                elif wx is None or n < wx:
+                    wx = n
+            if len(obstruction) > len(bits) - 2:
+                raise InvariantError("entry obstruction set is too large",
+                                     {"x": x, "obstruction": obstruction})
+            if wx is None:
+                raise InvariantError("no entry vertex available",
+                                     {"x": x, "neighbors": [x ^ c for c in bits if c != b]})
+        else:
+            wx = x
+        omega[x] = wx
+        taken.add(wx)
+    if len(taken) != len(omega):
         raise InvariantError("entry map is not injective", {"omega": omega})
     for x, wx in omega.items():
-        clash = {wx, wx ^ b} & (X - {x, rho[x]})
-        if clash:
+        own = (x, rho[x])
+        if wx in rho and wx not in own or wx ^ b in rho and wx ^ b not in own:
+            clash = [n for n in (wx, wx ^ b) if n in rho and n not in own]
             raise InvariantError("entry vertex touches a foreign terminal",
                                  {"x": x, "omega_x": wx, "clash": sorted(clash)})
     return omega

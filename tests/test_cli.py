@@ -610,3 +610,22 @@ class TestFailureHandling:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_pipe_exits_141_quietly(self, unbuffered):
+        # The reader's end is closed before the command writes, so the write
+        # fails with EPIPE; with a buffered stdout it fails on the flush.
+        src = os.path.dirname(os.path.dirname(cubelink.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cubelink", "solve", "--dim", "12",
+                 "--pairs", "000000000000:111111111111"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""

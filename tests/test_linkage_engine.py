@@ -7,7 +7,7 @@ import itertools
 import json
 import random
 import re
-from collections import Counter
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
@@ -184,6 +184,43 @@ class TestPreconditions:
         with pytest.raises(InvariantError, match="leaves its face") as info:
             linkage_engine._solve(0b11110, [(0, 6)], frozenset({1}), [])
         assert info.value.context["vertex"] == 1
+
+    def test_contract_check_rejects_colliding_terminals(self):
+        check_contract = linkage_engine._solve_contract_check
+        with pytest.raises(InvariantError, match="colliding terminals") as info:
+            check_contract((1 << 5) - 1, [(0, 3), (3, 5)], frozenset())
+        assert info.value.context == {"d": 5, "pairs": [(0, 3), (3, 5)], "avoid": []}
+        with pytest.raises(InvariantError, match="colliding terminals") as info:
+            check_contract((1 << 5) - 1, [(0, 3), (5, 6)], frozenset({5}))
+        assert info.value.context == {"d": 5, "pairs": [(0, 3), (5, 6)], "avoid": [5]}
+
+    def test_contract_check_rejects_instances_over_budget(self):
+        check_contract = linkage_engine._solve_contract_check
+        for free, pairs, avoid, k in [
+                ((1 << 5) - 1, [(0, 31), (1, 30), (2, 29), (4, 27)], frozenset(), 4),
+                ((1 << 5) - 1, [], frozenset(), 0),
+                ((1 << 3) - 1, [(0, 3), (1, 2)], frozenset(), 2),
+                (0b11110, [(0, 6), (2, 12)], frozenset({8, 10}), 2)]:
+            with pytest.raises(InvariantError, match="exceeds the solver contract") as info:
+                check_contract(free, pairs, avoid)
+            assert info.value.context == {"d": free.bit_count(), "k": k,
+                                          "avoid": sorted(avoid)}
+
+    def test_contract_check_names_the_first_vertex_off_the_face(self):
+        # The face's fixed bits are the first terminal's.  The vertex named
+        # is the first one off the face in pair order, then in the avoid
+        # set's iteration order, whichever other vertices are off it too.
+        check_contract = linkage_engine._solve_contract_check
+        for free, pairs, avoid, vertex in [
+                (0b111110, [(0, 6), (3, 5)], frozenset({7}), 3),
+                (0b111110, [(0, 6), (2, 12)], frozenset({1}), 1),
+                (0b11111110, [(0, 6), (2, 12)], frozenset({65, 9, 3}), 65),
+                (0b11111110, [(0, 6), (2, 512)], frozenset({65, 9, 3}), 512)]:
+            with pytest.raises(InvariantError, match="leaves its face") as info:
+                check_contract(free, pairs, avoid)
+            assert info.value.context == {"free": free, "pairs": pairs,
+                                          "avoid": sorted(avoid), "vertex": vertex}
+        check_contract(0b11111110, [(0, 6), (2, 12)], frozenset({64, 8, 2 | 1 << 7}))
 
     def test_self_check_rejects_a_path_leaving_its_face(self):
         # a valid path of Q3, but 1, 3 and 7 leave the face "bit 0 == 0"
@@ -533,6 +570,73 @@ def _golden_routes():
     return out
 
 
+def _golden_facet_routes() -> list:
+    """Seeded _facet_routes calls (free, X, b): Q5-Q16, every third one on
+    the whole cube and the rest on a proper face of a cube of up to 20
+    dimensions, b any free bit.  Each call forces 0-3 blocked sources (a
+    terminal whose drop across b is a terminal too); every seventh call also
+    has a source each of whose other neighbours is a terminal or drops onto
+    one, so it can leave only by a longer path."""
+    rng = random.Random("facet_routes")
+    out = []
+    for i in range(720):
+        d = 5 + i % 12
+        if i % 3 == 0:
+            D, free = d, (1 << d) - 1
+        else:
+            D = rng.randint(d + 1, 20)
+            free = sum(1 << c for c in rng.sample(range(D), d))
+        base = rng.getrandbits(D) & ~free
+        bits = [1 << c for c in range(D) if free >> c & 1]
+        b = rng.choice(bits)
+
+        def point():
+            return base | rng.getrandbits(D) & free
+
+        X: list = []
+
+        def add(v):
+            if v not in X:
+                X.append(v)
+
+        if i % 7 == 6:
+            a = point() | b
+            add(a)
+            add(a ^ b)
+            for c in bits:
+                if c != b:
+                    add(a ^ c if rng.random() < 0.5 else a ^ c ^ b)
+        for _ in range(rng.randint(0, 3)):
+            a = point() | b
+            add(a)
+            add(a ^ b)
+        for _ in range(rng.randint(0, max(0, d - len(X)))):
+            add(point())
+        rng.shuffle(X)
+        out.append((free, X, b))
+    return out
+
+
+def _facet_route_layers(free: int, X: list, b: int) -> tuple:
+    """(blocked sources, the first two-step drop (a, u) or None), read off
+    the instance as _facet_routes' docstring describes the flow's first
+    search: the neighbours u of the blocked sources in order, each
+    ascending, and the first u that is no terminal and drops onto none."""
+    terminals = set(X)
+    blocked = sorted(a for a in X if a & b and a ^ b in terminals)
+    for a in blocked:
+        for u in sorted(a ^ c for c in linkage_engine._bits(free)):
+            if u not in terminals and u ^ b not in terminals:
+                return blocked, (a, u)
+    return blocked, None
+
+
+# Recorded on _facet_routes before it took the two-step drop ahead of its
+# flow.
+PINNED_FACET_ROUTE_DIGEST = (
+    "2444463fceb3c803195686d95547f5f61d9265725f7b5a9ddf8f4fa30da79512")
+
+
 # Recorded before _route tried the straight descent ahead of its A* search.
 PINNED_ROUTE_DIGEST = "847b438ab8aac915edc0f1e33d760812bf615b25f5046592b04be8e836c23c32"
 
@@ -614,12 +718,21 @@ class TestRouting:
     def test_facet_routes_match_oracle_flow(self, data):
         d = data.draw(st.integers(4, 10))
         w = data.draw(st.integers(0, d - 1))
-        X = data.draw(st.lists(st.integers(0, (1 << d) - 1),
-                               min_size=1, max_size=d + 2, unique=True))
+        vertex = st.integers(0, (1 << d) - 1)
+        X = data.draw(st.lists(vertex, min_size=1, max_size=d + 2, unique=True))
+        forced = []
+        # up to three sources whose straight drop is a terminal
+        for a in data.draw(st.lists(vertex, max_size=3)):
+            forced += [a | 1 << w, a & ~(1 << w)]
         if data.draw(st.booleans()):
-            # force a source whose straight drop is a terminal
-            a = data.draw(st.integers(0, (1 << d) - 1)) | 1 << w
-            X = X[:d] + [v for v in (a, a ^ 1 << w) if v not in X[:d]]
+            # a blocked source each of whose other neighbours is a terminal
+            # or drops onto one: no two-step drop leaves it
+            a = data.draw(vertex) | 1 << w
+            forced += [a, a ^ 1 << w]
+            for c in range(d):
+                if c != w:
+                    forced.append(a ^ 1 << c ^ data.draw(st.sampled_from([0, 1 << w])))
+        X = list(dict.fromkeys(X[:d] + forced))
         routes = _facet_routes((1 << d) - 1, X, 1 << w)
         sink = frozenset(face_vertices(d, Face(1 << w, 0)))
         ref = menger_disjoint_paths(CubeGraph(d), X, sink, len(X), strict=True)
@@ -636,6 +749,39 @@ class TestRouting:
                                         [path]).ok
             assert not placed & set(path)
             placed |= set(path)
+
+    def test_facet_routes_match_pinned_digest(self, monkeypatch):
+        calls = _golden_facet_routes()
+        rows = [sorted(_facet_routes(free, X, b).items()) for free, X, b in calls]
+        digest = hashlib.sha256(
+            json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+        assert digest == PINNED_FACET_ROUTE_DIGEST
+        layers = [_facet_route_layers(*call) for call in calls]
+        assert Counter(min(len(blocked), 3) for blocked, _ in layers) == {
+            0: 138, 1: 190, 2: 199, 3: 193}
+        # both branches run: calls that take the two-step drop, and calls
+        # that still search the flow (a second blocked source, or no
+        # two-step drop at all)
+        two_step = [drop is not None for _, drop in layers]
+        flow = [len(blocked) > 1 or bool(blocked) and drop is None
+                for blocked, drop in layers]
+        assert sum(two_step) == 555
+        assert sum(flow) == 419
+        # blocked sources but no two-step drop anywhere: the flow alone
+        assert sum(bool(blocked) and drop is None for blocked, drop in layers) == 27
+        # exactly the calls counted in `flow` run one of the flow's searches,
+        # each of which builds a queue
+        queues = []
+        monkeypatch.setattr(linkage_engine, "deque",
+                            lambda *args: queues.append(1) or deque(*args))
+        searched = []
+        for free, X, b in calls:
+            queues.clear()
+            _facet_routes(free, X, b)
+            searched.append(bool(queues))
+        assert searched == flow
+        # calls where no full routing exists
+        assert sum(len(row) < len(X) for row, (_, X, _) in zip(rows, calls)) == 1
 
     def test_facet_routes_drop_or_detour(self):
         # 16 and 17 have terminals below them and detour; 18 drops straight.
