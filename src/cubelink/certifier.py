@@ -251,14 +251,17 @@ def canonical_pairings(X: tuple) -> Iterator[tuple]:
             yield ((s, X[i]),) + tail
 
 
-def _host_space(host: str, k: int, strong: bool) -> tuple[str, int, Sequence]:
-    """Resolve a host spec to (kind, d, vertices) for instances of k pairs.
+def _host_space(host: str, k: int, strong: bool) -> tuple[str, int, Sequence, int]:
+    """Resolve a host spec to (kind, d, vertices, size) for instances of k
+    pairs.
 
     kind is plain, strong or link; d is 0 on a fixture, as in Instance.  The
     vertices are range(2^d) on a cube or link host and the fixture's sorted
-    names otherwise.  A host too small for 2k terminals plus the vertices
-    each instance removes (a forbidden vertex; the apex and its opposite)
-    is a ValueError, so no job runs over an empty instance space.
+    names otherwise; size is their number, counted as 2^d on a cube because
+    len() of a range stops at 2^63 - 1.  A host too small for 2k terminals
+    plus the vertices each instance removes (a forbidden vertex; the apex
+    and its opposite) is a ValueError, so no job runs over an empty
+    instance space.
     """
     spec, d = parse_host_spec(host)
     if spec == "link" and strong:
@@ -266,11 +269,12 @@ def _host_space(host: str, k: int, strong: bool) -> tuple[str, int, Sequence]:
     kind = "link" if spec == "link" else "strong" if strong else "plain"
     removed = 2 if spec == "link" else int(strong)
     vertices = range(1 << d) if d else tuple(pyramid2_quad().vertex_list())
-    if 2 * k + removed > len(vertices):
-        raise ValueError(f"{host} has {len(vertices)} vertices, too few for "
+    size = 1 << d if d else len(vertices)
+    if 2 * k + removed > size:
+        raise ValueError(f"{host} has {size} vertices, too few for "
                          f"2k = {2 * k} terminals"
                          + (f" plus {removed} removed" if removed else ""))
-    return kind, d or 0, vertices
+    return kind, d or 0, vertices, size
 
 
 def exhaustive_instances(host: str, k: int, strong: bool = False) -> Iterator[Instance]:
@@ -279,7 +283,7 @@ def exhaustive_instances(host: str, k: int, strong: bool = False) -> Iterator[In
     forbidden vertex in ascending order when strong; the apex 0 and its
     opposite on a link), then the ascending 2k-combinations of the
     remaining vertices, then canonical_pairings of each combination."""
-    kind, d, vertices = _host_space(host, k, strong)
+    kind, d, vertices, _ = _host_space(host, k, strong)
     fixture = None if d else host
     if kind == "strong":
         removals = [(x,) for x in vertices]
@@ -330,9 +334,8 @@ def sample_instances(host: str, k: int, n: int, seed: int,
     """
     if n < 1:
         raise ValueError("sample_instances needs n >= 1")
-    kind, d, vertices = _host_space(host, k, strong)
+    kind, d, vertices, size = _host_space(host, k, strong)
     fixture = None if d else host
-    size = len(vertices)
     rng = SplitMix64(seed)
     for i in range(n):
         forbidden = apex = None
@@ -352,7 +355,7 @@ def sample_instances(host: str, k: int, n: int, seed: int,
 
 
 def _validate_job(job: CertificationJob) -> None:
-    kind, d, _ = _host_space(job.host, job.k, job.strong)
+    kind, d, _, _ = _host_space(job.host, job.k, job.strong)
     if job.k < 1:
         raise ValueError("jobs need k >= 1")
     if job.mode not in (EXHAUSTIVE, SAMPLED):

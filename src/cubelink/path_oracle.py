@@ -592,17 +592,18 @@ def _bitset_view(G: HostGraph):
     layer and never past what S reaches through ``allowed``, so iterating it
     to a fixed point gives the reachable set.  On a cube, bit v is vertex v
     and one call is an in-place sweep over the d coordinates, O(2^d) bits
-    per set; per-vertex adjacency masks (O(4^d) bits) are never built.  A
+    per set; the d sweep masks (``_cube_sweeps``) are built on the first
+    call, and per-vertex adjacency masks (O(4^d) bits) are never built.  A
     fixture host gets one adjacency mask per vertex.
     """
     if isinstance(G, CubeGraph):
-        sweeps = _cube_sweeps(G.d)
-        usable = (1 << (1 << G.d)) - 1
+        d = G.d
+        usable = (1 << (1 << d)) - 1
         for v in G.removed:
             usable ^= 1 << v
 
         def expand(S: int, allowed: int) -> int:
-            for shift, low in sweeps:
+            for shift, low in _cube_sweeps(d):
                 S |= ((S & low) << shift | (S >> shift) & low) & allowed
             return S
 
@@ -622,6 +623,61 @@ def _bitset_view(G: HostGraph):
         return S | grown & allowed
 
     return position.__getitem__, expand, usable
+
+
+def _cube_walk(v: int, t: int, allowed: int, trail: list | None = None) -> bool:
+    """Does a monotone v-t walk in Q_d through ``allowed`` arrive?
+
+    Each step flips the lowest bit where the walk and t still differ whose
+    flip lands on an allowed vertex; v itself need not be allowed.  A walk
+    that arrives is a shortest v-t path.  It never backtracks, so False
+    proves nothing: this greedy walk met a vertex with every closer
+    neighbour disallowed.  ``trail``, if given, gets each vertex stepped on.
+    """
+    differ = v ^ t
+    while differ:
+        rest = differ
+        while True:
+            if not rest:
+                return False
+            bit = rest & -rest
+            if allowed >> (v ^ bit) & 1:
+                break
+            rest ^= bit
+        v ^= bit
+        differ ^= bit
+        if trail is not None:
+            trail.append(v)
+    return True
+
+
+def _cut_test(G: HostGraph, index, expand):
+    """``reaches(s, t, allowed)``: is there an s-t path whose vertices after
+    s all lie in ``allowed``?  ``index`` and ``expand`` come from
+    ``_bitset_view(G)``.
+
+    On a cube a ``_cube_walk`` that arrives answers yes after at most d^2
+    bit tests; only when it sticks does the answer come from growing s's
+    reachable set layer by layer through ``expand`` until it meets t or a
+    layer comes out empty.  A fixture host always grows the layers.
+    """
+    def grow(s: Vertex, t: Vertex, allowed: int) -> bool:
+        reach = layer = 1 << index(s)
+        goal = 1 << index(t)
+        while not reach & goal:
+            layer = expand(layer, allowed) & ~reach
+            if not layer:
+                return False
+            reach |= layer
+        return True
+
+    if not isinstance(G, CubeGraph):
+        return grow
+
+    def reaches(s: int, t: int, allowed: int) -> bool:
+        return _cube_walk(s, t, allowed) or grow(s, t, allowed)
+
+    return reaches
 
 
 @lru_cache(maxsize=4096)
@@ -683,16 +739,23 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
     oversize searches into an explicit BUDGET_EXCEEDED outcome; it is never
     reported as UNLINKED.
 
-    The separation test is exact reachability on bitsets (``_bitset_view``):
-    a vertex set is one int, the used vertices and the terminals are masks
-    kept alongside the paths, and a pair's reachable set grows from its
-    newest layer only, by whole coordinate sweeps (cubes) or adjacency masks
+    The separation test (``_cut_test``) is exact reachability on bitsets
+    (``_bitset_view``): a vertex set is one int, and the used vertices and
+    the terminals are masks kept alongside the paths.  On a cube it first
+    tries a witness, a monotone walk (``_cube_walk``) from the pair's start
+    (the path's end for the pair being routed, the source for later pairs)
+    that flips differing bits onto allowed vertices only; a walk that
+    arrives is a path, so the pair is not cut.  Only a walk that sticks,
+    and every test on a fixture host, grows the start's reachable set from
+    its newest layer, by whole coordinate sweeps (cubes) or adjacency masks
     (fixtures), until it meets the far endpoint or a layer comes out empty.
     Every older vertex had its neighbours added when it was new, so this is
     the same exact reachability at O(layer) cost per step on a graph host.
-    The search itself is iterative: an explicit stack holds, for each path
-    vertex, the neighbors still to try, so witness length is bounded by
-    memory, not by Python's recursion limit.  Each search node is one extension step of one path (``nodes_used``
+    Either way the test returns the same boolean, so the walk moves no node
+    count, witness or verdict.  The search itself is iterative: an explicit
+    stack holds, for each path vertex, the neighbors still to try, so
+    witness length is bounded by memory, not by Python's recursion limit.
+    Each search node is one extension step of one path (``nodes_used``
     counts them), and reaching a pair's target starts the next pair.
     """
     for v in Y.terminals:
@@ -700,6 +763,7 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
             raise ValueError(f"terminal {v!r} is not a usable vertex of the host")
     k = Y.k
     index, expand, usable = _bitset_view(G)
+    reaches = _cut_test(G, index, expand)
     sources = [s for s, _ in Y.pairs]
     targets = [t for _, t in Y.pairs]
     source_bits = [1 << index(s) for s in sources]
@@ -710,16 +774,11 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
     steps = [_toward(G, t) for t in targets]
     order = tuple(range(k))
 
-    def feasible(i: int, here: int, used_bits: int) -> bool:
+    def feasible(i: int, cur: Vertex, used_bits: int) -> bool:
         for j in range(i, k):
-            reach = layer = here if j == i else source_bits[j]
-            allowed = usable & ~(used_bits | blocked[j])
-            goal = target_bits[j]
-            while not reach & goal:
-                layer = expand(layer, allowed) & ~reach
-                if not layer:
-                    return False
-                reach |= layer
+            if not reaches(cur if j == i else sources[j], targets[j],
+                           usable & ~(used_bits | blocked[j])):
+                return False
         return True
 
     paths = [[sources[0]]]
@@ -740,7 +799,7 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
             used_bits |= source_bits[i]
             continue
         free = usable & ~(used_bits | blocked[i])
-        if feasible(i, 1 << index(cur), used_bits):
+        if feasible(i, cur, used_bits):
             options = [w for w in steps[i](cur) if free >> index(w) & 1]
             stack.append((i, len(paths[i]), iter(options)))
         # Backtrack to the deepest vertex with an untried neighbor.

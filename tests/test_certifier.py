@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from cubelink import certifier
+from cubelink import certifier, cube_core
 from cubelink.certifier import (
     BOTH,
     DEFAULT_SEED,
@@ -126,6 +126,21 @@ class TestHostSpecs:
 
 
 class TestInstanceStreams:
+    @pytest.mark.parametrize("d", [62, 63, 64])
+    def test_vertex_count_past_ssize_t(self, monkeypatch, d):
+        # len(range(2^d)) overflows from d = 63, so the sampler and the job
+        # check count the cube's vertices themselves.
+        monkeypatch.setattr(cube_core, "MAX_DIM", 64)
+        for host, strong in ((f"cube:{d}", False), (f"cube:{d}", True),
+                             (f"link:{d}", False)):
+            inst = next(sample_instances(host, 2, 1, 0, strong=strong))
+            assert inst.d == d
+            terminals = inst.pairing.terminals
+            assert len(set(terminals)) == 4
+            assert all(0 <= v < 1 << d for v in terminals)
+            certifier._validate_job(CertificationJob(
+                host=host, k=2, mode=SAMPLED, samples=1, strong=strong))
+
     def test_exhaustive_count_q3(self):
         insts = list(exhaustive_instances("cube:3", 2))
         assert len(insts) == 210

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import hashlib
+import inspect
 import json
 import random
 import time
@@ -8,7 +10,7 @@ from collections import Counter, deque
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cubelink import path_oracle
 from cubelink.cube_core import CubeGraph, link_graph
@@ -509,6 +511,133 @@ class TestBitsetReach:
              * (((1 << n) - 1) // ((1 << (2 << i)) - 1)))
             for i in range(d))
         assert path_oracle._cube_sweeps(d) == expected
+
+
+@st.composite
+def cut_cases(draw):
+    """(host, s, t, used, blocked, start_used, detour) on Q2-Q8, Q_d minus
+    one vertex, or a vertex link.  s and t lie outside used and blocked;
+    start_used takes s out of the allowed set too, as the path end is in
+    decide_linked.  About a third of the draws (detour) block every
+    neighbour of s closer to t and keep a path through a farther neighbour
+    u = s ^ e free, so the walk sticks at once while t stays reachable."""
+    kind = draw(st.sampled_from(["cube", "removed", "link"]))
+    detour = draw(st.integers(0, 2)) == 0
+    d = draw(st.integers(3 if detour else 2, 8))
+    n = 1 << d
+    if kind == "cube":
+        G = CubeGraph(d)
+    elif kind == "removed":
+        G = CubeGraph(d, frozenset({draw(st.integers(0, n - 1))}))
+    else:
+        G = link_graph(d, draw(st.integers(0, n - 1)))
+    vertices = G.vertex_list()
+    s = draw(st.sampled_from(vertices))
+    keep = {s}
+    forced = set()
+    if detour:
+        bits = draw(st.permutations([1 << i for i in range(d)]))
+        split = draw(st.integers(2, d - 1))
+        differ, e = sum(bits[:split]), bits[split]
+        t = s ^ differ
+        route = [s ^ e]
+        for b in bits[:split]:
+            route.append(route[-1] ^ b)
+        route.append(t)
+        assume(all(G.has_vertex(v) for v in route))
+        keep.update(route)
+        forced = {s ^ b for b in bits[:split] if G.has_vertex(s ^ b)}
+    else:
+        t = draw(st.sampled_from([v for v in vertices if v != s]))
+        keep.add(t)
+    rest = [v for v in vertices if v not in keep]
+    pick = st.lists(st.sampled_from(rest), max_size=len(rest)) if rest else st.just([])
+    used = frozenset(draw(pick))
+    blocked = frozenset(draw(pick)) | forced
+    return G, s, t, used, blocked, draw(st.booleans()), detour
+
+
+class TestCutTest:
+    """The witness-first cut test answers exactly what a plain BFS does,
+    and every walk that arrives is a path of allowed vertices."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cut_cases())
+    def test_matches_avoid_path(self, case):
+        G, s, t, used, blocked, start_used, detour = case
+        index, expand, usable = path_oracle._bitset_view(G)
+        allowed = usable & ~sum(1 << v for v in used | blocked)
+        if start_used:
+            allowed &= ~(1 << s)
+        want = avoid_path(G, s, t, used | blocked) is not None
+        assert path_oracle._cut_test(G, index, expand)(s, t, allowed) == want
+        trail = []
+        if path_oracle._cube_walk(s, t, allowed, trail):
+            walk = [s] + trail
+            assert walk[-1] == t
+            assert len(walk) == (s ^ t).bit_count() + 1
+            for a, b in zip(walk, walk[1:]):
+                assert (a ^ b).bit_count() == 1
+                assert G.has_vertex(b) and b not in used | blocked
+        if detour:
+            assert not trail and want
+
+    def test_free_descent_builds_no_sweep_masks(self, monkeypatch):
+        path_oracle._cube_sweeps.cache_clear()
+        built = []
+        sweeps = path_oracle._cube_sweeps
+        monkeypatch.setattr(path_oracle, "_cube_sweeps",
+                            lambda d: built.append(d) or sweeps(d))
+        top = (1 << 20) - 1
+        out = decide_linked(CubeGraph(20), Pairing(((0, top), (1, top ^ 1))))
+        assert (out.status, out.nodes_used) == (LINKED, 42)
+        assert built == []
+        assert sweeps.cache_info().misses == 0
+
+    def test_stuck_walk_falls_back_to_the_sweeps(self, monkeypatch):
+        built = []
+        sweeps = path_oracle._cube_sweeps
+        monkeypatch.setattr(path_oracle, "_cube_sweeps",
+                            lambda d: built.append(d) or sweeps(d))
+        out = decide_linked(CubeGraph(3), Pairing(((0b000, 0b110), (0b100, 0b010))))
+        assert out.status == UNLINKED
+        assert built and set(built) == {3}
+
+
+def _cubelink_imports(tree) -> set:
+    """The cubelink modules that a module's import statements name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:  # relative: inside the cubelink package
+                module = "cubelink" + (f".{node.module}" if node.module else "")
+            else:
+                module = node.module
+            if module == "cubelink":
+                found.update(f"cubelink.{alias.name}" for alias in node.names)
+            else:
+                found.add(module)
+    return {m for m in found if m == "cubelink" or m.startswith("cubelink.")}
+
+
+class TestOracleIndependence:
+    def test_imports_only_cube_core_from_cubelink(self):
+        # The oracle is ground truth for the engine, so it may share the
+        # cube's facts and nothing the engine computes with.
+        tree = ast.parse(inspect.getsource(path_oracle))
+        assert _cubelink_imports(tree) == {"cubelink.cube_core"}
+
+    @pytest.mark.parametrize("line, module", [
+        ("from .linkage_engine import _descent", "cubelink.linkage_engine"),
+        ("from . import linkage_engine", "cubelink.linkage_engine"),
+        ("import cubelink.linkage_engine", "cubelink.linkage_engine"),
+        ("from cubelink import certifier", "cubelink.certifier"),
+        ("import cubelink", "cubelink"),
+    ])
+    def test_finds_other_cubelink_imports(self, line, module):
+        assert _cubelink_imports(ast.parse(f"def f():\n    {line}\n")) == {module}
 
 
 def _closer_first(d, cur, t) -> list:
