@@ -19,6 +19,11 @@ module's compatibility contract.
 Parallelism: a job with workers > 1 partitions the stream by instance
 index modulo the worker count, so reports are identical to a sequential
 run (fail-fast then applies per worker).
+
+Each job resolves its host spec once: the job check returns the host's
+vertex space, and the instance loops that certify runs, sequentially or in
+each worker, start from it.  sample_instances and exhaustive_instances are
+the same loops behind a host resolution of their own.
 """
 
 from __future__ import annotations
@@ -64,7 +69,8 @@ ENGINE = "engine"
 ORACLE = "oracle"
 BOTH = "both"
 
-_MASK64 = (1 << 64) - 1
+_TWO64 = 1 << 64
+_MASK64 = _TWO64 - 1
 
 
 class SplitMix64:
@@ -87,7 +93,20 @@ class SplitMix64:
         and rejects the words at or above the largest multiple of n."""
         if n <= 0:
             raise ValueError("randrange needs a positive bound")
-        span, words = _MASK64 + 1, 1
+        if n <= _TWO64:
+            # next_u64 written out on a local state, which is stored back
+            # only when a word is accepted: the stream is the same
+            bound = _TWO64 - _TWO64 % n
+            state = self._state
+            while True:
+                state = (state + 0x9E3779B97F4A7C15) & _MASK64
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+                z ^= z >> 31
+                if z < bound:
+                    self._state = state
+                    return z % n
+        span, words = _TWO64, 1
         while span < n:
             span <<= 64
             words += 1
@@ -283,7 +302,11 @@ def exhaustive_instances(host: str, k: int, strong: bool = False) -> Iterator[In
     forbidden vertex in ascending order when strong; the apex 0 and its
     opposite on a link), then the ascending 2k-combinations of the
     remaining vertices, then canonical_pairings of each combination."""
-    kind, d, vertices, _ = _host_space(host, k, strong)
+    yield from _enumerate(_host_space(host, k, strong), host, k)
+
+
+def _enumerate(space: tuple, host: str, k: int) -> Iterator[Instance]:
+    kind, d, vertices, _ = space
     fixture = None if d else host
     if kind == "strong":
         removals = [(x,) for x in vertices]
@@ -334,7 +357,12 @@ def sample_instances(host: str, k: int, n: int, seed: int,
     """
     if n < 1:
         raise ValueError("sample_instances needs n >= 1")
-    kind, d, vertices, size = _host_space(host, k, strong)
+    yield from _sample(_host_space(host, k, strong), host, k, n, seed)
+
+
+def _sample(space: tuple, host: str, k: int, n: int,
+            seed: int) -> Iterator[Instance]:
+    kind, d, vertices, size = space
     fixture = None if d else host
     rng = SplitMix64(seed)
     for i in range(n):
@@ -354,8 +382,11 @@ def sample_instances(host: str, k: int, n: int, seed: int,
 # Running jobs
 
 
-def _validate_job(job: CertificationJob) -> None:
-    kind, d, _, _ = _host_space(job.host, job.k, job.strong)
+def _validate_job(job: CertificationJob) -> tuple:
+    """Check the job and return its host's _host_space, so that running it
+    resolves the host once."""
+    space = _host_space(job.host, job.k, job.strong)
+    kind, d, _, _ = space
     if job.k < 1:
         raise ValueError("jobs need k >= 1")
     if job.mode not in (EXHAUSTIVE, SAMPLED):
@@ -376,12 +407,13 @@ def _validate_job(job: CertificationJob) -> None:
         if not d:
             raise ValueError("the engine solves cube hosts only")
         check_supported(kind, d, job.k)
+    return space
 
 
-def _instances(job: CertificationJob) -> Iterator[Instance]:
+def _instances(job: CertificationJob, space: tuple) -> Iterator[Instance]:
     if job.mode == EXHAUSTIVE:
-        return exhaustive_instances(job.host, job.k, strong=job.strong)
-    return sample_instances(job.host, job.k, job.samples, _seed(job), strong=job.strong)
+        return _enumerate(space, job.host, job.k)
+    return _sample(space, job.host, job.k, job.samples, _seed(job))
 
 
 def _seed(job: CertificationJob) -> int:
@@ -450,9 +482,10 @@ def _run_one(inst: Instance, job: CertificationJob, report: CertificationReport)
         report.failures.append(row)
 
 
-def _certify_range(job: CertificationJob, offset: int, step: int) -> CertificationReport:
+def _certify_range(job: CertificationJob, space: tuple, offset: int,
+                   step: int) -> CertificationReport:
     report = CertificationReport(label=_job_label(job))
-    for inst in _instances(job):
+    for inst in _instances(job, space):
         if inst.index % step != offset:
             continue
         _run_one(inst, job, report)
@@ -462,8 +495,8 @@ def _certify_range(job: CertificationJob, offset: int, step: int) -> Certificati
 
 
 def _certify_worker(args: tuple) -> CertificationReport:
-    job, worker_id = args
-    return _certify_range(job, worker_id, job.workers)
+    job, space, worker_id = args
+    return _certify_range(job, space, worker_id, job.workers)
 
 
 def _job_label(job: CertificationJob) -> str:
@@ -479,16 +512,17 @@ def _job_label(job: CertificationJob) -> str:
 
 def certify(job: CertificationJob) -> CertificationReport:
     """Run the job and aggregate a report; see the module docstring."""
-    _validate_job(job)
+    space = _validate_job(job)
     start = time.perf_counter()
     if job.workers > 1:
         with multiprocessing.Pool(job.workers) as pool:
-            parts = pool.map(_certify_worker, [(job, i) for i in range(job.workers)])
+            parts = pool.map(_certify_worker,
+                             [(job, space, i) for i in range(job.workers)])
         report = CertificationReport(label=_job_label(job))
         for part in parts:
             report.merge(part)
     else:
-        report = _certify_range(job, 0, 1)
+        report = _certify_range(job, space, 0, 1)
     report.sort_rows()
     report.wall_time = time.perf_counter() - start
     return report

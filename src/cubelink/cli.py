@@ -38,12 +38,12 @@ from .certifier import (
     SAMPLED,
     SUITE_NAMES,
     CertificationJob,
+    _sample,
     _validate_job,
     certify,
     engine_solve,
     parse_host_spec,
     property_suite,
-    sample_instances,
 )
 from .cube_core import CubeGraph, link_graph, opposite, parse_vertex
 from .linkage_engine import (
@@ -308,11 +308,10 @@ def _percentile(sorted_times: list, q: float) -> float:
 
 def _cmd_bench(args) -> int:
     # the checks and messages of a sampled engine certification job
-    _validate_job(CertificationJob(host=args.host, k=args.k, mode=SAMPLED,
-                                   samples=args.samples, seed=args.seed,
-                                   strong=args.strong))
-    instances = list(sample_instances(args.host, args.k, args.samples, args.seed,
-                                      strong=args.strong))
+    space = _validate_job(CertificationJob(host=args.host, k=args.k, mode=SAMPLED,
+                                           samples=args.samples, seed=args.seed,
+                                           strong=args.strong))
+    instances = list(_sample(space, args.host, args.k, args.samples, args.seed))
     # One untimed solve first, so one-off first-call costs (imports, caches)
     # stay out of the percentiles.
     engine_solve(instances[0])

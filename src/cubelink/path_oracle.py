@@ -905,27 +905,45 @@ def validate_linkage(G: HostGraph, Y: Pairing, L: Linkage) -> ValidationReport:
 
     Clauses, in check order: PATH_COUNT, ENDPOINTS (each path's endpoint set
     is its pair, either orientation), MEMBERSHIP (vertices exist and are not
-    forbidden), REPEAT (paths are simple), ADJACENCY (consecutive hops are
-    edges), DISJOINTNESS (no vertex on two paths).
+    forbidden; on a cube a vertex is an int that is not a bool, as
+    cube_core.check_vertex has it, and on a fixture a vertex name, a str),
+    REPEAT (paths are simple), ADJACENCY (consecutive hops are edges),
+    DISJOINTNESS (no vertex on two paths).
+
+    On a cube host one pass over the paths accepts a valid linkage first:
+    it checks each path's endpoints and, vertex by vertex, its int type,
+    range, removed vertices and hops; the size of the union of the paths
+    then rules out a repeat and a shared vertex.  Only a linkage that this
+    pass rejects, or any linkage on a fixture host, is walked clause by
+    clause, so a failure reports the first clause in the order above, with
+    the same witness and message.
     """
     # MEMBERSHIP has passed every vertex of a path before its hops are read.
     if isinstance(G, CubeGraph):
+        if _cube_accepts(G, Y, L):
+            return ValidationReport(True)
         hop = cube_core.adjacent
+
+        def member(v) -> bool:
+            return isinstance(v, int) and not isinstance(v, bool) and G.has_vertex(v)
     else:
         def hop(a, b):
             return b in G.adjacency[a]
+
+        def member(v) -> bool:
+            return isinstance(v, str) and G.has_vertex(v)
     if len(L) != Y.k:
         return ValidationReport(
             False, "PATH_COUNT", len(L), f"expected {Y.k} paths, got {len(L)}"
         )
     for i, (path, (s, t)) in enumerate(zip(L, Y.pairs)):
-        if not path or {path[0], path[-1]} != {s, t}:
+        if not path or not _joins(path, s, t):
             return ValidationReport(
                 False, "ENDPOINTS", i,
                 f"path {i} endpoints {path[:1]}...{path[-1:]} do not match pair {(s, t)}",
             )
         for v in path:
-            if not G.has_vertex(v):
+            if not member(v):
                 return ValidationReport(
                     False, "MEMBERSHIP", v,
                     f"path {i} uses {v!r}, which is not a usable host vertex",
@@ -951,3 +969,32 @@ def validate_linkage(G: HostGraph, Y: Pairing, L: Linkage) -> ValidationReport:
                 )
             placed[v] = i
     return ValidationReport(True)
+
+
+def _joins(path, s, t) -> bool:
+    """Whether the path's ends are s and t in either orientation; compared
+    without hashing, so that an end that is no vertex cannot raise."""
+    a, b = path[0], path[-1]
+    return a == s and b == t or a == t and b == s
+
+
+def _cube_accepts(G: CubeGraph, Y: Pairing, L: Linkage) -> bool:
+    """True when L passes every clause of validate_linkage on the cube G.
+    False says only that some clause fails, not which."""
+    if len(L) != Y.k:
+        return False
+    top, removed, size = 1 << G.d, G.removed, 0
+    for path, (s, t) in zip(L, Y.pairs):
+        if not path or not _joins(path, s, t):
+            return False
+        prev = path[0]
+        for v in path:
+            if type(v) is not int or not 0 <= v < top or v in removed:
+                return False
+            x = prev ^ v    # 0 on the first step; a repeat is the union's
+            if x & (x - 1):
+                return False
+            prev = v
+        size += len(path)
+    # a vertex repeated on one path, or shared by two, shrinks the union
+    return len(set().union(*L)) == size

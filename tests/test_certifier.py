@@ -34,6 +34,22 @@ from cubelink.linkage_engine import (
 from cubelink.path_oracle import Pairing
 
 
+def _word_loop_randrange(rng: SplitMix64, n: int) -> int:
+    """randrange as a loop over whole next_u64 words, the way SplitMix64
+    draws when n > 2^64; the reference for its one-word path."""
+    span, words = 1 << 64, 1
+    while span < n:
+        span <<= 64
+        words += 1
+    bound = span - span % n
+    while True:
+        x = rng.next_u64()
+        for _ in range(1, words):
+            x = x << 64 | rng.next_u64()
+        if x < bound:
+            return x % n
+
+
 class TestSplitMix64:
     def test_reference_stream_seed_zero(self):
         rng = SplitMix64(0)
@@ -75,6 +91,39 @@ class TestSplitMix64:
             draws = [rng.randrange(n) for _ in range(200)]
             assert all(0 <= x < n for x in draws)
             assert len(set(draws)) == 200
+
+    @pytest.mark.parametrize("n, digest, head, after", [
+        # about half of the words are rejected: the bound is 2^63 + 1
+        (2**63 + 1,
+         "1b7c7248c9996751e47d6972bc1d14177383c9d3fc50dad539fc174726169e41",
+         [1793612131670815442, 5507758030568793471, 2143266886397966425],
+         13845817707605043059),
+        (3 * 2**62,
+         "7352567ec5c0aee0f3795f523d0d2bd11228e289a42d78de47c40365b343fca4",
+         [11487996472437173461, 1793612131670815442, 5507758030568793471],
+         18160803929063212177),
+    ])
+    def test_one_word_rejections_pinned(self, n, digest, head, after):
+        rng = SplitMix64(2024)
+        draws = [rng.randrange(n) for _ in range(200)]
+        assert draws[:3] == head
+        assert hashlib.sha256(repr(draws).encode()).hexdigest() == digest
+        # the state after the last accepted word
+        assert rng.next_u64() == after
+
+    def test_one_word_bound_is_exact(self):
+        # For 2^63 < n <= 2^64 the bound is n itself, so the stream's first
+        # word w is kept under n = w + 1 and rejected under n = w.
+        w = 0xE220A8397B1DCDAF
+        assert SplitMix64(0).randrange(w + 1) == w
+        assert SplitMix64(0).randrange(w) == 7960286522194355700
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 2**63 + 1, 3 * 2**62, 2**64])
+    def test_one_word_matches_the_word_loop(self, n):
+        fast, loop = SplitMix64(11), SplitMix64(11)
+        assert ([fast.randrange(n) for _ in range(200)]
+                == [_word_loop_randrange(loop, n) for _ in range(200)])
+        assert fast.next_u64() == loop.next_u64()
 
     def test_shuffle_is_permutation(self):
         rng = SplitMix64(5)
@@ -395,6 +444,50 @@ class TestCertify:
         assert rep.budget_exceeded == 0
         assert rep.ok
         assert rep.scenario_counters["oracle:linked"] == 300
+
+
+def _report_digest(job: CertificationJob) -> str:
+    report = certify(job).to_json()
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+class TestCertifyPins:
+    """certify reports are byte-stable; these digests were recorded before
+    certify resolved each job's host once."""
+
+    @pytest.mark.parametrize("job, digest", [
+        (dict(host="cube:5", k=3, samples=300, solver=ENGINE),
+         "2e174cd1531d195d66bf9c764c8384e37fd65223ecab7101e6f682cab3b5dff4"),
+        (dict(host="cube:5", k=3, samples=300, solver=ORACLE),
+         "5d0a52399d46c7ebf31153d3d23216e0988558a34881249fd72f2a3ef3a1ff89"),
+        (dict(host="cube:5", k=3, samples=300, solver=BOTH),
+         "aac17ba88ca3f91b35f3d703320908dab8fd6dea09eef4ff4cee065f917cb64e"),
+        (dict(host="cube:6", k=3, samples=300, solver=ENGINE, strong=True),
+         "404ffeea6059388fd21692bf8961805a1dfd3f9ea6f4973e37dd9a65aeec0e4d"),
+        (dict(host="link:6", k=3, samples=300, solver=ENGINE),
+         "0a5ca9a20454b870d5f2a68889467603f3f1f94afc1e9060f94f740940432409"),
+        (dict(host="cube:5", k=3, samples=200, solver=ENGINE, seed=31, workers=2),
+         "d1ead8e269f57d508a45c45437a51b82fdd67e2ea0cb31bd82ac57b4b1f29704"),
+        # stops at the first unlinked Q3 instance, index 23
+        (dict(host="cube:3", k=2, samples=300, solver=ORACLE, seed=5,
+              fail_fast=True),
+         "75e22b8ca1665d48fb9966c5f1337d8f85fe1da65ee8413b1286d85dc5b6f04d"),
+    ])
+    def test_sampled_report(self, job, digest):
+        assert _report_digest(CertificationJob(mode=SAMPLED, **job)) == digest
+
+    @pytest.mark.parametrize("job", [
+        CertificationJob(host="cube:5", k=3, mode=SAMPLED, samples=20),
+        CertificationJob(host="cube:4", k=2, mode=SAMPLED, samples=20, strong=True),
+        CertificationJob(host="pyramid2-quad", k=2, solver=ORACLE),
+    ])
+    def test_host_resolved_once_per_job(self, monkeypatch, job):
+        calls = []
+        resolve = certifier._host_space
+        monkeypatch.setattr(certifier, "_host_space",
+                            lambda *args: calls.append(args) or resolve(*args))
+        assert certify(job).instances > 0
+        assert calls == [(job.host, job.k, job.strong)]
 
 
 class TestJobValidation:

@@ -330,6 +330,20 @@ class TestValidateLinkage:
         assert report.clause == "MEMBERSHIP"
         assert report.witness == 8
 
+    @pytest.mark.parametrize("G, pair, path, clause, witness", [
+        # on a cube a vertex is what check_vertex accepts: an int, not a bool
+        (CubeGraph(3), (0, 3), [0, 1.0, 3], "MEMBERSHIP", 1.0),
+        (CubeGraph(3), (0, 3), [0, "1", 3], "MEMBERSHIP", "1"),
+        (CubeGraph(3), (0, 1), [0, True], "MEMBERSHIP", True),
+        (CubeGraph(3), (0, 3), [[0], 1, 3], "ENDPOINTS", 0),
+        (pyramid2_quad(), ("s1", "t1"), ["s1", ["x"], "t1"], "MEMBERSHIP", ["x"]),
+        (pyramid2_quad(), ("s1", "t1"), [["s1"], "x", "t1"], "ENDPOINTS", 0),
+    ])
+    def test_non_vertex_elements_are_reported(self, G, pair, path, clause, witness):
+        report = validate_linkage(G, Pairing((pair,)), [path])
+        assert (report.ok, report.clause, report.witness) == (False, clause, witness)
+        assert type(report.witness) is type(witness)
+
 
 class TestFixtures:
     def test_pyramid_shape(self):
