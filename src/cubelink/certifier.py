@@ -35,7 +35,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from . import cube_core, path_oracle
-from .cube_core import CubeGraph, associated, link_graph, opposite
+from .cube_core import CubeGraph, associated, free_bit, link_graph, opposite
 from .linkage_engine import (
     UnsupportedInstanceError,
     _construction,
@@ -541,27 +541,43 @@ def _random_subset(rng: SplitMix64, d: int) -> list:
             return out
 
 
+def _association_failure(free: int, Z: list) -> str | None:
+    """Why Z breaks the association facts inside the face `free`, or None:
+    a nonempty Z associates at most |Z| - 1 bits, and free_bit (which the
+    engine's free directions come from) is the lowest bit outside that
+    association mask."""
+    zset = frozenset(Z)
+    assoc = associated(free, zset)
+    if assoc.bit_count() > len(Z) - 1:
+        return "association bound broken"
+    left = free & ~assoc
+    if free_bit(free, zset) != left & -left:
+        return "free_bit is not the lowest unassociated bit"
+    return None
+
+
 def _suite_association(seed: int, samples: int) -> CertificationReport:
     report = CertificationReport(label="association_bound")
     for mask in range(1, 256):
         Z = [v for v in range(8) if (mask >> v) & 1]
         report.instances += 1
-        if associated(7, Z).bit_count() <= len(Z) - 1:
+        reason = _association_failure(7, Z)
+        if reason is None:
             report.successes += 1
             report.count("d3")
         else:
-            report.failures.append({"d": 3, "Z": Z, "reason": "association bound broken"})
+            report.failures.append({"d": 3, "Z": Z, "reason": reason})
     for d in range(4, 9):
         rng = SplitMix64(seed + d)
         for _ in range(samples):
             Z = _random_subset(rng, d)
             report.instances += 1
-            if associated((1 << d) - 1, Z).bit_count() <= len(Z) - 1:
+            reason = _association_failure((1 << d) - 1, Z)
+            if reason is None:
                 report.successes += 1
                 report.count(f"d{d}")
             else:
-                report.failures.append({"d": d, "Z": Z,
-                                        "reason": "association bound broken"})
+                report.failures.append({"d": d, "Z": Z, "reason": reason})
     return report
 
 

@@ -10,15 +10,18 @@ fixing coordinate 2 to 1 reads "1**".
 The module also carries the direction/association fact: the d directions
 partition the edge set into parallel classes, a direction is *associated*
 with a vertex set Z when Z contains an edge of that class, and a set of at
-most d vertices always leaves some direction free.  associated(free, Z)
-computes the association mask inside a face; the linkage engine takes its
-free directions from it, and free_direction is the index form over Q_d.
+most d vertices always leaves some direction free.  free_bit(free, Z)
+finds the lowest free direction of a face, testing the bits in ascending
+order and stopping at the first one no edge of Z runs along; the linkage
+engine takes its free directions from it, and free_direction is its index
+form over Q_d.  associated(free, Z) computes the whole association mask,
+for the association_bound suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 MAX_DIM = 20
 
@@ -133,7 +136,9 @@ def associated(free: int, Z: Iterable[int]) -> int:
     Z) along which some edge inside Z runs, as a mask: every free bit c such
     that some z in Z has z ^ c in Z.  A nonempty Z associates at most
     |Z| - 1 bits (the classes of a spanning forest of its induced subgraph).
-    O(|Z| d) set lookups."""
+    O(|Z| d) set lookups; the association_bound suite checks this bound on
+    it, and free_bit gives the lowest free bit outside the mask without
+    building it."""
     zset = frozenset(Z)
     assoc = 0
     for z in zset:
@@ -146,18 +151,37 @@ def associated(free: int, Z: Iterable[int]) -> int:
     return assoc
 
 
+def free_bit(free: int, Z: Collection[int]) -> int:
+    """The lowest bit of `free` along which no edge inside the vertex set Z
+    runs (no z in Z has z ^ c in Z), as a one-bit mask; 0 when every free
+    bit has one.  Z is a set of vertices of the face; it is only tested for
+    membership, never copied.  The bits are tried in ascending order and the
+    first one that no z crosses is returned, so when the lowest free bit is
+    free this costs |Z| lookups; at most |Z| d in all."""
+    while free:
+        c = free & -free
+        for z in Z:
+            if z ^ c in Z:
+                break
+        else:
+            return c
+        free ^= c
+    return 0
+
+
 def free_direction(d: int, Z: Iterable[int]) -> int:
     """Smallest direction not associated with Z; exists whenever |Z| <= d.
-    Nothing in the package calls it; perfbench's per-layer tracer wraps it."""
+    The index form of free_bit over Q_d.  Nothing in the package calls it;
+    perfbench's per-layer tracer wraps it."""
     check_dim(d)
     zset = frozenset(check_vertex(d, z) for z in Z)
-    left = ((1 << d) - 1) & ~associated((1 << d) - 1, zset)
-    if not left:
+    c = free_bit((1 << d) - 1, zset)
+    if not c:
         raise ValueError(
             f"no free direction: all {d} directions are associated with the "
             f"{len(zset)} given vertices (caller exceeded the |Z| <= d bound)"
         )
-    return (left & -left).bit_length() - 1
+    return c.bit_length() - 1
 
 
 # ---------------------------------------------------------------------------

@@ -40,12 +40,13 @@ and maps the stored paths back.
 A facet of the face is one free bit b with a side value v, 0 or b:
 membership is x & b == v, projection onto it is x & ~b | v, and crossing to
 the other side is x ^ b.  Facets are chosen as such masks too: the lowest
-free bit off cube_core.associated(free, Z) (_free_direction), the lowest
-bit on which a set of terminals agrees (_common_coord, 0 when none does)
-or the highest free bit.  Every step that projects terminals onto a facet,
-solves there and attaches the terminals left outside goes through one
-helper, _in_facet.  cube_core.Face appears only where a facet or 2-face is
-handed out: ScenarioContext.face and the Q3 obstruction's certificate.
+free bit that no edge inside Z runs along (_free_direction, through
+cube_core.free_bit, which tries the bits lowest first), the lowest bit on
+which a set of terminals agrees (_common_coord, 0 when none does) or the
+highest free bit.  Every step that projects terminals onto a facet, solves
+there and attaches the terminals left outside goes through one helper,
+_in_facet.  cube_core.Face appears only where a facet or 2-face is handed
+out: ScenarioContext.face and the Q3 obstruction's certificate.
 
 The dispatch, in order (_construction names the choice): single pairs go to
 the engine's router (_route), which takes the straight descent along the
@@ -77,7 +78,7 @@ from operator import and_, or_
 from typing import Iterable
 
 from . import cube_core
-from .cube_core import CubeGraph, Face, associated, face_vertices, link_graph, opposite
+from .cube_core import CubeGraph, Face, face_vertices, free_bit, link_graph, opposite
 from .path_oracle import (
     LINKED,
     HostGraph,
@@ -203,11 +204,11 @@ def _free_direction(free: int, Z: set) -> int:
     inside Z (a vertex set of the face) runs along.  One exists whenever
     |Z| <= d; the construction keeps within that bound, so running out is an
     engine fault, not bad input."""
-    left = free & ~associated(free, Z)
-    if not left:
+    c = free_bit(free, Z)
+    if not c:
         raise InvariantError("no free direction: Z breaks the |Z| <= d bound",
                              {"d": free.bit_count(), "Z": sorted(Z)})
-    return left & -left
+    return c
 
 
 def _terminals(pairs: list) -> list:
@@ -407,7 +408,9 @@ def _facet_routes(free: int, X: list, b: int) -> dict:
     u ^ b -> sink with a the first source next to u, is the two-step drop,
     taken here directly with its arcs saturated; the flow's loop then runs
     only for the remaining blocked sources, or for all of them when no u
-    drops freely.
+    drops freely.  With a single blocked source and a two-step drop that
+    loop runs no search, so its route [a, u, u ^ b] is returned at once,
+    without building the flow.
     """
     source, sink = -1, -2
     bits = _bits(free)
@@ -422,6 +425,12 @@ def _facet_routes(free: int, X: list, b: int) -> dict:
             routes[a] = [a, u]
     if not blocked:
         return routes
+    drop = next(((a, u) for a in blocked for u in sorted(a ^ c for c in bits)
+                 if u not in terminals and u ^ b not in terminals), None)
+    if drop is not None and len(blocked) == 1:
+        a, u = drop
+        routes[a] = [a, u, u ^ b]
+        return routes
 
     def successors(node: int) -> list:
         if node == source:
@@ -435,8 +444,6 @@ def _facet_routes(free: int, X: list, b: int) -> dict:
     flow: set = set()  # saturated arcs; every capacity is one
     into: dict = {}    # node -> the node whose saturated arc enters it
     searches = len(blocked)
-    drop = next(((a, u) for a in blocked for u in sorted(a ^ c for c in bits)
-                 if u not in terminals and u ^ b not in terminals), None)
     if drop is not None:
         a, u = drop
         nodes = [source, 2 * a, 2 * a + 1, 2 * u, 2 * u + 1, 2 * (u ^ b), sink]
@@ -763,9 +770,14 @@ class ScenarioContext:
     S: frozenset
 
 
-def _scenario3_context(free: int, pairs: list) -> ScenarioContext:
+def _scenario3_context(free: int, pairs: list) -> tuple:
     """The special pair is the first non-antipodal one; F is the facet of
-    the lowest free bit b its two terminals agree on, on their side."""
+    the lowest free bit b its two terminals agree on, on their side.
+
+    Returns the fields of ScenarioContext as a plain tuple, with F as its
+    bit b and side v: (d, b, v, first, rho, X_F, X_alpha, Y_alpha, X_beta,
+    omega, S).  The solver unpacks it; only scenario3_context builds the
+    dataclass."""
     d = free.bit_count()
     first = next(i for i, (s, t) in enumerate(pairs) if s ^ t != free)
     s1, t1 = pairs[first]
@@ -796,8 +808,8 @@ def _scenario3_context(free: int, pairs: list) -> ScenarioContext:
     if len(S) > d - 1:
         raise InvariantError("avoid set for the special pair is too large",
                              {"S": sorted(S), "d": d})
-    return ScenarioContext(d, Face(b, v), first, rho, X_F, X_alpha,
-                           tuple(alpha_idx), X_beta, omega, S)
+    return (d, b, v, first, rho, X_F, X_alpha, tuple(alpha_idx), X_beta,
+            omega, S)
 
 
 def _build_omega(free: int, b: int, rho: dict, X_beta: tuple) -> dict:
@@ -860,16 +872,17 @@ def scenario3_context(d: int, Y: Pairing) -> ScenarioContext:
                   "scenario2": "all terminals share a facet"}.get(
                       label, f"the solver runs {label} on this instance")
         raise ValueError(f"{reason}: no scenario3 context exists")
-    return _scenario3_context(free, pairs)
+    d, b, v, *fields = _scenario3_context(free, pairs)
+    return ScenarioContext(d, Face(b, v), *fields)
 
 
 def _scenario3(free: int, pairs: list, trace: list) -> list:
     k = len(pairs)
-    ctx = _scenario3_context(free, pairs)
-    s1, t1 = pairs[ctx.first]
-    b, v = ctx.face.fixed_mask, ctx.face.fixed_values  # F is "x & b == v"
+    # F is "x & b == v"
+    _, b, v, first, _, _, _, Y_alpha, _, omega, S = _scenario3_context(free, pairs)
+    s1, t1 = pairs[first]
 
-    routed = set(ctx.Y_alpha) | {ctx.first}
+    routed = set(Y_alpha) | {first}
     M: dict = {}  # terminal -> its entry path into F^o
     for i in range(k):
         if i in routed:
@@ -878,10 +891,10 @@ def _scenario3(free: int, pairs: list, trace: list) -> list:
             if x & b != v:
                 M[x] = [x]
             else:
-                wx = ctx.omega[x]
+                wx = omega[x]
                 M[x] = [x, x ^ b] if wx == x else [x, wx, wx ^ b]
 
-    out = {i: list(pairs[i]) for i in ctx.Y_alpha}
+    out = {i: list(pairs[i]) for i in Y_alpha}
     complete, open_idx = [], []
     for i in range(k):
         if i in routed:
@@ -907,13 +920,13 @@ def _scenario3(free: int, pairs: list, trace: list) -> list:
             out[i] = M[s] + mid[1:] + M[t][::-1][1:]
 
     # S lies in F, the special pair's facet.
-    L1 = _route(sub, s1, t1, ctx.S)
+    L1 = _route(sub, s1, t1, S)
     if L1 is None:
         raise InvariantError(
             "special-pair search failed inside the facet",
-            {"free": free, "pair": (s1, t1), "S": sorted(ctx.S)},
+            {"free": free, "pair": (s1, t1), "S": sorted(S)},
         )
-    out[ctx.first] = L1
+    out[first] = L1
     return [_oriented(out[i], s, t) for i, (s, t) in enumerate(pairs)]
 
 

@@ -139,12 +139,12 @@ class Pairing:
     pairs: tuple
 
     def __post_init__(self) -> None:
-        pairs = tuple((s, t) for s, t in self.pairs)
+        pairs = tuple([(s, t) for s, t in self.pairs])
         object.__setattr__(self, "pairs", pairs)
         if not pairs:
             raise ValueError("a pairing needs at least one pair")
-        flat = [v for p in pairs for v in p]
-        if len(set(flat)) != len(flat):
+        if len(set().union(*pairs)) != 2 * len(pairs):
+            flat = [v for p in pairs for v in p]
             seen = set()
             dup = next(v for v in flat if v in seen or seen.add(v))
             raise ValueError(f"terminals are not distinct: {dup!r} repeats")

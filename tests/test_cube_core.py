@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cubelink.cube_core import (
     MAX_DIM,
@@ -15,6 +15,7 @@ from cubelink.cube_core import (
     face_vertices,
     format_face,
     format_vertex,
+    free_bit,
     free_direction,
     link_graph,
     neighbors,
@@ -93,6 +94,16 @@ class TestFaces:
 
 
 
+class CountingSet(set):
+    """A set that counts its membership tests."""
+
+    lookups = 0
+
+    def __contains__(self, v):
+        CountingSet.lookups += 1
+        return super().__contains__(v)
+
+
 class TestDirections:
     def test_associated(self):
         # 0 and 1 differ in coordinate 0 only, so they associate it
@@ -107,6 +118,34 @@ class TestDirections:
         assert free_direction(4, {0b0011, 0b0101}) == 0
         assert free_direction(4, {0b0000, 0b0001, 0b0010}) == 2
         assert free_direction(3, set()) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_free_bit_stops_at_the_first_free_bit(self, data):
+        d = data.draw(st.integers(1, 12))
+        free = data.draw(st.integers(1, (1 << d) - 1))
+        Z = CountingSet(data.draw(st.lists(st.integers(0, (1 << d) - 1),
+                                           max_size=d + 1)))
+        left = free & ~associated(free, frozenset(Z))
+        CountingSet.lookups = 0
+        assert free_bit(free, Z) == left & -left
+        if left & -left == free & -free:
+            # the lowest free bit has no edge along it: one pass over Z
+            assert CountingSet.lookups <= len(Z)
+        assert CountingSet.lookups <= len(Z) * free.bit_count()
+
+    def test_free_bit(self):
+        # no edge at all among the even-weight vertices of Q4: one lookup
+        # per vertex settles the lowest bit
+        Z = CountingSet({0b0000, 0b0110, 0b1010, 0b1100})
+        CountingSet.lookups = 0
+        assert free_bit(0b1111, Z) == 0b0001
+        assert CountingSet.lookups == 4
+        assert free_bit(0b111, {0, 1, 2}) == 0b100
+        assert free_bit(0b111, {0, 1, 2, 4}) == 0
+        assert free_bit(0b110, {0, 1}) == 0b010
+        assert free_bit(0b111, set()) == 0b001
+        assert free_bit(0, {0}) == 0
 
     def test_free_direction_exhausted(self):
         # all three directions of Q3 associated

@@ -19,6 +19,7 @@ from cubelink.cube_core import (
     Face,
     associated,
     face_vertices,
+    free_bit,
     link_graph,
     opposite,
 )
@@ -783,6 +784,30 @@ class TestRouting:
         # calls where no full routing exists
         assert sum(len(row) < len(X) for row, (_, X, _) in zip(rows, calls)) == 1
 
+    def test_facet_routes_one_blocked_source(self, monkeypatch):
+        queues = []
+        monkeypatch.setattr(linkage_engine, "deque",
+                            lambda *args: queues.append(1) or deque(*args))
+        # 16's drop 0 is a terminal, and so is 17's drop 1: the two-step
+        # drop goes through 18
+        assert _facet_routes((1 << 5) - 1, [16, 0, 1, 5], 1 << 4) == {
+            0: [0], 1: [1], 5: [5], 16: [16, 18, 2]}
+        # every golden call with one blocked source and a two-step drop
+        calls = 0
+        for free, X, b in _golden_facet_routes():
+            blocked, drop = _facet_route_layers(free, X, b)
+            if len(blocked) != 1 or drop is None:
+                continue
+            a, u = drop
+            routes = _facet_routes(free, X, b)
+            assert routes[a] == [a, u, u ^ b]
+            assert routes == {**{x: [x] for x in X if not x & b},
+                              **{x: [x, x ^ b] for x in X
+                                 if x & b and x != a}, a: [a, u, u ^ b]}
+            calls += 1
+        assert calls > 100
+        assert not queues
+
     def test_facet_routes_drop_or_detour(self):
         # 16 and 17 have terminals below them and detour; 18 drops straight.
         assert _facet_routes((1 << 5) - 1, [16, 0, 17, 1, 18], 1 << 4) == {
@@ -900,6 +925,7 @@ class TestFaceEquivariance:
         mask = associated(free, Z)
         assert mask == naive
         left = free & ~mask
+        assert free_bit(free, Z) == left & -left
         if left:
             assert _free_direction(free, Z) == left & -left
         else:
