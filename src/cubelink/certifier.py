@@ -628,7 +628,7 @@ _OMEGA_SKIPS = {"scenario1": "skipped_antipodal",
 def _suite_omega(seed: int, samples: int) -> CertificationReport:
     report = CertificationReport(label="omega_conditions")
     for inst in sample_instances("cube:5", 3, samples, seed):
-        label = _construction((1 << 5) - 1, list(inst.pairing.pairs), frozenset())
+        label, _ = _construction((1 << 5) - 1, list(inst.pairing.pairs), frozenset())
         if label != "scenario3":
             report.count(_OMEGA_SKIPS[label])
             continue

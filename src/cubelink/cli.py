@@ -15,7 +15,8 @@ Vertices are binary strings, most significant coordinate first; pair lists
 look like "00000:11111,00001:11110"; avoid lists are comma separated.  An
 instance file (or "-" for stdin) overrides the flag-built instance.  Output
 is JSON by default (stable: key-sorted, and timing fields appear only with
---timing) or a text rendering with --format text.  LINKAGE_BUDGET and
+--timing, except in bench, whose output is all timing and which has no
+such flag) or a text rendering with --format text.  LINKAGE_BUDGET and
 LINKAGE_WORKERS set defaults for --budget and --workers.
 """
 
@@ -361,8 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cubelink",
         description="Construct and certify disjoint path linkages in cube graphs.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="json")
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument("--format", choices=("json", "text"), default="json")
+    common = argparse.ArgumentParser(add_help=False, parents=[formatted])
     common.add_argument("--timing", action="store_true",
                         help="include wall-clock fields in the output")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -422,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=10_000)
     p.set_defaults(func=_cmd_suite)
 
-    p = sub.add_parser("bench", parents=[common],
+    p = sub.add_parser("bench", parents=[formatted],
                        help="time engine solves over a sampled batch")
     p.add_argument("--host", required=True)
     p.add_argument("--k", type=int, required=True)

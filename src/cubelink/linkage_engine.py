@@ -42,24 +42,26 @@ membership is x & b == v, projection onto it is x & ~b | v, and crossing to
 the other side is x ^ b.  Facets are chosen as such masks too: the lowest
 free bit that no edge inside Z runs along (_free_direction, through
 cube_core.free_bit, which tries the bits lowest first), the lowest bit on
-which a set of terminals agrees (_common_coord, 0 when none does) or the
-highest free bit.  Every step that projects terminals onto a facet, solves
-there and attaches the terminals left outside goes through one helper,
-_in_facet.  cube_core.Face appears only where a facet or 2-face is handed
-out: ScenarioContext.face and the Q3 obstruction's certificate.
+which a set of terminals agrees or the highest free bit.  Every step that
+projects terminals onto a facet, solves there and attaches the terminals
+left outside goes through one helper, _in_facet.  cube_core.Face appears
+only where a facet or 2-face is handed out: ScenarioContext.face and the
+Q3 obstruction's certificate.
 
-The dispatch, in order (_construction names the choice): single pairs go to
-the engine's router (_route), which takes the straight descent along the
-bits where the endpoints differ when no avoided vertex blocks it and runs
-an A* search (Hamming heuristic) otherwise; d <= 4 goes to the oracle
-search, once per orbit; slack instances (k below the maximum, or a nonempty
-avoid set) project into a facet chosen through a free direction; tight even d
-routes its terminals by disjoint paths onto the facet "x & b == 0" of its
-highest free bit b (_facet_routes takes b) and solves there; tight
-odd d classifies into one of three scenario constructions (all pairs
-antipodal / all terminals in one facet / the rest).  Each recursion level
-appends a label to the scenario trace of the result, e.g. "Q7:scenario3",
-so a solve is auditable after the fact.
+Each level makes one pass over its pairs (_construction): it checks the
+instance against the contract, names the construction and, for scenario 2,
+finds the lowest free bit that every terminal agrees on.  The dispatch, in
+order: single pairs go to the engine's router (_route), which takes the
+straight descent along the bits where the endpoints differ when no avoided
+vertex blocks it and runs an A* search (Hamming heuristic) otherwise;
+d <= 4 goes to the oracle search, once per orbit; slack instances (k below
+the maximum, or a nonempty avoid set) project into a facet chosen through
+a free direction; tight even d routes its terminals by disjoint paths onto
+the facet "x & b == 0" of its highest free bit b (_facet_routes takes b)
+and solves there; tight odd d classifies into one of three scenario
+constructions (all pairs antipodal / all terminals in one facet / the
+rest).  Each recursion level appends a label to the scenario trace of the
+result, e.g. "Q7:scenario3", so a solve is auditable after the fact.
 scenario3_context returns the scenario-3 set-up that the solver itself
 uses (special pair, facet F, entry map omega, and the special pair's avoid
 set S with its |S| <= d - 1 bound); the omega_conditions suite inspects it.
@@ -72,9 +74,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from heapq import heappop, heappush
-from operator import and_, or_
 from typing import Iterable
 
 from . import cube_core
@@ -213,39 +214,6 @@ def _free_direction(free: int, Z: set) -> int:
 
 def _terminals(pairs: list) -> list:
     return [v for p in pairs for v in p]
-
-
-def _solve_contract_check(free: int, pairs: list, avoid: frozenset) -> None:
-    k = len(pairs)
-    terminals = {v for p in pairs for v in p}
-    if len(terminals) != 2 * k or not terminals.isdisjoint(avoid):
-        raise InvariantError(
-            "recursive instance has colliding terminals",
-            {"d": free.bit_count(), "pairs": pairs, "avoid": sorted(avoid)},
-        )
-    if k < 1 or not _within_budget(free.bit_count(), k, len(avoid)):
-        raise InvariantError(
-            "recursive instance exceeds the solver contract",
-            {"d": free.bit_count(), "k": k, "avoid": sorted(avoid)},
-        )
-    # Every vertex lies in the face exactly when no fixed bit differs among
-    # them (both ^ either); only when one does is the first vertex off the
-    # face looked for.
-    both = either = pairs[0][0]
-    for s, t in pairs:
-        both &= s & t
-        either |= s | t
-    for v in avoid:
-        both &= v
-        either |= v
-    if (both ^ either) & ~free:
-        fixed_mask = ~free
-        fixed = pairs[0][0] & fixed_mask
-        v = next(v for v in (*_terminals(pairs), *avoid) if v & fixed_mask != fixed)
-        raise InvariantError(
-            "recursive instance leaves its face",
-            {"free": free, "pairs": pairs, "avoid": sorted(avoid), "vertex": v},
-        )
 
 
 def _self_check(free: int, pairs: list, avoid: frozenset, paths: list) -> None:
@@ -500,27 +468,60 @@ def _facet_routes(free: int, X: list, b: int) -> dict:
 # The uniform internal solver
 
 
-def _construction(free: int, pairs: list, avoid: frozenset) -> str:
-    """The label of the construction _solve runs on a contract instance."""
+def _construction(free: int, pairs: list, avoid: frozenset) -> tuple:
+    """Check a level's instance against the solver contract and name the
+    construction _solve runs on it, in one pass over the pairs.
+
+    Returns (label, b): b is the lowest free bit every terminal agrees on,
+    as a one-bit mask, when the label is scenario2, and 0 otherwise.  Every
+    vertex lies in the face exactly when no fixed bit differs among them
+    (both ^ either); only when one does is the first vertex off the face
+    looked for.  A scenario2 level has no avoid set, so the bits its
+    terminals agree on are the free bits outside both ^ either."""
     d = free.bit_count()
     k = len(pairs)
-    if k == 1:
-        return "trivial_pair"
-    if d <= 4:
-        return "base"
-    if avoid or k < (d + 1) // 2:
-        return "projection"
-    if d % 2 == 0:
-        return "even_menger"
-    if all(s ^ t == free for s, t in pairs):
-        return "scenario1"
-    both = either = pairs[0][0]
+    terminals = set()
+    both, either = -1, 0
     for s, t in pairs:
+        terminals.add(s)
+        terminals.add(t)
         both &= s & t
         either |= s | t
-    if ~(both ^ either) & free:  # a free bit every terminal agrees on
-        return "scenario2"
-    return "scenario3"
+    if len(terminals) != 2 * k or not terminals.isdisjoint(avoid):
+        raise InvariantError(
+            "recursive instance has colliding terminals",
+            {"d": d, "pairs": pairs, "avoid": sorted(avoid)},
+        )
+    if k < 1 or not _within_budget(d, k, len(avoid)):
+        raise InvariantError(
+            "recursive instance exceeds the solver contract",
+            {"d": d, "k": k, "avoid": sorted(avoid)},
+        )
+    for v in avoid:
+        both &= v
+        either |= v
+    if (both ^ either) & ~free:
+        fixed_mask = ~free
+        fixed = pairs[0][0] & fixed_mask
+        v = next(v for v in (*_terminals(pairs), *avoid) if v & fixed_mask != fixed)
+        raise InvariantError(
+            "recursive instance leaves its face",
+            {"free": free, "pairs": pairs, "avoid": sorted(avoid), "vertex": v},
+        )
+    if k == 1:
+        return "trivial_pair", 0
+    if d <= 4:
+        return "base", 0
+    if avoid or k < (d + 1) // 2:
+        return "projection", 0
+    if d % 2 == 0:
+        return "even_menger", 0
+    if all(s ^ t == free for s, t in pairs):
+        return "scenario1", 0
+    agree = ~(both ^ either) & free
+    if agree:
+        return "scenario2", agree & -agree
+    return "scenario3", 0
 
 
 def _solve(free: int, pairs: list, avoid: frozenset, trace: list) -> list:
@@ -528,8 +529,7 @@ def _solve(free: int, pairs: list, avoid: frozenset, trace: list) -> list:
     dimension d, holding every terminal and avoid vertex) avoiding `avoid`;
     legal when _within_budget(d, k, |avoid|).  Paths come back oriented,
     path i running pairs[i][0] -> [1]."""
-    _solve_contract_check(free, pairs, avoid)
-    label = _construction(free, pairs, avoid)
+    label, b = _construction(free, pairs, avoid)
     trace.append(f"Q{free.bit_count()}:{label}")
     if label == "trivial_pair":
         s, t = pairs[0]
@@ -548,7 +548,7 @@ def _solve(free: int, pairs: list, avoid: frozenset, trace: list) -> list:
     elif label == "scenario1":
         paths = _scenario1(free, pairs, trace)
     elif label == "scenario2":
-        paths = _scenario2(free, pairs, trace)
+        paths = _scenario2(free, pairs, b, trace)
     else:
         paths = _scenario3(free, pairs, trace)
     if SELF_CHECK:
@@ -571,14 +571,6 @@ def _in_facet(free: int, b: int, v: int, pairs: list, avoid: frozenset,
             path = path + [t]
         out.append(path)
     return out
-
-
-def _common_coord(free: int, X: list) -> int:
-    """The lowest free bit on which every vertex of X (nonempty) agrees, as
-    a one-bit mask, or 0 when there is none: the lowest free bit set in the
-    AND of X or the AND of complements."""
-    agree = (reduce(and_, X) | ~reduce(or_, X)) & free
-    return agree & -agree
 
 
 # ---------------------------------------------------------------------------
@@ -725,13 +717,11 @@ def _scenario1(free: int, pairs: list, trace: list) -> list:
 # Scenario 2: all terminals in one facet
 
 
-def _scenario2(free: int, pairs: list, trace: list) -> list:
-    """Every terminal has the same value at bit b.  Join the first pair that
-    routes inside that facet around the other terminals; solve the rest on
-    the terminals' mirror images in the opposite facet."""
-    X = _terminals(pairs)
-    b = _common_coord(free, X)
-    others = set(X)
+def _scenario2(free: int, pairs: list, b: int, trace: list) -> list:
+    """Every terminal has the same value at the free bit b.  Join the first
+    pair that routes inside that facet around the other terminals; solve
+    the rest on the terminals' mirror images in the opposite facet."""
+    others = set(_terminals(pairs))
     # At most one pair can be blocked, so the first or second try succeeds.
     for idx, (s, t) in enumerate(pairs):
         path = _route(free ^ b, s, t, others - {s, t})
@@ -781,7 +771,7 @@ def _scenario3_context(free: int, pairs: list) -> tuple:
     d = free.bit_count()
     first = next(i for i, (s, t) in enumerate(pairs) if s ^ t != free)
     s1, t1 = pairs[first]
-    agree = ~(s1 ^ t1) & free  # _common_coord(free, [s1, t1])
+    agree = ~(s1 ^ t1) & free  # the free bits s1 and t1 agree on
     b = agree & -agree
     v = s1 & b
     rho = {}
@@ -863,10 +853,13 @@ def _build_omega(free: int, b: int, rho: dict, X_beta: tuple) -> dict:
 
 def scenario3_context(d: int, Y: Pairing) -> ScenarioContext:
     """The set-up _scenario3 builds for Y, without solving.  Handy for
-    inspecting the construction.  ValueError when Y runs another one."""
+    inspecting the construction.  ValueError when Y is no instance that
+    solve_linkage accepts, or when it runs another construction."""
+    _checked(d, Y, ())
+    check_supported("plain", d, Y.k, 0, Y)
     pairs = list(Y.pairs)
     free = (1 << d) - 1
-    label = _construction(free, pairs, frozenset())
+    label, _ = _construction(free, pairs, frozenset())
     if label != "scenario3":
         reason = {"scenario1": "all pairs antipodal",
                   "scenario2": "all terminals share a facet"}.get(
@@ -877,29 +870,23 @@ def scenario3_context(d: int, Y: Pairing) -> ScenarioContext:
 
 
 def _scenario3(free: int, pairs: list, trace: list) -> list:
-    k = len(pairs)
     # F is "x & b == v"
     _, b, v, first, _, _, _, Y_alpha, _, omega, S = _scenario3_context(free, pairs)
     s1, t1 = pairs[first]
 
     routed = set(Y_alpha) | {first}
+    out = {i: list(pairs[i]) for i in Y_alpha}
     M: dict = {}  # terminal -> its entry path into F^o
-    for i in range(k):
+    complete, open_idx = [], []
+    for i, (s, t) in enumerate(pairs):
         if i in routed:
             continue
-        for x in pairs[i]:
+        for x in (s, t):
             if x & b != v:
                 M[x] = [x]
             else:
                 wx = omega[x]
                 M[x] = [x, x ^ b] if wx == x else [x, wx, wx ^ b]
-
-    out = {i: list(pairs[i]) for i in Y_alpha}
-    complete, open_idx = [], []
-    for i in range(k):
-        if i in routed:
-            continue
-        s, t = pairs[i]
         if M[s][-1] == t:
             out[i] = M[s]
             complete.append(i)
@@ -971,25 +958,27 @@ def solve_strong(d: int, Y: Pairing, x: int) -> SolveResult:
 def solve_link(d_plus_1: int, v: int, Y: Pairing) -> SolveResult:
     """A Y-linkage in Q_{d+1} minus {v, opposite(v)}: the link of v, in the
     range check_supported("link", d_plus_1, k) accepts.  When 2k + 2 <=
-    d_plus_1 + 1 this is solve_avoiding on the two removed vertices; only
-    the tight even case k = d_plus_1 / 2 needs the link construction.
+    d_plus_1 + 1 the uniform solver takes the two removed vertices as its
+    avoid set, as solve_avoiding would; only the tight even case k =
+    d_plus_1 / 2 needs the link construction.
     """
     cube_core.check_dim(d_plus_1)
     vo = opposite(d_plus_1, cube_core.check_vertex(d_plus_1, v))
     check_supported("link", d_plus_1, Y.k)
-    if _within_budget(d_plus_1, Y.k, 2):
-        return solve_avoiding(d_plus_1, Y, {v, vo})
     removed = _checked(d_plus_1, Y, {v, vo})
     pairs = list(Y.pairs)
-    X = _terminals(pairs)
     free = (1 << d_plus_1) - 1
-    b = _free_direction(free, set(X))
-    on_v_side = sum(1 for x in X if x & b == v & b)
-    construct = _link_one_side if on_v_side in (0, len(X)) else _link_two_sides
     trace: list = []
-    paths = construct(free, v, vo, pairs, b, trace)
-    if SELF_CHECK:
-        _self_check(free, pairs, removed, paths)
+    if _within_budget(d_plus_1, Y.k, 2):
+        paths = _solve(free, pairs, removed, trace)
+    else:
+        X = _terminals(pairs)
+        b = _free_direction(free, set(X))
+        on_v_side = sum(1 for x in X if x & b == v & b)
+        construct = _link_one_side if on_v_side in (0, len(X)) else _link_two_sides
+        paths = construct(free, v, vo, pairs, b, trace)
+        if SELF_CHECK:
+            _self_check(free, pairs, removed, paths)
     return SolveResult(link_graph(d_plus_1, v), Y, paths, tuple(trace))
 
 

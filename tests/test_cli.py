@@ -328,6 +328,18 @@ class TestCertifyAndSuite:
             assert code == 0
             assert obj["strong"] is strong
 
+    def test_bench_has_no_timing_flag(self, capsys):
+        # every field but the instance's own is timing, so there is nothing
+        # for --timing to switch on
+        code, out, err = invoke(capsys, "bench", "--host", "cube:5", "--k", "3",
+                                "--samples", "2", "--timing")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --timing" in err
+        code, _, _ = invoke(capsys, "bench", "--host", "cube:5", "--k", "3",
+                            "--samples", "2", "--format", "text")
+        assert code == 0
+
     def test_suite_needs_a_positive_sample_count(self, capsys):
         for name, samples in (("separator_structure", "-3"),
                               ("omega_conditions", "0")):

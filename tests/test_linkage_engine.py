@@ -33,7 +33,6 @@ from cubelink.path_oracle import (
 from cubelink.linkage_engine import (
     UnsupportedInstanceError,
     _astar,
-    _common_coord,
     _construction,
     _descent,
     _facet_routes,
@@ -187,7 +186,7 @@ class TestPreconditions:
         assert info.value.context["vertex"] == 1
 
     def test_contract_check_rejects_colliding_terminals(self):
-        check_contract = linkage_engine._solve_contract_check
+        check_contract = _construction
         with pytest.raises(InvariantError, match="colliding terminals") as info:
             check_contract((1 << 5) - 1, [(0, 3), (3, 5)], frozenset())
         assert info.value.context == {"d": 5, "pairs": [(0, 3), (3, 5)], "avoid": []}
@@ -196,7 +195,7 @@ class TestPreconditions:
         assert info.value.context == {"d": 5, "pairs": [(0, 3), (5, 6)], "avoid": [5]}
 
     def test_contract_check_rejects_instances_over_budget(self):
-        check_contract = linkage_engine._solve_contract_check
+        check_contract = _construction
         for free, pairs, avoid, k in [
                 ((1 << 5) - 1, [(0, 31), (1, 30), (2, 29), (4, 27)], frozenset(), 4),
                 ((1 << 5) - 1, [], frozenset(), 0),
@@ -211,7 +210,7 @@ class TestPreconditions:
         # The face's fixed bits are the first terminal's.  The vertex named
         # is the first one off the face in pair order, then in the avoid
         # set's iteration order, whichever other vertices are off it too.
-        check_contract = linkage_engine._solve_contract_check
+        check_contract = _construction
         for free, pairs, avoid, vertex in [
                 (0b111110, [(0, 6), (3, 5)], frozenset({7}), 3),
                 (0b111110, [(0, 6), (2, 12)], frozenset({1}), 1),
@@ -222,6 +221,15 @@ class TestPreconditions:
             assert info.value.context == {"free": free, "pairs": pairs,
                                           "avoid": sorted(avoid), "vertex": vertex}
         check_contract(0b11111110, [(0, 6), (2, 12)], frozenset({64, 8, 2 | 1 << 7}))
+
+    def test_construction_matches_pinned_digest(self):
+        rows = [list(_construction(free, pairs, avoid))
+                for free, pairs, avoid in _contract_stream()]
+        assert dict(Counter(label for label, _ in rows)) == PINNED_CONSTRUCTION_LABELS
+        assert all(b == 0 for label, b in rows if label != "scenario2")
+        digest = hashlib.sha256(
+            json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+        assert digest == PINNED_CONSTRUCTION_DIGEST
 
     def test_self_check_rejects_a_path_leaving_its_face(self):
         # a valid path of Q3, but 1, 3 and 7 leave the face "bit 0 == 0"
@@ -308,6 +316,50 @@ PINNED_CONTEXT_MOVED = 85
 PINNED_CONTEXT_DIGEST = "320166978fb10e29626244c6db7d50fe9555a9ec11fb81ad1664c0d58102dec7"
 
 
+def _contract_stream():
+    """Seeded contract instances (free, pairs, avoid) on d-dimensional faces
+    of Q_D, d = 2..13 and D up to d + 3.  Odd draws take any k and avoid
+    size the budget allows; even draws with odd d >= 5 are tight and
+    avoid-free, a third of them confined to one facet of a random free bit
+    and a third all antipodal, so every label and many scenario2 bits come
+    up."""
+    rng = random.Random("contract/stream")
+    out = []
+    for d in range(2, 14):
+        for i in range(120):
+            D = d + rng.randrange(4)
+            free = sum(1 << c for c in rng.sample(range(D), d))
+            base = rng.getrandbits(D) & ~free
+            tight = d % 2 == 1 and d >= 5 and i % 2 == 0
+            if tight:
+                k, a = (d + 1) // 2, 0
+            else:
+                k = 1 if d == 3 else rng.randint(1, (d + 1) // 2)
+                a = rng.randint(0, d + 1 - 2 * k)
+            shared = rng.choice([c for c in range(D) if free >> c & 1])
+            side = rng.getrandbits(1) << shared
+            vertices: list = []
+            while len(vertices) < 2 * k + a:
+                x = base | rng.getrandbits(D) & free
+                if tight and i % 6 == 0:
+                    x = x & ~(1 << shared) | side
+                new = [x, x ^ free] if tight and i % 6 == 2 else [x]
+                if not set(new) & set(vertices):
+                    vertices += new
+            pairs = list(zip(vertices[:2 * k:2], vertices[1:2 * k:2]))
+            out.append((free, pairs, frozenset(vertices[2 * k:])))
+    return out
+
+
+# Recorded when the contract check, the classifier and the scenario2 bit
+# were three functions: the label, and the bit for scenario2 (else 0).
+PINNED_CONSTRUCTION_LABELS = {
+    "base": 66, "even_menger": 66, "projection": 492, "scenario1": 100,
+    "scenario2": 104, "scenario3": 157, "trivial_pair": 455}
+PINNED_CONSTRUCTION_DIGEST = (
+    "6c41e38cd409a8e37428bccc740432ed7d12c51b69790d72ffd5380d40b91bc2")
+
+
 class TestScenario3Context:
     def test_frozen_fields(self):
         ctx = scenario3_context(5, Pairing(((0, 31), (1, 30), (2, 28))))
@@ -369,6 +421,13 @@ class TestScenario3Context:
     def test_rejects_common_facet(self):
         with pytest.raises(ValueError):
             scenario3_context(5, Pairing(((0, 3), (1, 2), (4, 8))))
+
+    def test_rejects_input_out_of_range(self):
+        # checked as solve_linkage checks it, before any classification
+        with pytest.raises(ValueError, match="vertex -7 outside Q_5"):
+            scenario3_context(5, Pairing(((0, -7), (1, 2), (3, 12))))
+        with pytest.raises(ValueError, match="Q5 supports k <= 3 pairs, got k = 4"):
+            scenario3_context(5, Pairing(((0, 3), (5, 6), (9, 12), (17, 24))))
 
     def test_rejects_other_constructions(self):
         with pytest.raises(ValueError, match="even_menger"):
@@ -474,6 +533,20 @@ class TestLink:
         with pytest.raises(ValueError):
             solve_link(6, 0, Pairing(((63, 3),)))
 
+    def test_errors_come_in_a_fixed_order(self):
+        # the dimension, the apex, the link's pair bound, then the terminals
+        # and the removed vertices, whichever else is wrong too
+        for D, v, pairs, message in [
+                (0, 99, ((1, 200),), "dimension 0 outside"),
+                (4, 99, ((1, 200), (4, 8)), "vertex 99 outside Q_4"),
+                (4, 0, ((1, 200), (4, 8)), "link hosts need dimension 3"),
+                (6, 0, ((1, 200), (4, 8), (16, 32), (3, 5)), "supports k <= 3"),
+                (6, 0, ((1, 200), (4, 63)), "vertex 200 outside Q_6"),
+                (6, 0, ((1, 2), (4, 63)), "forbidden vertex 63 is a terminal"),
+                (6, 0, ((1, 2), (4, 8), (16, 63)), "forbidden vertex 63 is a terminal")]:
+            with pytest.raises(ValueError, match=message):
+                solve_link(D, v, Pairing(pairs))
+
 
 class TestEngineProperties:
     @settings(max_examples=60, deadline=None)
@@ -498,7 +571,8 @@ class TestEngineProperties:
         pairs = list(zip(picks[:2 * k:2], picks[1:2 * k:2]))
         avoid = frozenset(picks[2 * k:])
         res = check(solve_avoiding(d, Pairing(tuple(pairs)), avoid))
-        assert res.trace[0] == f"Q{d}:{_construction((1 << d) - 1, pairs, avoid)}"
+        label, _ = _construction((1 << d) - 1, pairs, avoid)
+        assert res.trace[0] == f"Q{d}:{label}"
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -815,25 +889,39 @@ class TestRouting:
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_common_coord_matches_definition(self, data):
-        d = data.draw(st.integers(1, 20))
-        X = data.draw(st.lists(st.integers(0, (1 << d) - 1),
-                               min_size=1, max_size=2 * d + 2, unique=True))
-        if data.draw(st.booleans()):
-            # confine X to the facet "bit c == value"
+    def test_scenario2_bit_matches_definition(self, data):
+        # tight odd instances, so that only an agreeing bit (scenario2) or
+        # all pairs antipodal (scenario1) stops scenario3
+        d = data.draw(st.sampled_from(range(5, 20, 2)))
+        forced = data.draw(st.booleans())
+        X = data.draw(st.lists(st.integers(0, (1 << d - forced) - 1),
+                               min_size=d + 1, max_size=d + 1, unique=True))
+        if forced:
+            # confine X to the facet "bit c == value": insert that bit at c
             c = data.draw(st.integers(0, d - 1))
             value = data.draw(st.integers(0, 1))
-            X = [x & ~(1 << c) | value << c for x in X]
+            X = [x >> c << c + 1 | value << c | x & (1 << c) - 1 for x in X]
         naive = next((c for c in range(d) if len({x >> c & 1 for x in X}) == 1),
                      None)
-        assert _common_coord((1 << d) - 1, X) == (0 if naive is None else 1 << naive)
+        label, b = _construction((1 << d) - 1, list(zip(X[::2], X[1::2])),
+                                 frozenset())
+        assert (label == "scenario2") == (naive is not None)
+        assert b == (0 if naive is None else 1 << naive)
 
-    def test_common_coord_edge_cases(self):
-        assert _common_coord((1 << 7) - 1, [93]) == 1 << 0
-        assert _common_coord((1 << 6) - 1, [5, 5 ^ 63]) == 0
-        assert _common_coord((1 << 20) - 1, [0, (1 << 20) - 1, 12345]) == 0
-        assert _common_coord((1 << 5) - 1, [0b10110, 0b11111, 0b10010]) == 1 << 1
-        assert _common_coord((1 << 20) - 1, [1 << 19, 3 << 18]) == 1 << 0
+    def test_scenario2_bit_edge_cases(self):
+        def bit(free, X):
+            label, b = _construction(free, list(zip(X[::2], X[1::2])), frozenset())
+            assert label in ("scenario2", "scenario3")
+            return b
+
+        assert bit((1 << 7) - 1, [93] + list(range(1, 15, 2))) == 1 << 0
+        assert bit((1 << 7) - 1, [5, 5 ^ 127] + list(range(6, 12))) == 0
+        assert bit((1 << 19) - 1, [0, (1 << 19) - 1, 12345] + list(range(1, 18))) == 0
+        assert bit((1 << 5) - 1, [0b10110, 0b11111, 0b10010, 0b00011, 0b00110,
+                                  0b01010]) == 1 << 1
+        # a face of Q20 with bit 17 fixed at 0
+        assert bit((1 << 20) - 1 ^ 1 << 17,
+                   [1 << 19, 3 << 18] + list(range(2, 38, 2))) == 1 << 0
 
     def test_engine_owns_its_routing(self):
         # path_oracle stays independent ground truth: the engine keeps only
