@@ -9,7 +9,10 @@ a linkage is invalid, or a certification run records failures; 2 for usage
 problems, including malformed JSON (reported with line and column); 3 for
 internal invariant failures, which also write a replayable dump to a temp
 file, and for exhausted search budgets; 141 (128 + SIGPIPE), with no
-message, when the reader of stdout closes it early.
+message, when the reader of stdout closes it early.  The solve commands,
+and decide on a linked verdict, validate the linkage against the
+command's host and pairing before printing it; an invalid one is an
+internal failure (exit 3, nothing on stdout).
 
 Vertices are binary strings, most significant coordinate first; pair lists
 look like "00000:11111,00001:11110"; avoid lists are comma separated.  An
@@ -66,6 +69,7 @@ from .path_oracle import (
     host_to_json,
     linkage_from_json,
     linkage_to_json,
+    pairing_to_json,
     parse_instance,
     pyramid2_quad,
     validate_linkage,
@@ -135,6 +139,19 @@ def _result_json(result: SolveResult, args, wall: float) -> dict:
     return out
 
 
+def _validated(G, Y: Pairing, linkage: list, source: str) -> None:
+    """Return when validate_linkage accepts the linkage for the command's
+    host G and pairing Y; otherwise raise InvariantError, so the command
+    prints nothing, exits 3 and dumps the host, the pairs and the failing
+    clause for replay."""
+    report = validate_linkage(G, Y, linkage)
+    if not report:
+        raise InvariantError(
+            f"{source} returned an invalid linkage: {report.clause}: {report.message}",
+            {"host": host_to_json(G), "pairs": pairing_to_json(G, Y),
+             "clause": report.clause, "witness": report.witness})
+
+
 def _print_solve(result: SolveResult, args, wall: float) -> None:
     if args.format == "text":
         print("trace:", " ".join(result.trace))
@@ -182,6 +199,7 @@ def _cmd_solve(args) -> int:
     if not isinstance(host, CubeGraph):
         raise ValueError("solve expects a cube host")
     result = solve_avoiding(host.d, Y, host.removed)
+    _validated(host, Y, result.linkage, "the engine")
     _print_solve(result, args, time.perf_counter() - start)
     return 0
 
@@ -192,6 +210,7 @@ def _cmd_strong_solve(args) -> int:
     if not isinstance(host, CubeGraph) or len(host.removed) != 1:
         raise ValueError("strong-solve expects a cube host with one forbidden vertex")
     result = solve_strong(host.d, Y, next(iter(host.removed)))
+    _validated(host, Y, result.linkage, "the engine")
     _print_solve(result, args, time.perf_counter() - start)
     return 0
 
@@ -208,6 +227,7 @@ def _cmd_link_solve(args) -> int:
     if apex not in (a, b):
         raise ValueError("--apex must be one of the removed vertices")
     result = solve_link(host.d, apex, Y)
+    _validated(host, Y, result.linkage, "the engine")
     _print_solve(result, args, time.perf_counter() - start)
     return 0
 
@@ -217,10 +237,10 @@ def _cmd_decide(args) -> int:
     start = time.perf_counter()
     outcome = decide_linked(G, Y, budget=_budget(args))
     wall = time.perf_counter() - start
-    out = {"host": host_to_json(G), "pairs": [[G.format_vertex(s), G.format_vertex(t)]
-                                              for s, t in Y.pairs],
+    out = {"host": host_to_json(G), "pairs": pairing_to_json(G, Y),
            "status": outcome.status, "nodes_used": outcome.nodes_used}
     if outcome.status == LINKED:
+        _validated(G, Y, outcome.linkage, "the oracle")
         out["paths"] = linkage_to_json(G, outcome.linkage)
     certificate = None
     if (outcome.status == UNLINKED and isinstance(G, CubeGraph)

@@ -34,6 +34,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import filterfalse
 from typing import Iterable, Mapping, Union
 
 from . import cube_core
@@ -625,59 +626,20 @@ def _bitset_view(G: HostGraph):
     return position.__getitem__, expand, usable
 
 
-def _cube_walk(v: int, t: int, allowed: int, trail: list | None = None) -> bool:
-    """Does a monotone v-t walk in Q_d through ``allowed`` arrive?
-
-    Each step flips the lowest bit where the walk and t still differ whose
-    flip lands on an allowed vertex; v itself need not be allowed.  A walk
-    that arrives is a shortest v-t path.  It never backtracks, so False
-    proves nothing: this greedy walk met a vertex with every closer
-    neighbour disallowed.  ``trail``, if given, gets each vertex stepped on.
-    """
-    differ = v ^ t
-    while differ:
-        rest = differ
-        while True:
-            if not rest:
-                return False
-            bit = rest & -rest
-            if allowed >> (v ^ bit) & 1:
-                break
-            rest ^= bit
-        v ^= bit
-        differ ^= bit
-        if trail is not None:
-            trail.append(v)
+def _grows_to(index, expand, s: Vertex, t: Vertex, allowed: int) -> bool:
+    """Is there an s-t path whose vertices after s lie in ``allowed``?
+    ``index`` and ``expand`` come from ``_bitset_view``.  Grows s's reachable
+    set from its newest layer until it meets t or a layer comes out empty;
+    every older vertex had its neighbours added when it was new, so each
+    step costs O(layer) on a graph host."""
+    reach = layer = 1 << index(s)
+    goal = 1 << index(t)
+    while not reach & goal:
+        layer = expand(layer, allowed) & ~reach
+        if not layer:
+            return False
+        reach |= layer
     return True
-
-
-def _cut_test(G: HostGraph, index, expand):
-    """``reaches(s, t, allowed)``: is there an s-t path whose vertices after
-    s all lie in ``allowed``?  ``index`` and ``expand`` come from
-    ``_bitset_view(G)``.
-
-    On a cube a ``_cube_walk`` that arrives answers yes after at most d^2
-    bit tests; only when it sticks does the answer come from growing s's
-    reachable set layer by layer through ``expand`` until it meets t or a
-    layer comes out empty.  A fixture host always grows the layers.
-    """
-    def grow(s: Vertex, t: Vertex, allowed: int) -> bool:
-        reach = layer = 1 << index(s)
-        goal = 1 << index(t)
-        while not reach & goal:
-            layer = expand(layer, allowed) & ~reach
-            if not layer:
-                return False
-            reach |= layer
-        return True
-
-    if not isinstance(G, CubeGraph):
-        return grow
-
-    def reaches(s: int, t: int, allowed: int) -> bool:
-        return _cube_walk(s, t, allowed) or grow(s, t, allowed)
-
-    return reaches
 
 
 @lru_cache(maxsize=4096)
@@ -701,7 +663,7 @@ def _toward(G: HostGraph, t: Vertex):
 
     Returns a function of the path's end.  On a cube the distance is the
     Hamming distance and the order is one ``_cube_steps`` table lookup; it
-    lists removed vertices too, which the caller's free mask filters out.
+    lists removed vertices too, which the caller's option filter skips.
     On a fixture host the distance is the BFS distance to t in G, with
     vertices that cannot reach t last, and each call sorts the neighbours.
     """
@@ -720,6 +682,97 @@ def _toward(G: HostGraph, t: Vertex):
     return lambda cur: sorted(G.neighbors(cur), key=lambda w: (dist.get(w, far), w))
 
 
+def _cube_walk(d: int, v: int, t: int, used, blocked) -> list:
+    """The vertices a monotone v-t walk in Q_d steps on, in order; it
+    arrived when the last one is t.
+
+    Each step goes to the first neighbour in ``_cube_steps`` order, the
+    order in which decide_linked tries a path end's neighbours, that lies
+    in neither ``used`` nor ``blocked``, provided that neighbour is one step
+    closer to t; v itself may be in either set.  So the walk flips the bits
+    where it differs from t, those set at v first, highest first, then
+    those clear at v, lowest first, skipping flips onto barred vertices, and
+    the search's first option at v is the walk's first step.  A walk that
+    arrives is a shortest v-t path.  It never backtracks, so a walk that
+    sticks proves nothing: it met a vertex with every closer neighbour
+    barred.  Each probe is two set lookups, whatever d is.
+    """
+    trail = []
+    while v != t:
+        for w in _cube_steps(d, v, t):
+            if w not in used and w not in blocked:
+                break
+        else:
+            break
+        if not (w ^ v) & (v ^ t):  # the first free neighbour is no closer
+            break
+        trail.append(w)
+        v = w
+    return trail
+
+
+def _cube_witness(d: int, s: int, t: int, used, blocked) -> list | None:
+    """A path from s to t in Q_d whose vertices after s lie in neither
+    ``used`` nor ``blocked``, as the list of those vertices, or None when
+    these walks find none (which proves nothing).
+
+    A ``_cube_walk``; where it sticks, at v, one step from v onto each free
+    neighbour u in ``_cube_steps`` order (the closer ones are barred), each
+    followed by a second walk from u that also avoids s and the first
+    walk.  The search, stuck at v too, tries those neighbours in the same
+    order, so the path it finds is still the one the search walks first.
+    """
+    trail = _cube_walk(d, s, t, used, blocked)
+    if trail and trail[-1] == t:
+        return trail
+    v = trail[-1] if trail else s
+    off = blocked.union(trail, (s,))
+    for u in _cube_steps(d, v, t):
+        if u not in used and u not in off:
+            rest = _cube_walk(d, u, t, used, off)
+            if rest and rest[-1] == t:
+                return trail + [u] + rest
+    return None
+
+
+def _reacher(G: HostGraph, targets: list, blocked: list):
+    """``reach(j, s, used, node)``: can s still reach ``targets[j]`` through
+    vertices in neither ``used`` nor ``blocked[j]``?  None when it cannot;
+    otherwise a witness, the vertices after s of such a path, or an empty
+    list when the test proved reachability without one.
+
+    On a cube ``_cube_witness`` answers first, with set lookups only.  Only
+    when it finds no path, and on every test on a fixture host, does
+    ``_grows_to`` answer on bitsets.  The view (``_bitset_view``) is built
+    on the first such test, a pair's mask of barred vertices on that pair's
+    first, and the mask of ``used`` once per search ``node``, shared by
+    that node's tests.  So a search whose walks all arrive builds no 2^d-bit
+    int.
+    """
+    cube_dim = G.d if isinstance(G, CubeGraph) else None
+    view = None
+    masks = [None] * len(targets)
+    mask_node, used_mask = None, 0
+
+    def reach(j: int, s: Vertex, used: set, node: int) -> list | None:
+        nonlocal view, mask_node, used_mask
+        t = targets[j]
+        if cube_dim is not None:
+            trail = _cube_witness(cube_dim, s, t, used, blocked[j])
+            if trail is not None:
+                return trail
+        if view is None:
+            view = _bitset_view(G)
+        index, expand, usable = view
+        if masks[j] is None:
+            masks[j] = sum(map((1).__lshift__, map(index, blocked[j])))
+        if node != mask_node:
+            mask_node, used_mask = node, sum(map((1).__lshift__, map(index, used)))
+        return [] if _grows_to(index, expand, s, t, usable & ~(used_mask | masks[j])) else None
+
+    return reach
+
+
 def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -> DecideOutcome:
     """Exact backtracking decision: is the pairing linked in G?
 
@@ -730,30 +783,36 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
     at the target, highest first, then bits clear at the end and set at the
     target, lowest first; so the first path tried is a straight descent
     whenever nothing blocks it.  A cube reads this order from a cached
-    table (``_cube_steps``) and keeps the neighbours in the free mask; a
-    graph host sorts by BFS distance.  Pruning is sound: a partial state is
-    abandoned when some unfinished pair has its endpoints separated in the
-    graph minus the vertices already used and minus all other terminals
-    (terminals of other pairs can never lie on a pair's path, since each is
-    an endpoint of its own path in any linkage).  The node budget turns
-    oversize searches into an explicit BUDGET_EXCEEDED outcome; it is never
-    reported as UNLINKED.
+    table (``_cube_steps``); a graph host sorts by BFS distance.  Pruning is
+    sound: a partial state is abandoned when some unfinished pair has its
+    endpoints separated in the graph minus the vertices already used and
+    minus all other terminals (terminals of other pairs can never lie on a
+    pair's path, since each is an endpoint of its own path in any linkage).
+    The node budget turns oversize searches into an explicit BUDGET_EXCEEDED
+    outcome; it is never reported as UNLINKED.
 
-    The separation test (``_cut_test``) is exact reachability on bitsets
-    (``_bitset_view``): a vertex set is one int, and the used vertices and
-    the terminals are masks kept alongside the paths.  On a cube it first
-    tries a witness, a monotone walk (``_cube_walk``) from the pair's start
-    (the path's end for the pair being routed, the source for later pairs)
-    that flips differing bits onto allowed vertices only; a walk that
-    arrives is a path, so the pair is not cut.  Only a walk that sticks,
-    and every test on a fixture host, grows the start's reachable set from
-    its newest layer, by whole coordinate sweeps (cubes) or adjacency masks
-    (fixtures), until it meets the far endpoint or a layer comes out empty.
-    Every older vertex had its neighbours added when it was new, so this is
-    the same exact reachability at O(layer) cost per step on a graph host.
-    Either way the test returns the same boolean, so the walk moves no node
-    count, witness or verdict.  The search itself is iterative: an explicit
-    stack holds, for each path vertex, the neighbors still to try, so
+    The separation test is incremental.  Each unfinished pair keeps a
+    witness: the rest of a path from its start (the path's end for the pair
+    being routed, the source for later pairs) to its target, clear of the
+    used vertices and of the other terminals.  A node re-tests a pair only
+    when it has no witness from its current start.  A step onto w cuts each
+    witness through w down to the part after w, a witness from w: the
+    routed pair keeps it when w was the witness's next vertex, and any
+    other pair, whose start is not w, is re-tested.  Backtracking drops no
+    witness, since it only frees vertices.  On a cube a re-test
+    (``_reacher``) first walks to the target (``_cube_witness``), flipping
+    bits in the order the search tries neighbours, so the search's first
+    option is the witness's next vertex and a free descent never re-tests.
+    The used vertices and each pair's barred vertices are sets, so the
+    walks and the option filter cost O(1) per probe whatever d is.  Only
+    when the walks find no path, and on every re-test on a fixture host,
+    does the test grow the start's reachable set on bitsets
+    (``_bitset_view``), 2^d-bit ints on a cube, with the mask of the used
+    vertices built once per node; a pair proved reachable that way has no
+    witness and is re-tested at the next node.  Every test answers exact
+    reachability, so witnesses move no node count, linkage or verdict.  The
+    search itself is iterative: an explicit stack holds, for each path
+    vertex, the neighbors still to try, filtered as they are drawn, so
     witness length is bounded by memory, not by Python's recursion limit.
     Each search node is one extension step of one path (``nodes_used``
     counts them), and reaching a pair's target starts the next pair.
@@ -762,28 +821,27 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
         if not G.has_vertex(v):
             raise ValueError(f"terminal {v!r} is not a usable vertex of the host")
     k = Y.k
-    index, expand, usable = _bitset_view(G)
-    reaches = _cut_test(G, index, expand)
     sources = [s for s, _ in Y.pairs]
     targets = [t for _, t in Y.pairs]
-    source_bits = [1 << index(s) for s in sources]
-    target_bits = [1 << index(t) for t in targets]
-    terminal_mask = sum(source_bits) + sum(target_bits)
-    # blocked[j]: the terminals a path of pair j may not pass through.
-    blocked = [terminal_mask ^ a ^ b for a, b in zip(source_bits, target_bits)]
+    terminals = frozenset(sources + targets)
+    # blocked[j]: the vertices a path of pair j may not pass through.
+    blocked = [terminals.difference(pair).union(G.removed) for pair in Y.pairs]
     steps = [_toward(G, t) for t in targets]
+    reach = _reacher(G, targets, blocked)
     order = tuple(range(k))
+    # witness[j]: the vertices after start[j] of a path to pair j's target,
+    # clear of used and blocked[j] while pair j is unfinished; None, or an
+    # empty list, when there is none.
+    start: list = [None] * k
+    witness: list = [None] * k
 
-    def feasible(i: int, cur: Vertex, used_bits: int) -> bool:
-        for j in range(i, k):
-            if not reaches(cur if j == i else sources[j], targets[j],
-                           usable & ~(used_bits | blocked[j])):
-                return False
-        return True
-
-    paths = [[sources[0]]]
-    used_bits = source_bits[0]
-    stack: list = []  # (pair, path length, untried neighbors) per open vertex
+    path = [sources[0]]
+    paths = [path]
+    used = {sources[0]}
+    # (pair, path length, untried neighbors) per open vertex.  The untried
+    # neighbours are filtered as they are drawn: whenever a frame is drawn
+    # from, the paths (so used) are the ones it was pushed with.
+    stack: list = []
     nodes = 0
     i, cur = 0, sources[0]
     while True:
@@ -795,30 +853,42 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
             if i == k:
                 return DecideOutcome(LINKED, [list(p) for p in paths], order, nodes)
             cur = sources[i]
-            paths.append([cur])
-            used_bits |= source_bits[i]
+            path = [cur]
+            paths.append(path)
+            used.add(cur)
             continue
-        free = usable & ~(used_bits | blocked[i])
-        if feasible(i, cur, used_bits):
-            options = [w for w in steps[i](cur) if free >> index(w) & 1]
-            stack.append((i, len(paths[i]), iter(options)))
-        # Backtrack to the deepest vertex with an untried neighbor.
-        while stack:
+        for j in range(i, k):  # re-test the pairs whose witness lapsed
+            s = cur if j == i else sources[j]
+            if not witness[j] or start[j] != s:
+                trail = reach(j, s, used, nodes)
+                if trail is None:
+                    cur = None
+                    break
+                start[j], witness[j] = s, trail
+        else:
+            options = filterfalse(used.__contains__, filterfalse(
+                blocked[i].__contains__, steps[i](cur)))
+            stack.append((i, len(path), options))
+            cur = next(options, None)
+        while cur is None:  # backtrack to the deepest vertex with an untried neighbor
+            if not stack:
+                return DecideOutcome(UNLINKED, None, order, nodes)
             i, depth, options = stack[-1]
             while len(paths) > i + 1:
-                for v in paths.pop():
-                    used_bits ^= 1 << index(v)
+                used.difference_update(paths.pop())
             path = paths[i]
-            while len(path) > depth:
-                used_bits ^= 1 << index(path.pop())
+            used.difference_update(path[depth:])
+            del path[depth:]
             cur = next(options, None)
-            if cur is not None:
-                break
-            stack.pop()
-        else:
-            return DecideOutcome(UNLINKED, None, order, nodes)
+            if cur is None:
+                stack.pop()
         path.append(cur)
-        used_bits |= 1 << index(cur)
+        used.add(cur)
+        for j in range(i, k):  # a witness through cur now runs from cur
+            trail = witness[j]
+            if trail and cur in trail:
+                del trail[:trail.index(cur) + 1]
+                start[j] = cur
 
 
 # ---------------------------------------------------------------------------

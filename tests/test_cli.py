@@ -10,7 +10,7 @@ import pytest
 
 import cubelink
 from cubelink import cli, linkage_engine
-from cubelink.path_oracle import InvariantError
+from cubelink.path_oracle import LINKED, DecideOutcome, InvariantError
 
 
 def invoke(capsys, *argv):
@@ -575,6 +575,58 @@ class TestFailureHandling:
         assert dump["error"] == "recursive instance leaves its face"
         assert dump["context"]["free"] == 0b111110
         assert dump["context"]["vertex"] == 126
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--dim", "9", "--pairs",
+         "011110011:010000101,101111010:111100101,"
+         "001000011:000001101,111100000:100001001"),
+        ("strong-solve", "--dim", "7", "--avoid", "0101000",
+         "--pairs", "1000001:1011011,0000111:1110111,0111111:0001101"),
+        ("link-solve", "--dim", "7",
+         "--pairs", "0000001:0001111,0110000:1010101,0000011:1100011"),
+    ], ids=["solve", "strong-solve", "link-solve"])
+    def test_invalid_engine_linkage_is_internal(self, capsys, monkeypatch, argv):
+        # the Q4 base drops the second vertex of its first path; with the
+        # engine's own self-check off, as a user runs it, the command must
+        # still not print that linkage
+        monkeypatch.setattr(linkage_engine, "SELF_CHECK", False)
+        real = linkage_engine._base
+        hits = []
+
+        def dropped(free, pairs, avoid):
+            first, *rest = real(free, pairs, avoid)
+            hits.append(first)
+            return [first[:1] + first[2:]] + rest
+
+        monkeypatch.setattr(linkage_engine, "_base", dropped)
+        code, out, err = invoke(capsys, *argv)
+        assert hits
+        assert (code, out) == (3, "")
+        assert "returned an invalid linkage" in err
+        path = err.split("replay dump:", 1)[1].strip()
+        with open(path) as fh:
+            dump = json.load(fh)
+        os.remove(path)
+        context = dump["context"]
+        assert context["host"]["type"] == "cube"
+        assert context["host"]["d"] == int(argv[2])
+        assert context["pairs"] == [p.split(":") for p in argv[-1].split(",")]
+        assert context["clause"] in ("ENDPOINTS", "ADJACENCY")
+
+    def test_invalid_oracle_witness_is_internal(self, capsys, monkeypatch):
+        def skipping(G, Y, budget):
+            (s, t), = Y.pairs
+            return DecideOutcome(LINKED, [[s, t]], (0,), 1)
+
+        monkeypatch.setattr(cli, "decide_linked", skipping)
+        code, out, err = invoke(capsys, "decide", "--dim", "3", "--pairs", "000:011")
+        assert (code, out) == (3, "")
+        path = err.split("replay dump:", 1)[1].strip()
+        with open(path) as fh:
+            dump = json.load(fh)
+        os.remove(path)
+        assert dump["context"]["clause"] == "ADJACENCY"
+        assert dump["context"]["pairs"] == [["000", "011"]]
 
     def test_unknown_command(self, capsys):
         code, _, err = invoke(capsys, "frobnicate")

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cubelink import path_oracle
+from cubelink.certifier import sample_instances
 from cubelink.cube_core import CubeGraph, link_graph
 from cubelink.path_oracle import (
     BUDGET_EXCEEDED,
@@ -572,29 +573,44 @@ def cut_cases(draw):
 
 
 class TestCutTest:
-    """The witness-first cut test answers exactly what a plain BFS does,
-    and every walk that arrives is a path of allowed vertices."""
+    """The incremental search's reachability test answers exactly what a
+    plain BFS does, and every witness it returns is a path of allowed
+    vertices; every walk that arrives is a shortest one."""
 
     @settings(max_examples=300, deadline=None)
     @given(cut_cases())
     def test_matches_avoid_path(self, case):
         G, s, t, used, blocked, start_used, detour = case
-        index, expand, usable = path_oracle._bitset_view(G)
-        allowed = usable & ~sum(1 << v for v in used | blocked)
-        if start_used:
-            allowed &= ~(1 << s)
-        want = avoid_path(G, s, t, used | blocked) is not None
-        assert path_oracle._cut_test(G, index, expand)(s, t, allowed) == want
-        trail = []
-        if path_oracle._cube_walk(s, t, allowed, trail):
+        used = set(used) | ({s} if start_used else set())
+        barred = blocked | G.removed
+        want = avoid_path(G, s, t, (used | blocked) - {s}) is not None
+        witness = path_oracle._reacher(G, [t], [barred])(0, s, used, 1)
+        assert (witness is not None) == want
+        if witness:
+            route = [s] + witness
+            assert route[-1] == t and len(set(route)) == len(route)
+            for a, b in zip(route, route[1:]):
+                assert (a ^ b).bit_count() == 1
+                assert G.has_vertex(b) and b not in used | blocked
+        trail = path_oracle._cube_walk(G.d, s, t, used, barred)
+        if trail and trail[-1] == t:
             walk = [s] + trail
-            assert walk[-1] == t
             assert len(walk) == (s ^ t).bit_count() + 1
             for a, b in zip(walk, walk[1:]):
                 assert (a ^ b).bit_count() == 1
                 assert G.has_vertex(b) and b not in used | blocked
         if detour:
             assert not trail and want
+
+    def test_free_descent_touches_no_bitset(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a free descent built a 2^d-bit set")
+
+        monkeypatch.setattr(path_oracle, "_bitset_view", refuse)
+        monkeypatch.setattr(path_oracle, "_cube_sweeps", refuse)
+        top = (1 << 20) - 1
+        out = decide_linked(CubeGraph(20), Pairing(((0, top), (1, top ^ 1))))
+        assert (out.status, out.nodes_used) == (LINKED, 42)
 
     def test_free_descent_builds_no_sweep_masks(self, monkeypatch):
         path_oracle._cube_sweeps.cache_clear()
@@ -744,12 +760,40 @@ class TestDecideGolden:
         assert _sha256(rows) == PINNED_DIGEST
 
     def test_antipodal_pairs_take_a_straight_descent(self):
-        for d, nodes in ((16, 34), (20, 42)):
+        for d, nodes in ((12, 26), (16, 34), (20, 42)):
             top = (1 << d) - 1
             out = decide_linked(CubeGraph(d), Pairing(((0, top), (1, top ^ 1))))
             assert out.status == LINKED
             assert len(out.linkage[0]) == d + 1
             assert out.nodes_used == nodes
+
+    # (host, k, strong, samples, seed): nodes and sha256 of [status, linkage]
+    # per instance, recorded with the search that tested every unfinished
+    # pair afresh at every node.
+    SAMPLED_PINS = (
+        ("cube:5", 3, False, 3000, 101, 32630,
+         "eafde87255f92a531201e3a366ea1e72de6b5e4b516a1bf2684afc618a5f49fa"),
+        ("cube:5", 2, True, 2000, 102, 14242,
+         "2b0f41cd40c9c529b6cfaebb5343f3fc419dbe6e5cc686c8ed5b94584def314c"),
+        ("link:6", 3, False, 1000, 103, 12164,
+         "ed89f8d14f4521f2d04aa3fb59566e55ba8f3edc81aa5f40c0feeb9a70f08d83"),
+        ("cube:6", 3, False, 1000, 104, 12320,
+         "21647910b480a7d729cce26f14a9182257f290fa4947b06003dd9248b07f69ef"),
+        ("pyramid2-quad", 2, True, 500, 105, 2096,
+         "f7d5ff52d4bf78439517b48c7ce0efd544f6e9d5af414fd7ec7f2245d76d8866"),
+    )
+
+    @pytest.mark.parametrize("host, k, strong, n, seed, nodes, digest", SAMPLED_PINS,
+                             ids=[f"{p[0]}-k{p[1]}" + "-strong" * p[2]
+                                  for p in SAMPLED_PINS])
+    def test_sampled_streams_match_pins(self, host, k, strong, n, seed, nodes, digest):
+        rows, total = [], 0
+        for inst in sample_instances(host, k, n, seed, strong=strong):
+            out = decide_linked(inst.host_graph(), inst.pairing)
+            rows.append([out.status, out.linkage])
+            total += out.nodes_used
+        assert total == nodes
+        assert _sha256(rows) == digest
 
     def test_long_bare_path_fixture(self):
         # One end-to-end pair on a 1,200-vertex path: the cut test at each
