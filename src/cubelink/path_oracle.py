@@ -735,39 +735,44 @@ def _cube_witness(d: int, s: int, t: int, used, blocked) -> list | None:
     return None
 
 
-def _reacher(G: HostGraph, targets: list, blocked: list):
-    """``reach(j, s, used, node)``: can s still reach ``targets[j]`` through
+def _reacher(G: HostGraph, pairs: tuple, blocked: list, moved: list):
+    """``reach(j, s, used)``: can s still reach pair j's target through
     vertices in neither ``used`` nor ``blocked[j]``?  None when it cannot;
     otherwise a witness, the vertices after s of such a path, or an empty
     list when the test proved reachability without one.
 
     On a cube ``_cube_witness`` answers first, with set lookups only.  Only
     when it finds no path, and on every test on a fixture host, does
-    ``_grows_to`` answer on bitsets.  The view (``_bitset_view``) is built
-    on the first such test, a pair's mask of barred vertices on that pair's
-    first, and the mask of ``used`` once per search ``node``, shared by
-    that node's tests.  So a search whose walks all arrive builds no 2^d-bit
-    int.
+    ``_grows_to`` answer on bitsets.  The view (``_bitset_view``) and each
+    pair's mask of barred vertices are built on the first such test.  The
+    mask of ``used`` starts empty and flips, at each such test, the
+    vertices the search logged in ``moved`` as joining or leaving ``used``
+    since the last one; the test then empties the log.  So a search whose
+    walks all arrive builds no 2^d-bit int, and the mask costs one shift
+    per logged step, not one per used vertex.
     """
     cube_dim = G.d if isinstance(G, CubeGraph) else None
-    view = None
-    masks = [None] * len(targets)
-    mask_node, used_mask = None, 0
+    view = masks = None
+    used_mask = 0
 
-    def reach(j: int, s: Vertex, used: set, node: int) -> list | None:
-        nonlocal view, mask_node, used_mask
-        t = targets[j]
+    def reach(j: int, s: Vertex, used: set) -> list | None:
+        nonlocal view, masks, used_mask
+        t = pairs[j][1]
         if cube_dim is not None:
             trail = _cube_witness(cube_dim, s, t, used, blocked[j])
             if trail is not None:
                 return trail
         if view is None:
             view = _bitset_view(G)
+            index = view[0]
+            ends = [1 << index(a) | 1 << index(b) for a, b in pairs]
+            # blocked[0] and pair 0's ends: every terminal and removed vertex
+            barred = sum(map((1).__lshift__, map(index, blocked[0]))) | ends[0]
+            masks = [barred ^ e for e in ends]
         index, expand, usable = view
-        if masks[j] is None:
-            masks[j] = sum(map((1).__lshift__, map(index, blocked[j])))
-        if node != mask_node:
-            mask_node, used_mask = node, sum(map((1).__lshift__, map(index, used)))
+        for v in moved:
+            used_mask ^= 1 << index(v)
+        moved.clear()
         return [] if _grows_to(index, expand, s, t, usable & ~(used_mask | masks[j])) else None
 
     return reach
@@ -827,7 +832,10 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
     # blocked[j]: the vertices a path of pair j may not pass through.
     blocked = [terminals.difference(pair).union(G.removed) for pair in Y.pairs]
     steps = [_toward(G, t) for t in targets]
-    reach = _reacher(G, targets, blocked)
+    # moved: the vertices that joined or left used since the last sweep.
+    # Only a sweep's "cut" leads to a backtrack, so it stays O(|V|) long.
+    moved = [sources[0]]
+    reach = _reacher(G, Y.pairs, blocked, moved)
     order = tuple(range(k))
     # witness[j]: the vertices after start[j] of a path to pair j's target,
     # clear of used and blocked[j] while pair j is unfinished; None, or an
@@ -856,11 +864,12 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
             path = [cur]
             paths.append(path)
             used.add(cur)
+            moved.append(cur)
             continue
         for j in range(i, k):  # re-test the pairs whose witness lapsed
             s = cur if j == i else sources[j]
             if not witness[j] or start[j] != s:
-                trail = reach(j, s, used, nodes)
+                trail = reach(j, s, used)
                 if trail is None:
                     cur = None
                     break
@@ -875,15 +884,20 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
                 return DecideOutcome(UNLINKED, None, order, nodes)
             i, depth, options = stack[-1]
             while len(paths) > i + 1:
-                used.difference_update(paths.pop())
+                gone = paths.pop()
+                used.difference_update(gone)
+                moved += gone
             path = paths[i]
-            used.difference_update(path[depth:])
+            gone = path[depth:]
+            used.difference_update(gone)
+            moved += gone
             del path[depth:]
             cur = next(options, None)
             if cur is None:
                 stack.pop()
         path.append(cur)
         used.add(cur)
+        moved.append(cur)
         for j in range(i, k):  # a witness through cur now runs from cur
             trail = witness[j]
             if trail and cur in trail:

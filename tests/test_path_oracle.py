@@ -584,7 +584,7 @@ class TestCutTest:
         used = set(used) | ({s} if start_used else set())
         barred = blocked | G.removed
         want = avoid_path(G, s, t, (used | blocked) - {s}) is not None
-        witness = path_oracle._reacher(G, [t], [barred])(0, s, used, 1)
+        witness = path_oracle._reacher(G, ((s, t),), [barred], list(used))(0, s, used)
         assert (witness is not None) == want
         if witness:
             route = [s] + witness
