@@ -614,6 +614,36 @@ class TestCutTest:
         out = decide_linked(CubeGraph(20), Pairing(((0, top), (1, top ^ 1))))
         assert (out.status, out.nodes_used) == (LINKED, 42)
 
+    def test_sweeps_see_exactly_the_used_vertices(self, monkeypatch):
+        # the sweep's mask of used vertices is kept from a log of moves; at
+        # every sweep of the golden searches it must equal the used set
+        real_reacher, real_grows = path_oracle._reacher, path_oracle._grows_to
+        seen = []
+
+        def reacher(G, pairs, blocked, moved):
+            reach = real_reacher(G, pairs, blocked, moved)
+            index, _, usable = path_oracle._bitset_view(G)
+
+            def bits(vertices):
+                return sum(1 << index(v) for v in vertices)
+
+            def checked(j, s, used):
+                seen.append(usable & ~(bits(used) | bits(blocked[j])))
+                return reach(j, s, used)
+
+            return checked
+
+        def grows_to(index, expand, s, t, allowed):
+            assert allowed == seen[-1]
+            seen.append(None)
+            return real_grows(index, expand, s, t, allowed)
+
+        monkeypatch.setattr(path_oracle, "_reacher", reacher)
+        monkeypatch.setattr(path_oracle, "_grows_to", grows_to)
+        for G, Y, budget in _golden_instances():
+            decide_linked(G, Y, budget=budget)
+        assert seen.count(None) > 200
+
     def test_stuck_walk_falls_back_to_the_sweeps(self, monkeypatch):
         built = []
         sweeps = path_oracle._cube_sweeps
