@@ -719,8 +719,9 @@ def _cube_witness(d: int, s: int, t: int, used, blocked) -> list | None:
     A ``_cube_walk``; where it sticks, at v, one step from v onto each free
     neighbour u in ``_cube_steps`` order (the closer ones are barred), each
     followed by a second walk from u that also avoids s and the first
-    walk.  The search, stuck at v too, tries those neighbours in the same
-    order, so the path it finds is still the one the search walks first.
+    walk.  The search, at v in turn, tries those neighbours in the same
+    order, so when the first one leads on, the witness is the path the
+    search walks first.
     """
     trail = _cube_walk(d, s, t, used, blocked)
     if trail and trail[-1] == t:
@@ -812,9 +813,10 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
     walks and the option filter cost O(1) per probe whatever d is.  Only
     when the walks find no path, and on every re-test on a fixture host,
     does the test grow the start's reachable set on bitsets
-    (``_bitset_view``), 2^d-bit ints on a cube, with the mask of the used
-    vertices built once per node; a pair proved reachable that way has no
-    witness and is re-tested at the next node.  Every test answers exact
+    (``_bitset_view``), 2^d-bit ints on a cube; the mask of the used
+    vertices flips only the vertices the search logged as moved since the
+    last sweep.  A pair proved reachable that way has no witness and is
+    re-tested at the next node.  Every test answers exact
     reachability, so witnesses move no node count, linkage or verdict.  The
     search itself is iterative: an explicit stack holds, for each path
     vertex, the neighbors still to try, filtered as they are drawn, so
