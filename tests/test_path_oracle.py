@@ -593,12 +593,13 @@ class TestCutTest:
                 assert (a ^ b).bit_count() == 1
                 assert G.has_vertex(b) and b not in used | blocked
         trail = path_oracle._cube_walk(G.d, s, t, used, barred)
-        if trail and trail[-1] == t:
-            walk = [s] + trail
+        walk = [s] + trail
+        for a, b in zip(walk, walk[1:]):  # arrived or stuck, each step
+            assert (a ^ b).bit_count() == 1  # is a hop one step closer to t
+            assert (b ^ t).bit_count() == (a ^ t).bit_count() - 1
+            assert G.has_vertex(b) and b not in used | blocked
+        if walk[-1] == t:  # an arriving walk is a shortest s-t path
             assert len(walk) == (s ^ t).bit_count() + 1
-            for a, b in zip(walk, walk[1:]):
-                assert (a ^ b).bit_count() == 1
-                assert G.has_vertex(b) and b not in used | blocked
         if detour:
             assert not trail and want
 
