@@ -71,6 +71,9 @@ BOTH = "both"
 
 _TWO64 = 1 << 64
 _MASK64 = _TWO64 - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 class SplitMix64:
@@ -81,10 +84,10 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def randrange(self, n: int) -> int:
@@ -99,9 +102,9 @@ class SplitMix64:
             bound = _TWO64 - _TWO64 % n
             state = self._state
             while True:
-                state = (state + 0x9E3779B97F4A7C15) & _MASK64
-                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+                state = (state + _GAMMA) & _MASK64
+                z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
                 z ^= z >> 31
                 if z < bound:
                     self._state = state
@@ -337,12 +340,6 @@ def _draw_distinct(rng: SplitMix64, size: int, count: int, taken: set) -> list:
     return out
 
 
-def _draw_pairing(rng: SplitMix64, terminals) -> tuple:
-    order = list(terminals)
-    rng.shuffle(order)
-    return tuple((order[2 * i], order[2 * i + 1]) for i in range(len(order) // 2))
-
-
 def sample_instances(host: str, k: int, n: int, seed: int,
                      strong: bool = False) -> Iterator[Instance]:
     """A reproducible stream of n random instances.
@@ -362,20 +359,60 @@ def sample_instances(host: str, k: int, n: int, seed: int,
 
 def _sample(space: tuple, host: str, k: int, n: int,
             seed: int) -> Iterator[Instance]:
+    """The instances of sample_instances, drawn with SplitMix64(seed).randrange
+    written out on a local state, so that no word costs a call.
+
+    As in randrange, a draw from range(m) reads w words, high word first,
+    for the least w with span = 2^(64 w) >= m, and rejects the values at or
+    above span - span % m.  Only the vertex draws, from range(size), can
+    need more than one word.  An instance's vertex draws are one loop, each
+    new vertex distinct from the ones before and from the barred vertices:
+    a link's apex, whose opposite it then bars; the 2k terminals, shuffled
+    as SplitMix64.shuffle does as soon as the last one is drawn; and a
+    strong host's forbidden vertex.
+    """
     kind, d, vertices, size = space
     fixture = None if d else host
-    rng = SplitMix64(seed)
+    gamma, mix1, mix2, mask, two64 = _GAMMA, _MIX1, _MIX2, _MASK64, _TWO64
+    span, words = two64, 1
+    while span < size:
+        span, words = span << 64, words + 1
+    words, limit = range(words), span - span % size
+    first = int(kind == "link")     # terminals are drawn[first:last]
+    last = first + 2 * k
+    want = last + (kind == "strong")
+    state = seed & mask
     for i in range(n):
-        forbidden = apex = None
-        taken = set()
-        if kind == "link":
-            apex = vertices[rng.randrange(size)]
-            taken = {apex, opposite(d, apex)}
-        ids = _draw_distinct(rng, size, 2 * k, taken)
-        pairs = _draw_pairing(rng, map(vertices.__getitem__, ids))
-        if kind == "strong":
-            forbidden = vertices[_draw_distinct(rng, size, 1, set(ids))[0]]
-        yield Instance(i, kind, d, Pairing(pairs), forbidden, apex, fixture)
+        drawn: list = []
+        barred = set()
+        while len(drawn) < want:
+            x = 0
+            for _ in words:
+                state = (state + gamma) & mask
+                z = ((state ^ state >> 30) * mix1) & mask
+                z = ((z ^ z >> 27) * mix2) & mask
+                x = x << 64 | z ^ z >> 31
+            if x >= limit or (v := vertices[x % size]) in barred:
+                continue
+            drawn.append(v)
+            barred.add(v)
+            if len(drawn) == last:
+                j = 2 * k - 1
+                while j:
+                    state = (state + gamma) & mask
+                    z = ((state ^ state >> 30) * mix1) & mask
+                    z = ((z ^ z >> 27) * mix2) & mask
+                    z ^= z >> 31
+                    if z < two64 - two64 % (j + 1):
+                        a, b = first + j, first + z % (j + 1)
+                        drawn[a], drawn[b] = drawn[b], drawn[a]
+                        j -= 1
+            elif len(drawn) == first:
+                barred.add(opposite(d, v))
+        terminals = drawn[first:last]
+        yield Instance(i, kind, d, Pairing(tuple(zip(terminals[::2], terminals[1::2]))),
+                       drawn[last] if kind == "strong" else None,
+                       drawn[0] if first else None, fixture)
 
 
 # ---------------------------------------------------------------------------

@@ -626,20 +626,24 @@ def _bitset_view(G: HostGraph):
     return position.__getitem__, expand, usable
 
 
-def _grows_to(index, expand, s: Vertex, t: Vertex, allowed: int) -> bool:
-    """Is there an s-t path whose vertices after s lie in ``allowed``?
-    ``index`` and ``expand`` come from ``_bitset_view``.  Grows s's reachable
-    set from its newest layer until it meets t or a layer comes out empty;
-    every older vertex had its neighbours added when it was new, so each
-    step costs O(layer) on a graph host."""
+def _grows_to(index, expand, s: Vertex, t: Vertex, allowed: int) -> list | None:
+    """Is there an s-t path whose vertices after s lie in ``allowed``?  The
+    layers of s's reachable set when there is, from {s} to the one that
+    meets t, and None when there is not.  ``index`` and ``expand`` come from
+    ``_bitset_view``.  Grows s's reachable set from its newest layer until
+    it meets t or a layer comes out empty; every older vertex had its
+    neighbours added when it was new, so each step costs O(layer) on a
+    graph host, where each layer is one BFS layer."""
     reach = layer = 1 << index(s)
     goal = 1 << index(t)
+    layers = [layer]
     while not reach & goal:
         layer = expand(layer, allowed) & ~reach
         if not layer:
-            return False
+            return None
         reach |= layer
-    return True
+        layers.append(layer)
+    return layers
 
 
 @lru_cache(maxsize=4096)
@@ -658,18 +662,14 @@ def _cube_steps(d: int, cur: int, t: int) -> tuple:
                  + [w for w in ascending if not (w ^ cur) & differ])
 
 
-def _toward(G: HostGraph, t: Vertex):
-    """The neighbours of a vertex, closer to t first, ties by ascending vertex.
+def _toward(G: FixtureGraph, t: Vertex):
+    """The neighbours of a vertex of a fixture host, closer to t first, ties
+    by ascending vertex.
 
-    Returns a function of the path's end.  On a cube the distance is the
-    Hamming distance and the order is one ``_cube_steps`` table lookup; it
-    lists removed vertices too, which the caller's option filter skips.
-    On a fixture host the distance is the BFS distance to t in G, with
-    vertices that cannot reach t last, and each call sorts the neighbours.
+    Returns a function of the path's end.  The distance is the BFS distance
+    to t in G, with vertices that cannot reach t last, and each call sorts
+    the neighbours.  A cube reads the same order from ``_cube_steps``.
     """
-    if isinstance(G, CubeGraph):
-        d = G.d
-        return lambda cur: _cube_steps(d, cur, t)
     dist = {t: 0}
     queue = deque([t])
     while queue:
@@ -751,8 +751,14 @@ def _reacher(G: HostGraph, pairs: tuple, blocked: list, moved: list):
     since the last one; the test then empties the log.  So a search whose
     walks all arrive builds no 2^d-bit int, and the mask costs one shift
     per logged step, not one per used vertex.
+
+    On a fixture host each ``expand`` adds one BFS layer, so walking back
+    from the target through the layers ``_grows_to`` returns, to the lowest
+    neighbour in each older layer, gives a witness.  One cube ``expand`` can
+    add several layers, so a cube's sweep gives none.
     """
     cube_dim = G.d if isinstance(G, CubeGraph) else None
+    names = None if cube_dim is not None else list(G.adjacency)  # by bit position
     view = masks = None
     used_mask = 0
 
@@ -774,7 +780,18 @@ def _reacher(G: HostGraph, pairs: tuple, blocked: list, moved: list):
         for v in moved:
             used_mask ^= 1 << index(v)
         moved.clear()
-        return [] if _grows_to(index, expand, s, t, usable & ~(used_mask | masks[j])) else None
+        layers = _grows_to(index, expand, s, t, usable & ~(used_mask | masks[j]))
+        if layers is None:
+            return None
+        if cube_dim is not None:
+            return []
+        bit, trail = 1 << index(t), [t]
+        for layer in layers[-2:0:-1]:
+            bit = expand(bit, layer) & layer
+            bit &= -bit
+            trail.append(names[bit.bit_length() - 1])
+        trail.reverse()
+        return trail
 
     return reach
 
@@ -782,41 +799,47 @@ def _reacher(G: HostGraph, pairs: tuple, blocked: list, moved: list):
 def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -> DecideOutcome:
     """Exact backtracking decision: is the pairing linked in G?
 
+    Every terminal must be a usable vertex of G, by validate_linkage's
+    MEMBERSHIP rule: on a cube an int that is not a bool, in range and not
+    removed; on a fixture host a vertex name that is not removed.  Any
+    other terminal is a ValueError.
+
     Deterministic: pairs are routed in input order, and a path extends
     through the neighbors of its end in order of their distance to the
-    pair's target, ties broken by ascending vertex (``_toward``).  On a cube
-    the neighbors one step closer come first: bits set at the end and clear
-    at the target, highest first, then bits clear at the end and set at the
+    pair's target, ties broken by ascending vertex.  On a cube the
+    neighbors one step closer come first: bits set at the end and clear at
+    the target, highest first, then bits clear at the end and set at the
     target, lowest first; so the first path tried is a straight descent
     whenever nothing blocks it.  A cube reads this order from a cached
-    table (``_cube_steps``); a graph host sorts by BFS distance.  Pruning is
-    sound: a partial state is abandoned when some unfinished pair has its
-    endpoints separated in the graph minus the vertices already used and
-    minus all other terminals (terminals of other pairs can never lie on a
-    pair's path, since each is an endpoint of its own path in any linkage).
-    The node budget turns oversize searches into an explicit BUDGET_EXCEEDED
-    outcome; it is never reported as UNLINKED.
+    table (``_cube_steps``); a graph host sorts by BFS distance
+    (``_toward``).  Pruning is sound: a partial state is abandoned when
+    some unfinished pair has its endpoints separated in the graph minus the
+    vertices already used and minus all other terminals (terminals of other
+    pairs can never lie on a pair's path, since each is an endpoint of its
+    own path in any linkage).  The node budget turns oversize searches into
+    an explicit BUDGET_EXCEEDED outcome; it is never reported as UNLINKED.
 
     The separation test is incremental.  Each unfinished pair keeps a
     witness: the rest of a path from its start (the path's end for the pair
     being routed, the source for later pairs) to its target, clear of the
     used vertices and of the other terminals.  A node re-tests a pair only
-    when it has no witness from its current start.  A step onto w cuts each
-    witness through w down to the part after w, a witness from w: the
-    routed pair keeps it when w was the witness's next vertex, and any
-    other pair, whose start is not w, is re-tested.  Backtracking drops no
-    witness, since it only frees vertices.  On a cube a re-test
-    (``_reacher``) first walks to the target (``_cube_witness``), flipping
-    bits in the order the search tries neighbours, so the search's first
-    option is the witness's next vertex and a free descent never re-tests.
-    The used vertices and each pair's barred vertices are sets, so the
-    walks and the option filter cost O(1) per probe whatever d is.  Only
-    when the walks find no path, and on every re-test on a fixture host,
-    does the test grow the start's reachable set on bitsets
-    (``_bitset_view``), 2^d-bit ints on a cube; the mask of the used
-    vertices flips only the vertices the search logged as moved since the
-    last sweep.  A pair proved reachable that way has no witness and is
-    re-tested at the next node.  Every test answers exact
+    when it has no witness from its current start: first the routed pair,
+    then the later pairs.  A step onto w cuts each witness through w down
+    to the part after w, a witness from w: the routed pair keeps it when w
+    was the witness's next vertex, and any other pair, whose start is not
+    w, is re-tested.  Backtracking drops no witness, since it only frees
+    vertices.  On a cube a re-test (``_reacher``) first walks to the target
+    (``_cube_witness``), flipping bits in the order the search tries
+    neighbours, so the search's first option is the witness's next vertex
+    and a free descent never re-tests.  The used vertices and each pair's
+    barred vertices are sets, so the walks and the option filter cost O(1)
+    per probe whatever d is.  Only when the walks find no path, and on
+    every re-test on a fixture host, does the test grow the start's
+    reachable set on bitsets (``_bitset_view``), 2^d-bit ints on a cube;
+    the mask of the used vertices flips only the vertices the search logged
+    as moved since the last sweep.  On a fixture host the sweep's BFS
+    layers give a witness; a cube pair proved reachable by a sweep has none
+    and is re-tested at the next node.  Every test answers exact
     reachability, so witnesses move no node count, linkage or verdict.  The
     search itself is iterative: an explicit stack holds, for each path
     vertex, the neighbors still to try, filtered as they are drawn, so
@@ -824,20 +847,32 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
     Each search node is one extension step of one path (``nodes_used``
     counts them), and reaching a pair's target starts the next pair.
     """
-    for v in Y.terminals:
-        if not G.has_vertex(v):
-            raise ValueError(f"terminal {v!r} is not a usable vertex of the host")
-    k = Y.k
-    sources = [s for s, _ in Y.pairs]
-    targets = [t for _, t in Y.pairs]
-    terminals = frozenset(sources + targets)
-    # blocked[j]: the vertices a path of pair j may not pass through.
-    blocked = [terminals.difference(pair).union(G.removed) for pair in Y.pairs]
-    steps = [_toward(G, t) for t in targets]
+    pairs = Y.pairs
+    if isinstance(G, CubeGraph):
+        d, top, removed = G.d, 1 << G.d, G.removed
+        for pair in pairs:
+            for v in pair:
+                if (not isinstance(v, int) or type(v) is bool
+                        or not 0 <= v < top or v in removed):
+                    raise ValueError(f"terminal {v!r} is not a usable vertex of the host")
+    else:
+        for pair in pairs:
+            for v in pair:
+                if not (isinstance(v, str) and G.has_vertex(v)):
+                    raise ValueError(f"terminal {v!r} is not a usable vertex of the host")
+        d = None
+        toward = [_toward(G, t) for _, t in pairs]
+    k = len(pairs)
+    sources, targets = zip(*pairs)
+    # blocked[j]: the vertices a path of pair j may not pass through, every
+    # removed vertex and every other terminal (no terminal is removed)
+    barred = G.removed.union(*pairs)
+    blocked = list(map(barred.difference, pairs))
+    barred_has = [b.__contains__ for b in blocked]
     # moved: the vertices that joined or left used since the last sweep.
     # Only a sweep's "cut" leads to a backtrack, so it stays O(|V|) long.
     moved = [sources[0]]
-    reach = _reacher(G, Y.pairs, blocked, moved)
+    reach = _reacher(G, pairs, blocked, moved)
     order = tuple(range(k))
     # witness[j]: the vertices after start[j] of a path to pair j's target,
     # clear of used and blocked[j] while pair j is unfinished; None, or an
@@ -848,6 +883,7 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
     path = [sources[0]]
     paths = [path]
     used = {sources[0]}
+    used_has = used.__contains__
     # (pair, path length, untried neighbors) per open vertex.  The untried
     # neighbours are filtered as they are drawn: whenever a frame is drawn
     # from, the paths (so used) are the ones it was pushed with.
@@ -861,24 +897,33 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
         if cur == targets[i]:
             i += 1
             if i == k:
-                return DecideOutcome(LINKED, [list(p) for p in paths], order, nodes)
+                return DecideOutcome(LINKED, paths, order, nodes)
             cur = sources[i]
             path = [cur]
             paths.append(path)
             used.add(cur)
             moved.append(cur)
             continue
-        for j in range(i, k):  # re-test the pairs whose witness lapsed
-            s = cur if j == i else sources[j]
-            if not witness[j] or start[j] != s:
-                trail = reach(j, s, used)
-                if trail is None:
-                    cur = None
-                    break
-                start[j], witness[j] = s, trail
+        # re-test the pairs whose witness lapsed: the routed pair from cur,
+        # then the later pairs from their sources
+        trail = witness[i] if start[i] == cur else None
+        if not trail:
+            trail = reach(i, cur, used)
+            if trail is not None:
+                start[i], witness[i] = cur, trail
+        if trail is not None:
+            for j in range(i + 1, k):
+                s = sources[j]
+                if not witness[j] or start[j] != s:
+                    trail = reach(j, s, used)
+                    if trail is None:
+                        break
+                    start[j], witness[j] = s, trail
+        if trail is None:
+            cur = None
         else:
-            options = filterfalse(used.__contains__, filterfalse(
-                blocked[i].__contains__, steps[i](cur)))
+            steps = toward[i](cur) if d is None else _cube_steps(d, cur, targets[i])
+            options = filterfalse(used_has, filterfalse(barred_has[i], steps))
             stack.append((i, len(path), options))
             cur = next(options, None)
         while cur is None:  # backtrack to the deepest vertex with an untried neighbor

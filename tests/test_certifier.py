@@ -5,6 +5,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubelink import certifier, cube_core
 from cubelink.certifier import (
@@ -323,6 +324,112 @@ class TestStreamPins:
         stream = (inst for seed in (0, 7, 2024)
                   for inst in sample_instances(host, k, 300, seed, strong=strong))
         assert _stream_digest(stream) == digest
+
+
+def _randrange_sample(host, k, n, seed, strong=False):
+    """sample_instances with one SplitMix64.randrange call per draw, the
+    reference for the sampler's inlined draws: (pairs, forbidden, apex) per
+    instance, and how many more words the stream read than randrange was
+    called, the rejected words when every draw takes one word."""
+    kind, d, vertices, size = certifier._host_space(host, k, strong)
+    rng = SplitMix64(seed)
+    calls = 0
+
+    def randrange(m):  # shuffle calls it too
+        nonlocal calls
+        calls += 1
+        return SplitMix64.randrange(rng, m)
+
+    rng.randrange = randrange
+    out = []
+    for _ in range(n):
+        forbidden = apex = None
+        seen = set()
+        if kind == "link":
+            apex = vertices[rng.randrange(size)]
+            seen = {apex, cube_core.opposite(d, apex)}
+        terminals = []
+        while len(terminals) < 2 * k:
+            v = vertices[rng.randrange(size)]
+            if v not in seen:
+                seen.add(v)
+                terminals.append(v)
+        rng.shuffle(terminals)
+        if kind == "strong":
+            while forbidden is None or forbidden in seen:
+                forbidden = vertices[rng.randrange(size)]
+        out.append((tuple(zip(terminals[::2], terminals[1::2])), forbidden, apex))
+    gamma = 0x9E3779B97F4A7C15
+    read = (rng._state - (seed & (2**64 - 1))) * pow(gamma, -1, 2**64) % 2**64
+    return out, read - calls
+
+
+def _sampled(host, k, n, seed, strong=False):
+    return [(inst.pairing.pairs, inst.forbidden, inst.apex)
+            for inst in sample_instances(host, k, n, seed, strong=strong)]
+
+
+def _unxorshift(y: int, r: int) -> int:
+    x = y
+    for _ in range(64 // r + 1):
+        x = y ^ x >> r
+    return x
+
+
+def _seed_for_word(position: int, word: int) -> int:
+    """A seed whose stream's word at this 0-based position is ``word``: the
+    SplitMix64 output mix inverted, then the state stepped back."""
+    mask = 2**64 - 1
+    z = _unxorshift(word, 31) * pow(0x94D049BB133111EB, -1, 2**64) & mask
+    z = _unxorshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) & mask
+    return (_unxorshift(z, 30) - (position + 1) * 0x9E3779B97F4A7C15) & mask
+
+
+_SAMPLER_HOSTS = [("cube:5", 3, False), ("cube:4", 2, True), ("link:6", 3, False),
+                  ("pyramid2-quad", 2, False), ("pyramid2-quad", 2, True)]
+
+
+class TestSamplerDraws:
+    """sample_instances writes SplitMix64's draws out on a local state; it
+    must read the stream word for word as randrange and shuffle do."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(host=st.sampled_from(_SAMPLER_HOSTS), n=st.integers(1, 12),
+           seed=st.one_of(st.integers(-2**70, 2**70), st.integers(2**64, 2**130)))
+    def test_matches_randrange(self, host, n, seed):
+        name, k, strong = host
+        assert _sampled(name, k, n, seed, strong) == \
+            _randrange_sample(name, k, n, seed, strong)[0]
+
+    def test_seed_for_word(self):
+        for position in (0, 1, 7):
+            for word in (0, 5, 2**64 - 1):
+                rng = SplitMix64(_seed_for_word(position, word))
+                assert [rng.next_u64() for _ in range(position + 1)][-1] == word
+
+    @pytest.mark.parametrize("name, k, strong", _SAMPLER_HOSTS)
+    def test_rejected_words(self, name, k, strong):
+        # 2^64 - 1 is rejected by a draw from range(m) for every m that is
+        # no power of two: the fixture's six vertices, or a shuffle's 3, 5
+        # and 6.  Put it at each position an instance's draws can reach.
+        hits = 0
+        for position in range(16):
+            seed = _seed_for_word(position, 2**64 - 1)
+            want, rejected = _randrange_sample(name, k, 2, seed, strong)
+            assert _sampled(name, k, 2, seed, strong) == want
+            hits += rejected
+        assert hits
+
+    @pytest.mark.parametrize("d", [65, 70, 128])
+    def test_vertex_draws_past_one_word(self, monkeypatch, d):
+        # a cube of more than 2^64 vertices draws each vertex from two or
+        # more words, high word first
+        monkeypatch.setattr(cube_core, "MAX_DIM", d)
+        for host, strong in ((f"cube:{d}", False), (f"cube:{d}", True),
+                             (f"link:{d}", False)):
+            for seed in (0, -1, 2**64 + 3):
+                assert _sampled(host, 3, 4, seed, strong) == \
+                    _randrange_sample(host, 3, 4, seed, strong)[0]
 
 
 class TestCertify:

@@ -203,6 +203,26 @@ class TestDecideLinked:
         with pytest.raises(ValueError):
             decide_linked(CubeGraph(3, frozenset({1})), Pairing(((0, 1),)))
 
+    @pytest.mark.parametrize("G, terminal, other", [
+        (CubeGraph(3), True, 6),
+        (CubeGraph(3), 1.0, 6),
+        (CubeGraph(3), "1", 6),
+        (CubeGraph(3), 8, 6),
+        (CubeGraph(3), -1, 6),
+        (CubeGraph(3, frozenset({1})), 1, 6),
+        (pyramid2_quad(), 1, "y"),
+        (pyramid2_quad().without({"x"}), "x", "y"),
+    ], ids=["bool", "float", "str", "past-top", "negative", "removed",
+            "fixture-int", "fixture-removed"])
+    def test_terminals_follow_the_membership_rule(self, G, terminal, other):
+        # validate_linkage's MEMBERSHIP rule, before any search: a bool
+        # terminal once gave a LINKED witness that validate_linkage rejects,
+        # and a float or str one a TypeError from inside the search
+        Y = Pairing(((terminal, other),))
+        assert validate_linkage(G, Y, [[terminal, other]]).clause == "MEMBERSHIP"
+        with pytest.raises(ValueError, match="is not a usable vertex of the host"):
+            decide_linked(G, Y)
+
     def test_interior_never_crosses_other_terminals(self):
         out = decide_linked(CubeGraph(4), Pairing(((0, 15), (5, 10))))
         assert out.status == LINKED
@@ -643,6 +663,10 @@ class TestCutTest:
         monkeypatch.setattr(path_oracle, "_grows_to", grows_to)
         for G, Y, budget in _golden_instances():
             decide_linked(G, Y, budget=budget)
+        # a fixture's sweep gives a witness, so fixtures sweep less often:
+        # a strong fixture stream adds sweeps with a removed vertex
+        for inst in sample_instances("pyramid2-quad", 2, 100, 105, strong=True):
+            decide_linked(inst.host_graph(), inst.pairing)
         assert seen.count(None) > 200
 
     def test_stuck_walk_falls_back_to_the_sweeps(self, monkeypatch):
@@ -816,9 +840,14 @@ class TestDecideGolden:
         assert total == nodes
         assert _sha256(rows) == digest
 
-    def test_long_bare_path_fixture(self):
-        # One end-to-end pair on a 1,200-vertex path: the cut test at each
-        # node walks the whole remaining path, one layer per step.
+    def test_long_bare_path_fixture(self, monkeypatch):
+        # One end-to-end pair on a 1,200-vertex path: the first node's sweep
+        # grows the whole path, one layer per step, and its layers give the
+        # witness that every later node follows.
+        sweeps = []
+        grows_to = path_oracle._grows_to
+        monkeypatch.setattr(path_oracle, "_grows_to",
+                            lambda *args: sweeps.append(args) or grows_to(*args))
         names = [f"v{i:04d}" for i in range(1200)]
         G = fixture_graph("bare-path", zip(names, names[1:]))
         start = time.perf_counter()
@@ -828,3 +857,4 @@ class TestDecideGolden:
         assert out.linkage == [names]
         assert out.nodes_used == 1200
         assert elapsed < 10
+        assert len(sweeps) == 1
