@@ -53,9 +53,8 @@ from .path_oracle import (
     Pairing,
     check_separator_structure,
     decide_linked,
-    host_to_json,
+    instance_to_json,
     max_shared_neighbors,
-    pairing_to_json,
     pyramid2_quad,
     validate_linkage,
 )
@@ -96,19 +95,6 @@ class SplitMix64:
         and rejects the words at or above the largest multiple of n."""
         if n <= 0:
             raise ValueError("randrange needs a positive bound")
-        if n <= _TWO64:
-            # next_u64 written out on a local state, which is stored back
-            # only when a word is accepted: the stream is the same
-            bound = _TWO64 - _TWO64 % n
-            state = self._state
-            while True:
-                state = (state + _GAMMA) & _MASK64
-                z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-                z ^= z >> 31
-                if z < bound:
-                    self._state = state
-                    return z % n
         span, words = _TWO64, 1
         while span < n:
             span <<= 64
@@ -164,13 +150,8 @@ class Instance:
         return G if self.forbidden is None else G.without({self.forbidden})
 
     def to_json(self) -> dict:
-        G = self.host_graph()
-        return {
-            "index": self.index,
-            "kind": self.kind,
-            "host": host_to_json(G),
-            "pairs": pairing_to_json(G, self.pairing),
-        }
+        return {"index": self.index, "kind": self.kind,
+                **instance_to_json(self.host_graph(), self.pairing)}
 
 
 @dataclass

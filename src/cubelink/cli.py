@@ -66,10 +66,9 @@ from .path_oracle import (
     InvariantError,
     Pairing,
     decide_linked,
-    host_to_json,
+    instance_to_json,
     linkage_from_json,
     linkage_to_json,
-    pairing_to_json,
     parse_instance,
     pyramid2_quad,
     validate_linkage,
@@ -148,8 +147,8 @@ def _validated(G, Y: Pairing, linkage: list, source: str) -> None:
     if not report:
         raise InvariantError(
             f"{source} returned an invalid linkage: {report.clause}: {report.message}",
-            {"host": host_to_json(G), "pairs": pairing_to_json(G, Y),
-             "clause": report.clause, "witness": report.witness})
+            {**instance_to_json(G, Y), "clause": report.clause,
+             "witness": report.witness})
 
 
 def _print_solve(result: SolveResult, args, wall: float) -> None:
@@ -240,8 +239,8 @@ def _cmd_decide(args) -> int:
     start = time.perf_counter()
     outcome = decide_linked(G, Y, budget=_budget(args))
     wall = time.perf_counter() - start
-    out = {"host": host_to_json(G), "pairs": pairing_to_json(G, Y),
-           "status": outcome.status, "nodes_used": outcome.nodes_used}
+    out = {**instance_to_json(G, Y), "status": outcome.status,
+           "nodes_used": outcome.nodes_used}
     if outcome.status == LINKED:
         _validated(G, Y, outcome.linkage, "the oracle")
         out["paths"] = linkage_to_json(G, outcome.linkage)

@@ -87,6 +87,7 @@ from .path_oracle import (
     Pairing,
     decide_linked,
     instance_to_json,
+    linkage_to_json,
     validate_linkage,
 )
 
@@ -114,7 +115,7 @@ class SolveResult:
 
     def to_json(self) -> dict:
         out = instance_to_json(self.host, self.pairing)
-        out["paths"] = [[self.host.format_vertex(v) for v in p] for p in self.linkage]
+        out["paths"] = linkage_to_json(self.host, self.linkage)
         out["scenario_trace"] = list(self.trace)
         return out
 

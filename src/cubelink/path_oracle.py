@@ -11,8 +11,9 @@ module are:
   * decide_linked, which is the engine's exact base case (the Q4 base),
     run once per Aut(Q4) orbit representative and mapped back;
   * validate_linkage, which checks every recursion level under SELF_CHECK;
-  * the Pairing, HostGraph and InvariantError types, LINKED, and
-    instance_to_json for error contexts.
+  * the Pairing, HostGraph and InvariantError types, LINKED, and the
+    JSON forms instance_to_json (for error contexts) and linkage_to_json
+    (for SolveResult.to_json).
 
 Hosts are either a ``cube_core.CubeGraph`` (a cube, possibly with removed
 vertices) or a ``FixtureGraph`` (explicit adjacency lists, string vertex
@@ -30,7 +31,6 @@ first; fixture vertices are their names.
 
 from __future__ import annotations
 
-import operator
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -569,83 +569,6 @@ class DecideOutcome:
         return self.status == LINKED
 
 
-@lru_cache(maxsize=cube_core.MAX_DIM)
-def _cube_sweeps(d: int) -> tuple:
-    """(2^i, M_i) for each coordinate i of Q_d, where M_i is the bitset of
-    the vertices whose bit i is 0."""
-    n = 1 << d
-    out = []
-    for i in range(d):
-        shift = 1 << i
-        mask, width = (1 << shift) - 1, 2 * shift
-        while width < n:  # double the period-2^(i+1) pattern up to n bits
-            mask |= mask << width
-            width *= 2
-        out.append((shift, mask))
-    return tuple(out)
-
-
-def _bitset_view(G: HostGraph):
-    """Vertex sets of G as Python ints: returns (index, expand, usable).
-
-    ``index(v)`` is v's bit position, ``usable`` the bitset of G's vertices.
-    ``expand(S, allowed)`` grows S inside ``allowed`` by at least one BFS
-    layer and never past what S reaches through ``allowed``, so iterating it
-    to a fixed point gives the reachable set.  On a cube, bit v is vertex v
-    and one call is an in-place sweep over the d coordinates, O(2^d) bits
-    per set; the d sweep masks (``_cube_sweeps``) are built on the first
-    call, and per-vertex adjacency masks (O(4^d) bits) are never built.  A
-    fixture host gets one adjacency mask per vertex.
-    """
-    if isinstance(G, CubeGraph):
-        d = G.d
-        usable = (1 << (1 << d)) - 1
-        for v in G.removed:
-            usable ^= 1 << v
-
-        def expand(S: int, allowed: int) -> int:
-            for shift, low in _cube_sweeps(d):
-                S |= ((S & low) << shift | (S >> shift) & low) & allowed
-            return S
-
-        return operator.index, expand, usable
-
-    position = {v: i for i, v in enumerate(G.adjacency)}
-    adjacency = [sum(1 << position[w] for w in G.adjacency[v]) for v in G.adjacency]
-    usable = sum(1 << position[v] for v in G.adjacency if v not in G.removed)
-
-    def expand(S: int, allowed: int) -> int:
-        grown = 0
-        rest = S
-        while rest:
-            low = rest & -rest
-            grown |= adjacency[low.bit_length() - 1]
-            rest ^= low
-        return S | grown & allowed
-
-    return position.__getitem__, expand, usable
-
-
-def _grows_to(index, expand, s: Vertex, t: Vertex, allowed: int) -> list | None:
-    """Is there an s-t path whose vertices after s lie in ``allowed``?  The
-    layers of s's reachable set when there is, from {s} to the one that
-    meets t, and None when there is not.  ``index`` and ``expand`` come from
-    ``_bitset_view``.  Grows s's reachable set from its newest layer until
-    it meets t or a layer comes out empty; every older vertex had its
-    neighbours added when it was new, so each step costs O(layer) on a
-    graph host, where each layer is one BFS layer."""
-    reach = layer = 1 << index(s)
-    goal = 1 << index(t)
-    layers = [layer]
-    while not reach & goal:
-        layer = expand(layer, allowed) & ~reach
-        if not layer:
-            return None
-        reach |= layer
-        layers.append(layer)
-    return layers
-
-
 @lru_cache(maxsize=4096)
 def _cube_steps(d: int, cur: int, t: int) -> tuple:
     """The d neighbours of cur in Q_d, closer to t first, ties by ascending
@@ -736,62 +659,61 @@ def _cube_witness(d: int, s: int, t: int, used, blocked) -> list | None:
     return None
 
 
-def _reacher(G: HostGraph, pairs: tuple, blocked: list, moved: list):
+def _bfs_witness(G: HostGraph, s: Vertex, t: Vertex, used, blocked) -> list | None:
+    """A path from s to t in G whose vertices after s lie in neither
+    ``used`` nor ``blocked``, as the list of those vertices, or None when
+    there is none; s itself may be in either set.
+
+    Grows one BFS tree from s and one from t, each time extending by one
+    layer the tree whose newest layer is smaller, until a new neighbour
+    lies in the other tree, where the witness joins the two branches, or a
+    layer comes out empty.  So an end whose neighbours are all barred costs
+    one layer, not a search of everything the other end reaches.
+    """
+    trees = ({s: None}, {t: None})  # vertex -> its parent, towards the root
+    layers = [[s], [t]]
+    while True:
+        side = len(layers[0]) > len(layers[1])
+        tree, other = trees[side], trees[not side]
+        grown = []
+        for v in layers[side]:
+            for w in G.neighbors(v):
+                if w in other:
+                    a, b = (w, v) if side else (v, w)
+                    head, tail = [], [b]
+                    while a != s:
+                        head.append(a)
+                        a = trees[0][a]
+                    while b != t:
+                        b = trees[1][b]
+                        tail.append(b)
+                    return head[::-1] + tail
+                if w not in tree and w not in used and w not in blocked:
+                    tree[w] = v
+                    grown.append(w)
+        if not grown:
+            return None
+        layers[side] = grown
+
+
+def _reacher(G: HostGraph, pairs: tuple, blocked: list):
     """``reach(j, s, used)``: can s still reach pair j's target through
     vertices in neither ``used`` nor ``blocked[j]``?  None when it cannot;
-    otherwise a witness, the vertices after s of such a path, or an empty
-    list when the test proved reachability without one.
+    otherwise a witness, the vertices after s of such a path.
 
-    On a cube ``_cube_witness`` answers first, with set lookups only.  Only
-    when it finds no path, and on every test on a fixture host, does
-    ``_grows_to`` answer on bitsets.  The view (``_bitset_view``) and each
-    pair's mask of barred vertices are built on the first such test.  The
-    mask of ``used`` starts empty and flips, at each such test, the
-    vertices the search logged in ``moved`` as joining or leaving ``used``
-    since the last one; the test then empties the log.  So a search whose
-    walks all arrive builds no 2^d-bit int, and the mask costs one shift
-    per logged step, not one per used vertex.
-
-    On a fixture host each ``expand`` adds one BFS layer, so walking back
-    from the target through the layers ``_grows_to`` returns, to the lowest
-    neighbour in each older layer, gives a witness.  One cube ``expand`` can
-    add several layers, so a cube's sweep gives none.
+    On a cube ``_cube_witness`` answers first, with set lookups only.  When
+    its walks find no path, and on every test on a fixture host,
+    ``_bfs_witness`` answers exactly.
     """
     cube_dim = G.d if isinstance(G, CubeGraph) else None
-    names = None if cube_dim is not None else list(G.adjacency)  # by bit position
-    view = masks = None
-    used_mask = 0
 
     def reach(j: int, s: Vertex, used: set) -> list | None:
-        nonlocal view, masks, used_mask
         t = pairs[j][1]
         if cube_dim is not None:
             trail = _cube_witness(cube_dim, s, t, used, blocked[j])
             if trail is not None:
                 return trail
-        if view is None:
-            view = _bitset_view(G)
-            index = view[0]
-            ends = [1 << index(a) | 1 << index(b) for a, b in pairs]
-            # blocked[0] and pair 0's ends: every terminal and removed vertex
-            barred = sum(map((1).__lshift__, map(index, blocked[0]))) | ends[0]
-            masks = [barred ^ e for e in ends]
-        index, expand, usable = view
-        for v in moved:
-            used_mask ^= 1 << index(v)
-        moved.clear()
-        layers = _grows_to(index, expand, s, t, usable & ~(used_mask | masks[j]))
-        if layers is None:
-            return None
-        if cube_dim is not None:
-            return []
-        bit, trail = 1 << index(t), [t]
-        for layer in layers[-2:0:-1]:
-            bit = expand(bit, layer) & layer
-            bit &= -bit
-            trail.append(names[bit.bit_length() - 1])
-        trail.reverse()
-        return trail
+        return _bfs_witness(G, s, t, used, blocked[j])
 
     return reach
 
@@ -800,9 +722,7 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
     """Exact backtracking decision: is the pairing linked in G?
 
     Every terminal must be a usable vertex of G, by validate_linkage's
-    MEMBERSHIP rule: on a cube an int that is not a bool, in range and not
-    removed; on a fixture host a vertex name that is not removed.  Any
-    other terminal is a ValueError.
+    MEMBERSHIP rule (``_member``); any other terminal is a ValueError.
 
     Deterministic: pairs are routed in input order, and a path extends
     through the neighbors of its end in order of their distance to the
@@ -828,38 +748,29 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
     to the part after w, a witness from w: the routed pair keeps it when w
     was the witness's next vertex, and any other pair, whose start is not
     w, is re-tested.  Backtracking drops no witness, since it only frees
-    vertices.  On a cube a re-test (``_reacher``) first walks to the target
+    vertices.  A re-test (``_reacher``) on a cube first walks to the target
     (``_cube_witness``), flipping bits in the order the search tries
     neighbours, so the search's first option is the witness's next vertex
-    and a free descent never re-tests.  The used vertices and each pair's
-    barred vertices are sets, so the walks and the option filter cost O(1)
-    per probe whatever d is.  Only when the walks find no path, and on
-    every re-test on a fixture host, does the test grow the start's
-    reachable set on bitsets (``_bitset_view``), 2^d-bit ints on a cube;
-    the mask of the used vertices flips only the vertices the search logged
-    as moved since the last sweep.  On a fixture host the sweep's BFS
-    layers give a witness; a cube pair proved reachable by a sweep has none
-    and is re-tested at the next node.  Every test answers exact
-    reachability, so witnesses move no node count, linkage or verdict.  The
-    search itself is iterative: an explicit stack holds, for each path
-    vertex, the neighbors still to try, filtered as they are drawn, so
-    witness length is bounded by memory, not by Python's recursion limit.
-    Each search node is one extension step of one path (``nodes_used``
-    counts them), and reaching a pair's target starts the next pair.
+    and a free descent never re-tests.  When the walks find no path, and on
+    every re-test on a fixture host, a BFS grown from both ends
+    (``_bfs_witness``) finds a witness or proves the cut.  The used
+    vertices and each pair's barred vertices are sets, so each probe costs
+    O(1) whatever d is.  Every test answers exact reachability, so
+    witnesses move no node count, linkage or verdict.  The search itself
+    is iterative: an explicit stack holds, for each path vertex, the
+    neighbors still to try, filtered as they are drawn, so witness length
+    is bounded by memory, not by Python's recursion limit.  Each search
+    node is one extension step of one path (``nodes_used`` counts them),
+    and reaching a pair's target starts the next pair.
     """
     pairs = Y.pairs
+    for pair in pairs:
+        for v in pair:
+            if not _member(G, v):
+                raise ValueError(f"terminal {v!r} is not a usable vertex of the host")
     if isinstance(G, CubeGraph):
-        d, top, removed = G.d, 1 << G.d, G.removed
-        for pair in pairs:
-            for v in pair:
-                if (not isinstance(v, int) or type(v) is bool
-                        or not 0 <= v < top or v in removed):
-                    raise ValueError(f"terminal {v!r} is not a usable vertex of the host")
+        d = G.d
     else:
-        for pair in pairs:
-            for v in pair:
-                if not (isinstance(v, str) and G.has_vertex(v)):
-                    raise ValueError(f"terminal {v!r} is not a usable vertex of the host")
         d = None
         toward = [_toward(G, t) for _, t in pairs]
     k = len(pairs)
@@ -869,14 +780,10 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
     barred = G.removed.union(*pairs)
     blocked = list(map(barred.difference, pairs))
     barred_has = [b.__contains__ for b in blocked]
-    # moved: the vertices that joined or left used since the last sweep.
-    # Only a sweep's "cut" leads to a backtrack, so it stays O(|V|) long.
-    moved = [sources[0]]
-    reach = _reacher(G, pairs, blocked, moved)
+    reach = _reacher(G, pairs, blocked)
     order = tuple(range(k))
     # witness[j]: the vertices after start[j] of a path to pair j's target,
-    # clear of used and blocked[j] while pair j is unfinished; None, or an
-    # empty list, when there is none.
+    # clear of used and blocked[j] while pair j is unfinished, or None
     start: list = [None] * k
     witness: list = [None] * k
 
@@ -902,7 +809,6 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
             path = [cur]
             paths.append(path)
             used.add(cur)
-            moved.append(cur)
             continue
         # re-test the pairs whose witness lapsed: the routed pair from cur,
         # then the later pairs from their sources
@@ -914,7 +820,7 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
         if trail is not None:
             for j in range(i + 1, k):
                 s = sources[j]
-                if not witness[j] or start[j] != s:
+                if start[j] != s:
                     trail = reach(j, s, used)
                     if trail is None:
                         break
@@ -931,20 +837,15 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
                 return DecideOutcome(UNLINKED, None, order, nodes)
             i, depth, options = stack[-1]
             while len(paths) > i + 1:
-                gone = paths.pop()
-                used.difference_update(gone)
-                moved += gone
+                used.difference_update(paths.pop())
             path = paths[i]
-            gone = path[depth:]
-            used.difference_update(gone)
-            moved += gone
+            used.difference_update(path[depth:])
             del path[depth:]
             cur = next(options, None)
             if cur is None:
                 stack.pop()
         path.append(cur)
         used.add(cur)
-        moved.append(cur)
         for j in range(i, k):  # a witness through cur now runs from cur
             trail = witness[j]
             if trail and cur in trail:
@@ -1031,15 +932,24 @@ class ValidationReport:
         return self.ok
 
 
+def _member(G: HostGraph, v) -> bool:
+    """validate_linkage's MEMBERSHIP rule: v is a usable vertex of G.  On a
+    cube that is an int that is not a bool (as cube_core.check_vertex has
+    it), in range and not removed; on a fixture host a vertex name, a str,
+    that is not removed."""
+    if isinstance(G, CubeGraph):
+        return isinstance(v, int) and not isinstance(v, bool) and G.has_vertex(v)
+    return isinstance(v, str) and G.has_vertex(v)
+
+
 def validate_linkage(G: HostGraph, Y: Pairing, L: Linkage) -> ValidationReport:
     """Check every linkage invariant; report the first violated clause.
 
     Clauses, in check order: PATH_COUNT, ENDPOINTS (each path's endpoint set
-    is its pair, either orientation), MEMBERSHIP (vertices exist and are not
-    forbidden; on a cube a vertex is an int that is not a bool, as
-    cube_core.check_vertex has it, and on a fixture a vertex name, a str),
-    REPEAT (paths are simple), ADJACENCY (consecutive hops are edges),
-    DISJOINTNESS (no vertex on two paths).
+    is its pair, either orientation), MEMBERSHIP (every vertex is a usable
+    vertex of the host, by ``_member``), REPEAT (paths are simple),
+    ADJACENCY (consecutive hops are edges), DISJOINTNESS (no vertex on two
+    paths).
 
     On a cube host one pass over the paths accepts a valid linkage first:
     it checks each path's endpoints and, vertex by vertex, its int type,
@@ -1054,15 +964,9 @@ def validate_linkage(G: HostGraph, Y: Pairing, L: Linkage) -> ValidationReport:
         if _cube_accepts(G, Y, L):
             return ValidationReport(True)
         hop = cube_core.adjacent
-
-        def member(v) -> bool:
-            return isinstance(v, int) and not isinstance(v, bool) and G.has_vertex(v)
     else:
         def hop(a, b):
             return b in G.adjacency[a]
-
-        def member(v) -> bool:
-            return isinstance(v, str) and G.has_vertex(v)
     if len(L) != Y.k:
         return ValidationReport(
             False, "PATH_COUNT", len(L), f"expected {Y.k} paths, got {len(L)}"
@@ -1074,7 +978,7 @@ def validate_linkage(G: HostGraph, Y: Pairing, L: Linkage) -> ValidationReport:
                 f"path {i} endpoints {path[:1]}...{path[-1:]} do not match pair {(s, t)}",
             )
         for v in path:
-            if not member(v):
+            if not _member(G, v):
                 return ValidationReport(
                     False, "MEMBERSHIP", v,
                     f"path {i} uses {v!r}, which is not a usable host vertex",

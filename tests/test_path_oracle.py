@@ -6,7 +6,7 @@ import inspect
 import json
 import random
 import time
-from collections import Counter, deque
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -453,43 +453,12 @@ class TestOracleProperties:
         assert validate_linkage(CubeGraph(5), Y, out.linkage).ok
 
 
-def _bfs_reach(G, seed, blocked) -> set:
-    seen = {seed}
-    queue = deque([seed])
-    while queue:
-        v = queue.popleft()
-        for w in G.neighbors(v):
-            if w not in seen and w not in blocked:
-                seen.add(w)
-                queue.append(w)
-    return seen
-
-
-def _bitset_reach(G, seed, blocked) -> set:
-    """Iterate ``expand`` to its fixed point, checking that every step adds
-    at least the next BFS layer and nothing outside the allowed set."""
-    index, expand, usable = path_oracle._bitset_view(G)
-    bit = {v: 1 << index(v) for v in G.vertex_list()}
-    assert usable == sum(bit.values())
-    allowed = usable & ~sum(bit[v] for v in blocked)
-    S = bit[seed]
-    while True:
-        grown = expand(S, allowed)
-        assert grown & S == S
-        assert grown & ~(S | allowed) == 0
-        for v in G.vertex_list():
-            if S & bit[v]:
-                for w in G.neighbors(v):
-                    assert w in blocked or grown & bit[w]
-        if grown == S:
-            return {v for v in G.vertex_list() if S & bit[v]}
-        S = grown
-
-
 @st.composite
 def reach_cases(draw):
-    """(host, seed, blocked): a cube minus vertices, a vertex link, or a
-    random fixture graph, with a random blocked set that may hold the seed."""
+    """(host, s, t, used, blocked): a cube minus vertices, a vertex link, or
+    a random fixture graph, with s != t and random used and blocked sets
+    that hold neither t nor s, except that used may hold s, as it holds
+    the path end in decide_linked."""
     kind = draw(st.sampled_from(["cube", "link", "fixture"]))
     if kind == "cube":
         d = draw(st.integers(1, 8))
@@ -499,53 +468,35 @@ def reach_cases(draw):
         d = draw(st.integers(2, 8))
         G = link_graph(d, draw(st.integers(0, (1 << d) - 1)))
     else:
-        names = [f"v{i}" for i in range(draw(st.integers(1, 12)))]
+        names = [f"v{i}" for i in range(draw(st.integers(2, 12)))]
         edges = draw(st.lists(st.tuples(st.sampled_from(names),
                                         st.sampled_from(names))
                               .filter(lambda e: e[0] != e[1]), max_size=30))
         G = fixture_graph("random", edges, names)
         G = G.without(draw(st.lists(st.sampled_from(names),
-                                    max_size=len(names) - 1)))
+                                    max_size=len(names) - 2)))
     vertices = G.vertex_list()
-    seed = draw(st.sampled_from(vertices))
-    blocked = frozenset(draw(st.lists(st.sampled_from(vertices),
-                                      max_size=len(vertices))))
-    return G, seed, blocked
+    assume(len(vertices) >= 2)
+    s, t = draw(st.lists(st.sampled_from(vertices), min_size=2, max_size=2,
+                         unique=True))
+    rest = [v for v in vertices if v not in (s, t)]
+    pick = st.lists(st.sampled_from(rest), max_size=len(rest)) if rest else st.just([])
+    used = set(draw(pick)) | ({s} if draw(st.booleans()) else set())
+    return G, s, t, used, frozenset(draw(pick))
 
 
-def _layer_reach(G, seed, blocked) -> set:
-    """Grow from the newest layer only, as decide_linked's cut test does."""
-    index, expand, usable = path_oracle._bitset_view(G)
-    bit = {v: 1 << index(v) for v in G.vertex_list()}
-    allowed = usable & ~sum(bit[v] for v in blocked)
-    reach = layer = bit[seed]
-    while layer:
-        layer = expand(layer, allowed) & ~reach
-        reach |= layer
-    return {v for v in G.vertex_list() if reach & bit[v]}
-
-
-class TestBitsetReach:
-    @settings(max_examples=300, deadline=None)
-    @given(reach_cases())
-    def test_matches_plain_bfs(self, case):
-        G, seed, blocked = case
-        assert _bitset_reach(G, seed, blocked) == _bfs_reach(G, seed, blocked)
-
-    @settings(max_examples=300, deadline=None)
-    @given(reach_cases())
-    def test_growth_by_newest_layer_matches_plain_bfs(self, case):
-        G, seed, blocked = case
-        assert _layer_reach(G, seed, blocked) == _bfs_reach(G, seed, blocked)
-
-    @pytest.mark.parametrize("d", range(1, 15))
-    def test_sweep_masks_match_division_formula(self, d):
-        n = 1 << d
-        expected = tuple(
-            (1 << i, ((1 << (1 << i)) - 1)
-             * (((1 << n) - 1) // ((1 << (2 << i)) - 1)))
-            for i in range(d))
-        assert path_oracle._cube_sweeps(d) == expected
+def _check_bfs_witness(G, s, t, used, blocked):
+    """_bfs_witness finds a path exactly when avoid_path does, and its
+    witness is a simple path from s of allowed vertices that ends at t."""
+    want = avoid_path(G, s, t, (used | blocked) - {s}) is not None
+    witness = path_oracle._bfs_witness(G, s, t, used, blocked)
+    assert (witness is not None) == want
+    if witness is not None:
+        route = [s] + witness
+        assert route[-1] == t and len(set(route)) == len(route)
+        for a, b in zip(route, route[1:]):
+            assert b in G.neighbors(a)
+            assert G.has_vertex(b) and b not in used and b not in blocked
 
 
 @st.composite
@@ -592,6 +543,20 @@ def cut_cases(draw):
     return G, s, t, used, blocked, draw(st.booleans()), detour
 
 
+class TestBfsWitness:
+    @settings(max_examples=300, deadline=None)
+    @given(reach_cases())
+    def test_matches_avoid_path(self, case):
+        _check_bfs_witness(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cut_cases())
+    def test_matches_avoid_path_on_cut_cases(self, case):
+        G, s, t, used, blocked, start_used, _ = case
+        used = set(used) | ({s} if start_used else set())
+        _check_bfs_witness(G, s, t, used, blocked | G.removed)
+
+
 class TestCutTest:
     """The incremental search's reachability test answers exactly what a
     plain BFS does, and every witness it returns is a path of allowed
@@ -604,9 +569,9 @@ class TestCutTest:
         used = set(used) | ({s} if start_used else set())
         barred = blocked | G.removed
         want = avoid_path(G, s, t, (used | blocked) - {s}) is not None
-        witness = path_oracle._reacher(G, ((s, t),), [barred], list(used))(0, s, used)
+        witness = path_oracle._reacher(G, ((s, t),), [barred])(0, s, used)
         assert (witness is not None) == want
-        if witness:
+        if witness is not None:
             route = [s] + witness
             assert route[-1] == t and len(set(route)) == len(route)
             for a, b in zip(route, route[1:]):
@@ -623,60 +588,39 @@ class TestCutTest:
         if detour:
             assert not trail and want
 
-    def test_free_descent_builds_no_sweep_masks(self, monkeypatch):
-        # no 2^d work on a free descent: neither the bitset view nor the
-        # sweep masks may be asked for
+    def test_free_descent_runs_no_bfs(self, monkeypatch):
+        # no 2^d work on a free descent: the walks answer every re-test
         def refuse(*args):
-            raise AssertionError("a free descent built a 2^d-bit set")
+            raise AssertionError("a free descent fell back to the BFS")
 
-        monkeypatch.setattr(path_oracle, "_bitset_view", refuse)
-        monkeypatch.setattr(path_oracle, "_cube_sweeps", refuse)
+        monkeypatch.setattr(path_oracle, "_bfs_witness", refuse)
         top = (1 << 20) - 1
         out = decide_linked(CubeGraph(20), Pairing(((0, top), (1, top ^ 1))))
         assert (out.status, out.nodes_used) == (LINKED, 42)
 
-    def test_sweeps_see_exactly_the_used_vertices(self, monkeypatch):
-        # the sweep's mask of used vertices is kept from a log of moves; at
-        # every sweep of the golden searches it must equal the used set
-        real_reacher, real_grows = path_oracle._reacher, path_oracle._grows_to
-        seen = []
-
-        def reacher(G, pairs, blocked, moved):
-            reach = real_reacher(G, pairs, blocked, moved)
-            index, _, usable = path_oracle._bitset_view(G)
-
-            def bits(vertices):
-                return sum(1 << index(v) for v in vertices)
-
-            def checked(j, s, used):
-                seen.append(usable & ~(bits(used) | bits(blocked[j])))
-                return reach(j, s, used)
-
-            return checked
-
-        def grows_to(index, expand, s, t, allowed):
-            assert allowed == seen[-1]
-            seen.append(None)
-            return real_grows(index, expand, s, t, allowed)
-
-        monkeypatch.setattr(path_oracle, "_reacher", reacher)
-        monkeypatch.setattr(path_oracle, "_grows_to", grows_to)
-        for G, Y, budget in _golden_instances():
-            decide_linked(G, Y, budget=budget)
-        # a fixture's sweep gives a witness, so fixtures sweep less often:
-        # a strong fixture stream adds sweeps with a removed vertex
-        for inst in sample_instances("pyramid2-quad", 2, 100, 105, strong=True):
-            decide_linked(inst.host_graph(), inst.pairing)
-        assert seen.count(None) > 200
-
-    def test_stuck_walk_falls_back_to_the_sweeps(self, monkeypatch):
-        built = []
-        sweeps = path_oracle._cube_sweeps
-        monkeypatch.setattr(path_oracle, "_cube_sweeps",
-                            lambda d: built.append(d) or sweeps(d))
+    def test_stuck_walk_falls_back_to_the_bfs(self, monkeypatch):
+        hosts = []
+        bfs = path_oracle._bfs_witness
+        monkeypatch.setattr(path_oracle, "_bfs_witness",
+                            lambda G, *args: hosts.append(G) or bfs(G, *args))
         out = decide_linked(CubeGraph(3), Pairing(((0b000, 0b110), (0b100, 0b010))))
         assert out.status == UNLINKED
-        assert built and set(built) == {3}
+        assert hosts and set(hosts) == {CubeGraph(3)}
+
+    @pytest.mark.parametrize("end", ["target", "source"])
+    def test_enclosed_end_of_q20_is_cut_at_the_first_node(self, end):
+        # every neighbour of one end of pair 0 is a foreign terminal: the
+        # walks stick and the BFS grown from that end runs out at once,
+        # where a BFS from the other end alone would visit nearly all of Q20
+        d, top = 20, (1 << 20) - 1
+        enclosed = top if end == "target" else 0
+        ring = [enclosed ^ 1 << i for i in range(d)]
+        Y = Pairing(((0, top),) + tuple(zip(ring[::2], ring[1::2])))
+        start = time.perf_counter()
+        out = decide_linked(CubeGraph(d), Y)
+        elapsed = time.perf_counter() - start
+        assert (out.status, out.nodes_used) == (UNLINKED, 1)
+        assert elapsed < 0.5
 
 
 def _cubelink_imports(tree) -> set:
@@ -841,13 +785,13 @@ class TestDecideGolden:
         assert _sha256(rows) == digest
 
     def test_long_bare_path_fixture(self, monkeypatch):
-        # One end-to-end pair on a 1,200-vertex path: the first node's sweep
-        # grows the whole path, one layer per step, and its layers give the
-        # witness that every later node follows.
-        sweeps = []
-        grows_to = path_oracle._grows_to
-        monkeypatch.setattr(path_oracle, "_grows_to",
-                            lambda *args: sweeps.append(args) or grows_to(*args))
+        # One end-to-end pair on a 1,200-vertex path: the first node's BFS
+        # grows from both ends until they meet, and its witness is the path
+        # that every later node follows.
+        calls = []
+        bfs = path_oracle._bfs_witness
+        monkeypatch.setattr(path_oracle, "_bfs_witness",
+                            lambda *args: calls.append(args) or bfs(*args))
         names = [f"v{i:04d}" for i in range(1200)]
         G = fixture_graph("bare-path", zip(names, names[1:]))
         start = time.perf_counter()
@@ -857,4 +801,4 @@ class TestDecideGolden:
         assert out.linkage == [names]
         assert out.nodes_used == 1200
         assert elapsed < 10
-        assert len(sweeps) == 1
+        assert len(calls) == 1

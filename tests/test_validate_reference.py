@@ -135,10 +135,14 @@ def _break_hop(draw, G, L, spare):
 
 def _share_vertex(draw, G, L, spare):
     # reroute path i through a vertex of path j along shortest paths, so
-    # that its hops stay edges
+    # that its hops stay edges; a vertex that an earlier mutation put off
+    # the host, or removed from it, has no shortest path to it
     if len(L) > 1:
         i, j = _pick(draw, L, 2)
-        v = draw(st.sampled_from(L[j]))
+        on_host = [v for v in L[j] if G.has_vertex(v)]
+        if not on_host or not all(map(G.has_vertex, (L[i][0], L[i][-1]))):
+            return
+        v = draw(st.sampled_from(on_host))
         head = avoid_path(G, L[i][0], v, ())
         tail = avoid_path(G, v, L[i][-1], ())
         if head and tail:
