@@ -32,7 +32,7 @@ first; fixture vertices are their names.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import filterfalse
 from typing import Iterable, Mapping, Union
@@ -82,6 +82,8 @@ class FixtureGraph:
         return v in self.adjacency and v not in self.removed
 
     def neighbors(self, v: Vertex) -> list[str]:
+        if not self.removed:
+            return list(self.adjacency[v])
         return [w for w in self.adjacency[v] if w not in self.removed]
 
     def without(self, extra: Iterable[Vertex]) -> "FixtureGraph":
@@ -258,7 +260,10 @@ def linkage_to_json(G: HostGraph, L: Linkage) -> list:
 
 
 def linkage_from_json(G: HostGraph, obj: list) -> Linkage:
-    return [[G.parse_vertex(s) for s in _json_list(path, "a path")]
+    # A path through a removed vertex parses: validate_linkage reports it
+    # as a MEMBERSHIP failure of the witness.
+    whole = replace(G, removed=frozenset())
+    return [[whole.parse_vertex(s) for s in _json_list(path, "a path")]
             for path in _json_list(obj, "paths")]
 
 
@@ -336,7 +341,8 @@ def menger_disjoint_paths(G: HostGraph, A: Iterable[Vertex], B: Iterable[Vertex]
     Vertices in both A and B become one-vertex paths first.  Implemented as
     unit-capacity max-flow on the vertex-split digraph (fan mode uncaps the
     terminal splits); augmenting paths are shortest-first, so results are
-    deterministic.
+    deterministic.  The separator is read off the nodes that the last,
+    failed augmenting search reached, the source side of a minimum cut.
     """
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
@@ -352,22 +358,12 @@ def menger_disjoint_paths(G: HostGraph, A: Iterable[Vertex], B: Iterable[Vertex]
     if len(trivial) >= count:
         return MengerResult(trivial[:count], None, True)
     work = G.without(A_set & B_set) if trivial else G
-    A_run = A_set - B_set
-    B_run = B_set - A_set
-    if not A_run or not B_run:
-        # Every remaining source or sink was consumed by the overlap.
-        return _menger_incomplete(G, work, A_set, B_set, trivial, [], {}, count, strict)
     need = count - len(trivial)
-    paths, flow_map = _max_flow_paths(work, A_run, B_run, need, strict)
-    if len(paths) >= need:
-        return MengerResult(trivial + paths[:need], None, True)
-    return _menger_incomplete(G, work, A_set, B_set, trivial, paths, flow_map, count, strict)
-
-
-def _menger_incomplete(G, work, A_set, B_set, trivial, paths, flow_map, count, strict):
-    all_paths = trivial + paths
+    paths, reach = _max_flow_paths(work, A_set - B_set, B_set - A_set, need, strict)
+    if len(paths) == need:
+        return MengerResult(trivial + paths, None, True)
     if strict:
-        return MengerResult(all_paths, None, False)
+        return MengerResult(trivial + paths, None, False)
     if trivial:
         raise ValueError(
             "no separator witness exists: A and B overlap, and a shared "
@@ -380,18 +376,32 @@ def _menger_incomplete(G, work, A_set, B_set, trivial, paths, flow_map, count, s
                     "no separator witness exists: an A-B edge cannot be cut "
                     f"by vertices outside A and B (edge {a!r}-{w!r})"
                 )
-    sep = _extract_separator(work, A_set, B_set, flow_map)
+    # A and B are disjoint here.  Each arc leaving the cut's source side
+    # names one separator vertex: its own for a split arc; for an edge arc
+    # its head, or its tail when the head is in B.
+    sep = set()
+    for node in reach:
+        if node == "S":
+            continue  # S's arcs are never saturated below `need`
+        kind, v = node
+        for succ in _successors(work, node, A_set, B_set):
+            if succ in reach or succ == "T":
+                continue
+            if kind == "i":
+                sep.add(v)
+            else:
+                w = succ[1]
+                sep.add(w if w not in B_set else v)
     if len(sep) != len(paths):
         raise InvariantError(
             "separator size disagrees with flow value",
             {"separator": sorted(sep), "flow": len(paths)},
         )
-    leak = _reaches(work, A_set, B_set, sep)
-    if leak:
+    if _reaches(work, A_set, B_set, sep):
         raise InvariantError(
             "extracted separator fails to separate", {"separator": sorted(sep)}
         )
-    return MengerResult(all_paths, sorted(sep), False)
+    return MengerResult(paths, sorted(sep), False)
 
 
 # Flow network nodes are ('i', v) / ('o', v) splits plus 'S' and 'T'.
@@ -427,6 +437,8 @@ def _successors(G, node, A_set, B_set):
 
 
 def _max_flow_paths(G, A_set, B_set, need: int, strict: bool):
+    """Up to ``need`` A-B paths, and the node set that the last, failed
+    augmenting search reached (None when all ``need`` paths were found)."""
     loose = 1 if strict else need
     flow: dict = {}
     in_flow: dict = {}
@@ -440,7 +452,7 @@ def _max_flow_paths(G, A_set, B_set, need: int, strict: bool):
             if flow.get((pred, node), 0) > 0:
                 yield pred, (pred, node), -1
 
-    value = 0
+    value, reach = 0, None
     while value < need:
         parent = {"S": None}
         queue = deque(["S"])
@@ -456,6 +468,7 @@ def _max_flow_paths(G, A_set, B_set, need: int, strict: bool):
                     break
                 queue.append(succ)
         if not found:
+            reach = parent.keys()
             break
         node = "T"
         while parent[node] is not None:
@@ -483,52 +496,7 @@ def _max_flow_paths(G, A_set, B_set, need: int, strict: bool):
                 else:
                     raise InvariantError("flow decomposition ran out of arcs")
             paths.append(path)
-    # Rebuild the flow map for separator extraction (decomposition consumed it).
-    flow_map: dict = {}
-    for path in paths:
-        flow_map["S", ("i", path[0])] = flow_map.get(("S", ("i", path[0])), 0) + 1
-        for u, w in zip(path, path[1:]):
-            flow_map[("i", u), ("o", u)] = flow_map.get((("i", u), ("o", u)), 0) + 1
-            flow_map[("o", u), ("i", w)] = flow_map.get((("o", u), ("i", w)), 0) + 1
-        flow_map[("i", path[-1]), "T"] = flow_map.get((("i", path[-1]), "T"), 0) + 1
-    return paths, flow_map
-
-
-def _extract_separator(G, A_set, B_set, flow_map):
-    in_flow: dict = {}
-    for (a, b), f in flow_map.items():
-        if f > 0:
-            in_flow.setdefault(b, set()).add(a)
-    loose = len(flow_map) + 2  # terminal arcs are never saturated below count
-
-    reach = {"S"}
-    queue = deque(["S"])
-    while queue:
-        node = queue.popleft()
-        for succ in _successors(G, node, A_set, B_set):
-            cap = _arc_cap(node, succ, A_set, B_set, loose)
-            if succ not in reach and cap - flow_map.get((node, succ), 0) > 0:
-                reach.add(succ)
-                queue.append(succ)
-        for pred in in_flow.get(node, ()):
-            if pred not in reach and flow_map.get((pred, node), 0) > 0:
-                reach.add(pred)
-                queue.append(pred)
-
-    sep = set()
-    for node in reach:
-        if node in ("S", "T"):
-            continue
-        kind, v = node
-        for succ in _successors(G, node, A_set, B_set):
-            if succ in reach or succ == "T":
-                continue
-            if kind == "i":
-                sep.add(v)  # the split arc of an interior vertex
-            else:
-                w = succ[1]
-                sep.add(w if w not in B_set else v)
-    return sep
+    return paths, reach
 
 
 def _reaches(G, A_set, B_set, removed) -> bool:

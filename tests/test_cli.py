@@ -226,6 +226,40 @@ class TestVerify:
         assert code == 2
         assert "line 1" in err and "column" in err
 
+    @pytest.mark.parametrize("host, pair, path, removed", [
+        ({"type": "cube", "d": 3, "forbidden": ["001"]},
+         ["000", "011"], ["000", "001", "011"], 1),
+        ({"type": "graph", "vertices": ["a", "b", "c", "d"],
+          "edges": [["a", "b"], ["b", "c"], ["a", "d"], ["d", "c"]],
+          "forbidden": ["b"]},
+         ["a", "c"], ["a", "b", "c"], "b"),
+    ], ids=["cube", "fixture"])
+    def test_path_through_removed_vertex_is_invalid(self, capsys, tmp_path,
+                                                     host, pair, path, removed):
+        # the witness is wrong, not the input: exit 1 with MEMBERSHIP
+        witness = tmp_path / "witness.json"
+        witness.write_text(json.dumps({"host": host, "pairs": [pair],
+                                       "paths": [path]}))
+        code, obj, _ = invoke_json(capsys, "verify", str(witness))
+        assert code == 1
+        assert (obj["ok"], obj["clause"], obj["witness"]) == (False, "MEMBERSHIP", removed)
+
+    @pytest.mark.parametrize("host, pair, path", [
+        ({"type": "cube", "d": 3, "forbidden": ["001"]},
+         ["000", "011"], ["000", "0x1", "011"]),
+        ({"type": "graph", "vertices": ["a", "b", "c"],
+          "edges": [["a", "b"], ["b", "c"]], "forbidden": ["b"]},
+         ["a", "c"], ["a", "z", "c"]),
+    ], ids=["cube-word", "fixture-name"])
+    def test_unknown_path_vertex_is_a_usage_error(self, capsys, tmp_path,
+                                                  host, pair, path):
+        witness = tmp_path / "witness.json"
+        witness.write_text(json.dumps({"host": host, "pairs": [pair],
+                                       "paths": [path]}))
+        code, out, err = invoke(capsys, "verify", str(witness))
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
 
 class TestCertifyAndSuite:
     def test_certify_clean(self, capsys):

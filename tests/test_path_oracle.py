@@ -161,6 +161,102 @@ class TestMenger:
             # only the landing vertex lies in the facet
             assert [v for v in p if v in F_vertices] == [p[-1]]
 
+    def test_outputs_match_pinned_digest(self):
+        rows = []
+        for G, A, B, count, strict in _menger_draws():
+            try:
+                r = menger_disjoint_paths(G, A, B, count, strict=strict)
+            except ValueError as exc:
+                # which A-B edge the message names follows set order,
+                # which for string vertices changes with the hash seed
+                rows.append(["ValueError", str(exc).split(" (edge")[0]])
+            else:
+                rows.append([r.paths, r.separator, r.complete])
+        kinds = Counter("error" if row[0] == "ValueError" else
+                        "complete" if row[2] else
+                        "cut" if row[1] is not None else "strict" for row in rows)
+        assert (kinds["complete"], kinds["strict"], kinds["cut"],
+                kinds["error"]) == PINNED_MENGER_KINDS
+        assert _sha256(rows) == PINNED_MENGER_DIGEST
+
+
+@st.composite
+def menger_fixture_cases(draw):
+    """(host, A, B): a random graph on 3-9 string vertices, disjoint
+    nonempty terminal sets A and B, and up to two other vertices removed;
+    in about half the draws no edge joins A to B."""
+    names = [f"v{i}" for i in range(draw(st.integers(3, 9)))]
+    A = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True)
+             .filter(lambda A: len(A) < len(names)))
+    rest = [v for v in names if v not in A]
+    B = draw(st.lists(st.sampled_from(rest), min_size=1, max_size=3, unique=True))
+    inner = [v for v in rest if v not in B]
+    removed = draw(st.lists(st.sampled_from(inner), max_size=2)) if inner else []
+    touching = draw(st.booleans())
+    pairs = [(u, w) for u, w in combinations(names, 2) if touching
+             or not (u in A and w in B or u in B and w in A)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    G = fixture_graph("random", [e for e, k in zip(pairs, keep) if k], names)
+    return G.without(removed), A, B
+
+
+class TestMengerFixtureCuts:
+    @settings(max_examples=300, deadline=None)
+    @given(menger_fixture_cases())
+    def test_fan_separator_is_a_minimum_cut(self, case):
+        G, A, B = case
+        V = G.vertex_list()
+        touching = any(b in G.neighbors(a) for a in A for b in B)
+        try:
+            r = menger_disjoint_paths(G, A, B, len(V))
+        except ValueError as exc:
+            assert touching and "no separator witness" in str(exc)
+            return
+        # only A-B edges are paths without an inner vertex of their own,
+        # so without one len(V) paths never fit
+        if r.complete:
+            assert touching
+            return
+        sep = set(r.separator)
+        assert not sep & (set(A) | set(B) | G.removed)
+        assert all(G.has_vertex(v) for v in sep)
+        assert len(sep) == r.flow
+        assert all(avoid_path(G, a, b, sep) is None for a in A for b in B)
+        inner = [v for v in V if v not in A and v not in B]
+        for S in combinations(inner, r.flow - 1) if r.flow else ():
+            assert any(avoid_path(G, a, b, S) is not None for a in A for b in B), S
+
+
+def _menger_draws():
+    """A seeded set of (host, A, B, count, strict) for menger_disjoint_paths:
+    Q2-Q5 and random fixture graphs of 3-12 vertices, each minus 0-2
+    vertices, with terminal sets that may overlap or touch, in fan and
+    strict mode."""
+    rng = random.Random("menger_disjoint_paths/golden")
+    out = []
+    for i in range(2400):
+        if i % 2:
+            G = CubeGraph(rng.randint(2, 5))
+        else:
+            names = [f"v{j}" for j in range(rng.randint(3, 12))]
+            p = rng.uniform(0.2, 0.7)
+            G = fixture_graph("random", [e for e in combinations(names, 2)
+                                         if rng.random() < p], names)
+        G = G.without(rng.sample(G.vertex_list(), rng.randint(0, 2)))
+        V = G.vertex_list()
+        A = rng.sample(V, rng.randint(1, min(3, len(V))))
+        pool = [v for v in V if v not in A] if rng.random() < 0.8 else V
+        pool = pool or V
+        B = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+        out.append((G, A, B, rng.randint(1, 6), rng.random() < 0.5))
+    return out
+
+
+# Recorded with the router that rebuilt a flow map from the decomposed paths
+# and ran a second residual search to find the cut.
+PINNED_MENGER_KINDS = (919, 907, 134, 440)
+PINNED_MENGER_DIGEST = "1438bf31b4a43a6526c9cc3556a9c956cfd064aed6b7fcf22e88116432d3315e"
+
 
 class TestDecideLinked:
     def test_linked_q3(self):
@@ -374,6 +470,7 @@ class TestFixtures:
         assert G.neighbors("x") == ["s1", "s2", "t1", "t2", "y"]
         assert G.neighbors("s1") == ["s2", "t2", "x", "y"]
         assert "t1" not in G.neighbors("s1")
+        assert G.without({"y", "t2"}).neighbors("x") == ["s1", "s2", "t1"]
 
     def test_pyramid_is_2_linked_but_not_strongly(self):
         G = pyramid2_quad()
