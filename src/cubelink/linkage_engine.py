@@ -361,25 +361,21 @@ def _facet_routes(free: int, X: list, b: int) -> dict:
     whose drop is a terminal, go through the flow.
 
     That flow is a unit-capacity max-flow on the vertex-split cube, grown
-    by shortest augmenting paths.  Node 2v is v's entry and 2v + 1 its exit;
-    a facet entry drains to the sink, and an exit leads to the entries of
-    its non-terminal neighbours in ascending order.
+    by shortest augmenting paths, one search per blocked source from the
+    empty flow.  Node 2v is v's entry and 2v + 1 its exit; a facet entry
+    drains to the sink, and an exit leads to the entries of its
+    non-terminal neighbours in ascending order.  A search ends when it
+    queues a facet entry whose arc to the sink is free: the queue is first
+    in, first out, so no other entry would reach the sink before it.
 
-    Its first search starts from the empty flow, so it finds no backward
-    arc and runs in layers: the entries of the blocked sources in order,
-    their exits, then the entries of their non-terminal neighbours u (each
-    source's ascending, a u that an earlier source reached not again; none
-    is in the facet, since the drop of a blocked source is a terminal),
-    then the exits of those u in the same order.  A facet vertex w is
-    entered only from the exit of w ^ b, so the first facet entry the
-    search pops is the drop u ^ b of the first such u whose drop is no
-    terminal, and the search ends there.  That path, source -> a -> u ->
-    u ^ b -> sink with a the first source next to u, is the two-step drop,
-    taken here directly with its arcs saturated; the flow's loop then runs
-    only for the remaining blocked sources, or for all of them when no u
-    drops freely.  With a single blocked source and a two-step drop that
-    loop runs no search, so its route [a, u, u ^ b] is returned at once,
-    without building the flow.
+    With one blocked source a, that search finds no backward arc and runs
+    in layers: a's entry and exit, the entries of its non-terminal
+    neighbours u in ascending order (none is in the facet, since a's drop
+    is a terminal), then the exits of those u in the same order.  A facet
+    vertex w is entered only from the exit of w ^ b, so the search ends at
+    the drop of the first such u whose drop is no terminal.  That path,
+    the two-step drop [a, u, u ^ b], is returned at once, without building
+    the flow; when no u drops freely, the flow runs.
     """
     source, sink = -1, -2
     bits = _bits(free)
@@ -394,12 +390,12 @@ def _facet_routes(free: int, X: list, b: int) -> dict:
             routes[a] = [a, u]
     if not blocked:
         return routes
-    drop = next(((a, u) for a in blocked for u in sorted(a ^ c for c in bits)
-                 if u not in terminals and u ^ b not in terminals), None)
-    if drop is not None and len(blocked) == 1:
-        a, u = drop
-        routes[a] = [a, u, u ^ b]
-        return routes
+    if len(blocked) == 1:
+        a = blocked[0]
+        for u in sorted(a ^ c for c in bits):
+            if u not in terminals and u ^ b not in terminals:
+                routes[a] = [a, u, u ^ b]
+                return routes
 
     def successors(node: int) -> list:
         if node == source:
@@ -412,15 +408,7 @@ def _facet_routes(free: int, X: list, b: int) -> dict:
 
     flow: set = set()  # saturated arcs; every capacity is one
     into: dict = {}    # node -> the node whose saturated arc enters it
-    searches = len(blocked)
-    if drop is not None:
-        a, u = drop
-        nodes = [source, 2 * a, 2 * a + 1, 2 * u, 2 * u + 1, 2 * (u ^ b), sink]
-        for prev, node in zip(nodes, nodes[1:]):
-            flow.add((prev, node))
-            into[node] = prev
-        searches -= 1
-    for _ in range(searches):
+    for _ in blocked:
         parent = {source: None}
         queue = deque([source])
         while queue and sink not in parent:
@@ -428,7 +416,8 @@ def _facet_routes(free: int, X: list, b: int) -> dict:
             for succ in successors(node):
                 if succ not in parent and (node, succ) not in flow:
                     parent[succ] = (node, True)
-                    if succ == sink:
+                    if not succ & 1 and not succ >> 1 & b and (succ, sink) not in flow:
+                        parent[sink] = (succ, True)  # a free facet entry
                         break
                     queue.append(succ)
             else:

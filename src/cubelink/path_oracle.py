@@ -369,7 +369,7 @@ def menger_disjoint_paths(G: HostGraph, A: Iterable[Vertex], B: Iterable[Vertex]
             "no separator witness exists: A and B overlap, and a shared "
             "vertex is an uncuttable one-vertex path"
         )
-    for a in A_set:
+    for a in sorted(A_set):
         for w in G.neighbors(a):
             if w in B_set:
                 raise ValueError(
@@ -664,26 +664,20 @@ def _bfs_witness(G: HostGraph, s: Vertex, t: Vertex, used, blocked) -> list | No
         layers[side] = grown
 
 
-def _reacher(G: HostGraph, pairs: tuple, blocked: list):
-    """``reach(j, s, used)``: can s still reach pair j's target through
-    vertices in neither ``used`` nor ``blocked[j]``?  None when it cannot;
-    otherwise a witness, the vertices after s of such a path.
+def _reach(G: HostGraph, s: Vertex, t: Vertex, used, blocked) -> list | None:
+    """Can s still reach t through vertices in neither ``used`` nor
+    ``blocked``?  None when it cannot; otherwise a witness, the vertices
+    after s of such a path.
 
     On a cube ``_cube_witness`` answers first, with set lookups only.  When
     its walks find no path, and on every test on a fixture host,
     ``_bfs_witness`` answers exactly.
     """
-    cube_dim = G.d if isinstance(G, CubeGraph) else None
-
-    def reach(j: int, s: Vertex, used: set) -> list | None:
-        t = pairs[j][1]
-        if cube_dim is not None:
-            trail = _cube_witness(cube_dim, s, t, used, blocked[j])
-            if trail is not None:
-                return trail
-        return _bfs_witness(G, s, t, used, blocked[j])
-
-    return reach
+    if isinstance(G, CubeGraph):
+        trail = _cube_witness(G.d, s, t, used, blocked)
+        if trail is not None:
+            return trail
+    return _bfs_witness(G, s, t, used, blocked)
 
 
 def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -> DecideOutcome:
@@ -708,20 +702,21 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
     an explicit BUDGET_EXCEEDED outcome; it is never reported as UNLINKED.
 
     The separation test is incremental.  Each unfinished pair keeps a
-    witness: the rest of a path from its start (the path's end for the pair
-    being routed, the source for later pairs) to its target, clear of the
-    used vertices and of the other terminals.  A node re-tests a pair only
-    when it has no witness from its current start: first the routed pair,
-    then the later pairs.  A step onto w cuts each witness through w down
-    to the part after w, a witness from w: the routed pair keeps it when w
-    was the witness's next vertex, and any other pair, whose start is not
-    w, is re-tested.  Backtracking drops no witness, since it only frees
-    vertices.  A re-test (``_reacher``) on a cube first walks to the target
-    (``_cube_witness``), flipping bits in the order the search tries
-    neighbours, so the search's first option is the witness's next vertex
-    and a free descent never re-tests.  When the walks find no path, and on
-    every re-test on a fixture host, a BFS grown from both ends
-    (``_bfs_witness``) finds a witness or proves the cut.  The used
+    witness, or None: the rest of a path from its start (the path's end for
+    the pair being routed, the source for later pairs) to its target, clear
+    of the used vertices and of the other terminals.  A node re-tests, in
+    pair order, each pair without a witness, the routed pair from the
+    path's end and a later pair from its source; the first pair that cannot
+    reach its target prunes the node.  A step onto w trims the routed
+    pair's witness to the part after w, a witness from w, or drops it when
+    w is not on it, and drops every later pair's witness through w.
+    Backtracking drops the witness of each pair whose path it pops, since
+    its start is its source again.  A re-test (``_reach``) on a cube first
+    walks to the target (``_cube_witness``), flipping bits in the order the
+    search tries neighbours, so the search's first option is the witness's
+    next vertex and a free descent never re-tests.  When the walks find no
+    path, and on every re-test on a fixture host, a BFS grown from both
+    ends (``_bfs_witness``) finds a witness or proves the cut.  The used
     vertices and each pair's barred vertices are sets, so each probe costs
     O(1) whatever d is.  Every test answers exact reachability, so
     witnesses move no node count, linkage or verdict.  The search itself
@@ -748,11 +743,7 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
     barred = G.removed.union(*pairs)
     blocked = list(map(barred.difference, pairs))
     barred_has = [b.__contains__ for b in blocked]
-    reach = _reacher(G, pairs, blocked)
     order = tuple(range(k))
-    # witness[j]: the vertices after start[j] of a path to pair j's target,
-    # clear of used and blocked[j] while pair j is unfinished, or None
-    start: list = [None] * k
     witness: list = [None] * k
 
     path = [sources[0]]
@@ -778,23 +769,13 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
             paths.append(path)
             used.add(cur)
             continue
-        # re-test the pairs whose witness lapsed: the routed pair from cur,
-        # then the later pairs from their sources
-        trail = witness[i] if start[i] == cur else None
-        if not trail:
-            trail = reach(i, cur, used)
-            if trail is not None:
-                start[i], witness[i] = cur, trail
-        if trail is not None:
-            for j in range(i + 1, k):
-                s = sources[j]
-                if start[j] != s:
-                    trail = reach(j, s, used)
-                    if trail is None:
-                        break
-                    start[j], witness[j] = s, trail
-        if trail is None:
-            cur = None
+        for j in range(i, k):  # re-test each pair whose witness lapsed
+            if not witness[j]:
+                witness[j] = _reach(G, cur if j == i else sources[j], targets[j],
+                                    used, blocked[j])
+                if witness[j] is None:
+                    cur = None
+                    break
         else:
             steps = toward[i](cur) if d is None else _cube_steps(d, cur, targets[i])
             options = filterfalse(used_has, filterfalse(barred_has[i], steps))
@@ -806,6 +787,7 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
             i, depth, options = stack[-1]
             while len(paths) > i + 1:
                 used.difference_update(paths.pop())
+                witness[len(paths)] = None
             path = paths[i]
             used.difference_update(path[depth:])
             del path[depth:]
@@ -814,11 +796,14 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
                 stack.pop()
         path.append(cur)
         used.add(cur)
-        for j in range(i, k):  # a witness through cur now runs from cur
-            trail = witness[j]
-            if trail and cur in trail:
-                del trail[:trail.index(cur) + 1]
-                start[j] = cur
+        trail = witness[i]  # trim the routed pair's witness to run from cur
+        if trail and cur in trail:
+            del trail[:trail.index(cur) + 1]
+        else:
+            witness[i] = None
+        for j in range(i + 1, k):  # a later witness through cur lapses
+            if witness[j] and cur in witness[j]:
+                witness[j] = None
 
 
 # ---------------------------------------------------------------------------

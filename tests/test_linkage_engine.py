@@ -844,17 +844,18 @@ class TestRouting:
         assert sum(flow) == 419
         # blocked sources but no two-step drop anywhere: the flow alone
         assert sum(bool(blocked) and drop is None for blocked, drop in layers) == 27
-        # exactly the calls counted in `flow` run one of the flow's searches,
-        # each of which builds a queue
+        # exactly the calls counted in `flow` run the flow, and it makes one
+        # search, each of which builds a queue, per blocked source
         queues = []
         monkeypatch.setattr(linkage_engine, "deque",
                             lambda *args: queues.append(1) or deque(*args))
-        searched = []
+        searches = []
         for free, X, b in calls:
             queues.clear()
             _facet_routes(free, X, b)
-            searched.append(bool(queues))
-        assert searched == flow
+            searches.append(len(queues))
+        assert searches == [len(blocked) if f else 0
+                            for (blocked, _), f in zip(layers, flow)]
         # calls where no full routing exists
         assert sum(len(row) < len(X) for row, (_, X, _) in zip(rows, calls)) == 1
 

@@ -4,7 +4,10 @@ import ast
 import hashlib
 import inspect
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from itertools import combinations
@@ -146,6 +149,28 @@ class TestMenger:
         with pytest.raises(ValueError, match="no separator"):
             menger_disjoint_paths(CubeGraph(2), [0], [1, 2], 3)
 
+    def test_named_edge_is_independent_of_the_hash_seed(self):
+        # three A-B edges on string vertices: the message names the least
+        # one, a1-b1, whatever order the hash seed gives the set A
+        script = (
+            "from cubelink.path_oracle import fixture_graph, menger_disjoint_paths\n"
+            "G = fixture_graph('abx', [('a1', 'b1'), ('a2', 'b2'), ('a3', 'b3'),"
+            " ('a1', 'x')])\n"
+            "try:\n"
+            "    menger_disjoint_paths(G, ['a1', 'a2', 'a3'], ['b1', 'b2', 'b3'], 4)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+        src = os.path.dirname(os.path.dirname(path_oracle.__file__))
+        messages = set()
+        for seed in ("1", "2", "3", "4", "5"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            messages.add(proc.stdout.strip())
+        assert len(messages) == 1
+        assert "(edge 'a1'-'b1')" in messages.pop()
+
     def test_even_reduction_shape(self):
         # a 2k-set routes onto a facet with distinct landing spots
         d = 6
@@ -167,8 +192,8 @@ class TestMenger:
             try:
                 r = menger_disjoint_paths(G, A, B, count, strict=strict)
             except ValueError as exc:
-                # which A-B edge the message names follows set order,
-                # which for string vertices changes with the hash seed
+                # pinned up to the named A-B edge, which, when this digest
+                # was recorded, followed the hash seed's set order
                 rows.append(["ValueError", str(exc).split(" (edge")[0]])
             else:
                 rows.append([r.paths, r.separator, r.complete])
@@ -666,7 +691,7 @@ class TestCutTest:
         used = set(used) | ({s} if start_used else set())
         barred = blocked | G.removed
         want = avoid_path(G, s, t, (used | blocked) - {s}) is not None
-        witness = path_oracle._reacher(G, ((s, t),), [barred])(0, s, used)
+        witness = path_oracle._reach(G, s, t, used, barred)
         assert (witness is not None) == want
         if witness is not None:
             route = [s] + witness
@@ -899,3 +924,143 @@ class TestDecideGolden:
         assert out.nodes_used == 1200
         assert elapsed < 10
         assert len(calls) == 1
+
+
+def _reference_decide(G, Y) -> tuple:
+    """(status, linkage, nodes_used) of a plain recursive search for a
+    linkage, which re-tests every unfinished pair afresh at every node.
+
+    It counts one node per placed path end, each pair's source included
+    when that pair starts.  At every node short of its target it runs
+    avoid_path for each unfinished pair, the routed pair from its end and
+    the later pairs from their sources, around the used vertices and the
+    other terminals, and gives up the node when one of them finds no path.
+    It tries an end's neighbours in order of (distance to the target,
+    vertex): Hamming distance on a cube, BFS distance on a fixture host,
+    with the vertices that cannot reach the target last."""
+    pairs = Y.pairs
+    k = len(pairs)
+    others = [frozenset(Y.terminals) - set(pair) for pair in pairs]
+    if isinstance(G, CubeGraph):
+        def order(v, t):
+            return sorted(G.neighbors(v), key=lambda w: ((w ^ t).bit_count(), w))
+    else:
+        dist = {}
+        for _, t in pairs:
+            dist[t] = {t: 0}
+            queue = [t]
+            for v in queue:
+                for w in G.neighbors(v):
+                    if w not in dist[t]:
+                        dist[t][w] = dist[t][v] + 1
+                        queue.append(w)
+
+        def order(v, t):
+            return sorted(G.neighbors(v),
+                          key=lambda w: (dist[t].get(w, len(G.adjacency)), w))
+
+    paths, used, nodes = [[pairs[0][0]]], {pairs[0][0]}, 0
+
+    def place(i, v) -> bool:  # v is the new end of pair i's path
+        nonlocal nodes
+        nodes += 1
+        if v == pairs[i][1]:
+            if i + 1 == k:
+                return True
+            s = pairs[i + 1][0]
+            paths.append([s])
+            used.add(s)
+            if place(i + 1, s):
+                return True
+            paths.pop()
+            used.discard(s)
+            return False
+        for j in range(i, k):
+            s = v if j == i else pairs[j][0]
+            if avoid_path(G, s, pairs[j][1], (used | others[j]) - {s}) is None:
+                return False
+        for w in order(v, pairs[i][1]):
+            if w in used or w in others[i]:
+                continue
+            paths[i].append(w)
+            used.add(w)
+            if place(i, w):
+                return True
+            paths[i].pop()
+            used.discard(w)
+        return False
+
+    if place(0, pairs[0][0]):
+        return LINKED, paths, nodes
+    return UNLINKED, None, nodes
+
+
+def _reference_draws(n: int) -> list:
+    """n seeded (host, pairing) draws: Q2-Q5 with 0-2 removed vertices,
+    vertex links of Q3-Q5, and random fixture graphs on 4-10 vertices, each
+    with k = 1..3 pairs (as many as the host's vertices allow)."""
+    rng = random.Random("decide_linked/reference")
+    out = []
+    for _ in range(n):
+        kind = rng.choice(["cube", "link", "fixture"])
+        if kind == "cube":
+            d = rng.randint(2, 5)
+            G = CubeGraph(d, frozenset(rng.sample(range(1 << d), rng.randint(0, 2))))
+        elif kind == "link":
+            d = rng.randint(3, 5)
+            G = link_graph(d, rng.randrange(1 << d))
+        else:
+            names = [f"v{i}" for i in range(rng.randint(4, 10))]
+            density = rng.uniform(0.2, 0.8)
+            G = fixture_graph("random", [e for e in combinations(names, 2)
+                                         if rng.random() < density], names)
+        vertices = G.vertex_list()
+        k = rng.randint(1, min(3, len(vertices) // 2))
+        X = rng.sample(vertices, 2 * k)
+        out.append((G, Pairing(tuple(zip(X[::2], X[1::2])))))
+    return out
+
+
+class TestDecideReference:
+    """decide_linked's node counts, verdicts and witnesses are those of a
+    search that re-tests every pair at every node: its witnesses only skip
+    re-tests whose answer they already know."""
+
+    def test_matches_reference_search(self):
+        mismatches = []
+        for G, Y in _reference_draws(20000):
+            out = decide_linked(G, Y)
+            got = (out.status, out.linkage, out.nodes_used)
+            if got != _reference_decide(G, Y):
+                mismatches.append((G, Y))
+        assert not mismatches, (len(mismatches), mismatches[:3])
+
+    def test_popped_pair_on_a_link(self):
+        # backtracking pops the paths of pairs 1 and 2 here; a witness kept
+        # from a popped path would spare a cut state and cost nodes
+        G = link_graph(4, 4)
+        assert G.removed == {4, 11}
+        Y = Pairing(((13, 1), (5, 0), (3, 12)))
+        out = decide_linked(G, Y)
+        assert (out.status, out.linkage, out.nodes_used) == _reference_decide(G, Y)
+        assert out.nodes_used == 21
+
+    # (host, k, samples, seed): nodes, _cube_witness calls, _bfs_witness calls
+    RETEST_PINS = (
+        ("cube:5", 3, 5000, 11, 54292, 17150, 39),
+        ("pyramid2-quad", 2, 2000, 11, 8532, 0, 4048),
+    )
+
+    @pytest.mark.parametrize("host, k, n, seed, nodes, cube, bfs", RETEST_PINS,
+                             ids=[p[0] for p in RETEST_PINS])
+    def test_retest_counts_match_pins(self, monkeypatch, host, k, n, seed,
+                                      nodes, cube, bfs):
+        calls = Counter()
+        for name in ("_cube_witness", "_bfs_witness"):
+            def spy(*args, name=name, test=getattr(path_oracle, name)):
+                calls[name] += 1
+                return test(*args)
+            monkeypatch.setattr(path_oracle, name, spy)
+        total = sum(decide_linked(inst.host_graph(), inst.pairing).nodes_used
+                    for inst in sample_instances(host, k, n, seed))
+        assert (total, calls["_cube_witness"], calls["_bfs_witness"]) == (nodes, cube, bfs)
