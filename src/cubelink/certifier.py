@@ -28,7 +28,6 @@ the same loops behind a host resolution of their own.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -533,6 +532,7 @@ def certify(job: CertificationJob) -> CertificationReport:
     space = _validate_job(job)
     start = time.perf_counter()
     if job.workers > 1:
+        import multiprocessing  # slow to import, and only a pool needs it
         with multiprocessing.Pool(job.workers) as pool:
             parts = pool.map(_certify_worker,
                              [(job, space, i) for i in range(job.workers)])

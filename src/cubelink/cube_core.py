@@ -66,7 +66,7 @@ def opposite(d: int, v: int) -> int:
 def parse_vertex(d: int, s: str) -> int:
     """Parse a binary string, most significant coordinate first."""
     check_dim(d)
-    if not isinstance(s, str) or len(s) != d or any(c not in "01" for c in s):
+    if not isinstance(s, str) or len(s) != d or s.strip("01"):
         raise ValueError(f"vertex string {s!r} is not a {d}-bit binary word")
     return int(s, 2)
 

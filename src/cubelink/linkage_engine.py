@@ -297,11 +297,11 @@ def _descent(s: int, t: int, avoid: set | frozenset) -> list | None:
     path = [s]
     v = s
     while order:
-        for i, b in enumerate(order):
-            if v ^ b not in avoid:
-                break
-        else:
-            return None
+        i = 0
+        while v ^ order[i] in avoid:
+            i += 1
+            if i == len(order):
+                return None
         v ^= order.pop(i)
         path.append(v)
     return path
@@ -350,15 +350,13 @@ def _facet_routes(free: int, X: list, b: int) -> dict:
     vertex, holds no other terminal, and shares no vertex with the rest.
     Fewer paths than terminals come back only when no full routing exists.
 
-    A source a (a & b set) whose straight drop u = a ^ b is not a
-    terminal takes the edge [a, u] at once.  The flow below would pick the
-    same edges: a drop is the only augmenting path of four arcs, so the
-    shortest-augmenting search claims every free drop first, in ascending
-    source order; and no later path can reroute one, because the only
-    neighbour of u off the facet is the terminal a, whose exit is reachable
-    only through its own saturated source arc.  So the output is the one
-    the flow over all sources gives, and only the blocked sources, those
-    whose drop is a terminal, go through the flow.
+    A source a (a & b set) whose straight drop u = a ^ b is not a terminal
+    takes the edge [a, u] at once.  The flow would pick the same edges: a
+    drop is the only augmenting path of four arcs, so its search claims
+    every free drop first, and no later path can reroute one, as u's only
+    neighbour off the facet is a, whose exit is reachable only through its
+    own saturated source arc.  So only the blocked sources, whose drop is a
+    terminal, are sorted, read the face's bits and go through the flow.
 
     That flow is a unit-capacity max-flow on the vertex-split cube, grown
     by shortest augmenting paths, one search per blocked source from the
@@ -377,19 +375,21 @@ def _facet_routes(free: int, X: list, b: int) -> dict:
     the two-step drop [a, u, u ^ b], is returned at once, without building
     the flow; when no u drops freely, the flow runs.
     """
-    source, sink = -1, -2
-    bits = _bits(free)
     terminals = frozenset(X)
-    routes = {x: [x] for x in X if not x & b}
-    blocked = []  # ascending
-    for a in sorted(x for x in X if x & b):
-        u = a ^ b
-        if u in terminals:
-            blocked.append(a)
+    routes = {}
+    blocked = []
+    for x in X:
+        if not x & b:
+            routes[x] = [x]
+        elif x ^ b in terminals:
+            blocked.append(x)
         else:
-            routes[a] = [a, u]
+            routes[x] = [x, x ^ b]
     if not blocked:
         return routes
+    blocked.sort()
+    source, sink = -1, -2
+    bits = _bits(free)
     if len(blocked) == 1:
         a = blocked[0]
         for u in sorted(a ^ c for c in bits):
@@ -667,12 +667,8 @@ def _even_reduction(free: int, pairs: list, trace: list) -> list:
         )
     sub_pairs = [(stub[s][-1], stub[t][-1]) for s, t in pairs]
     sub_paths = _solve(free ^ b, sub_pairs, frozenset(), trace)
-    out = []
-    for (s, t), sub in zip(pairs, sub_paths):
-        path = stub[s] + sub[1:]
-        back = stub[t][::-1]
-        out.append(path + back[1:])
-    return out
+    return [stub[s][:-1] + sub + stub[t][-2::-1]
+            for (s, t), sub in zip(pairs, sub_paths)]
 
 
 # ---------------------------------------------------------------------------
@@ -759,30 +755,37 @@ def _scenario3_context(free: int, pairs: list) -> tuple:
     omega, S).  The solver unpacks it; only scenario3_context builds the
     dataclass."""
     d = free.bit_count()
-    first = next(i for i, (s, t) in enumerate(pairs) if s ^ t != free)
-    s1, t1 = pairs[first]
+    for first, (s1, t1) in enumerate(pairs):
+        if s1 ^ t1 != free:
+            break
+    else:
+        raise InvariantError("scenario 3 needs a non-antipodal pair",
+                             {"free": free, "pairs": pairs})
     agree = ~(s1 ^ t1) & free  # the free bits s1 and t1 agree on
     b = agree & -agree
     v = s1 & b
     rho = {}
-    in_F = []
-    alpha_idx = []
+    beta = []  # F-side terminals outside the alpha pairs
+    alpha_idx, alpha = [], []
     for i, (s, t) in enumerate(pairs):
         rho[s] = t
         rho[t] = s
         if i == first:
             continue
-        s_in = s & b == v
-        t_in = t & b == v
-        if s_in:
-            in_F.append(s)
-        if t_in:
-            in_F.append(t)
-        if s_in and t_in and cube_core.adjacent(s, t):
-            alpha_idx.append(i)
-    X_F = frozenset(in_F)
-    X_alpha = frozenset(x for i in alpha_idx for x in pairs[i])
-    X_beta = tuple(sorted(X_F - X_alpha))
+        if s & b == v:
+            if t & b == v:
+                if (s ^ t).bit_count() == 1:  # s and t adjacent
+                    alpha_idx.append(i)
+                    alpha += (s, t)
+                    continue
+                beta += (s, t)
+            else:
+                beta.append(s)
+        elif t & b == v:
+            beta.append(t)
+    X_alpha = frozenset(alpha)
+    X_F = X_alpha.union(beta)
+    X_beta = tuple(sorted(beta))
     omega = _build_omega(free, b, rho, X_beta)
     S = X_F.union(w for w in omega.values() if w not in rho)
     if len(S) > d - 1:
@@ -860,41 +863,38 @@ def scenario3_context(d: int, Y: Pairing) -> ScenarioContext:
 
 
 def _scenario3(free: int, pairs: list, trace: list) -> list:
-    # F is "x & b == v"
+    """F is "x & b == v".  One pass gives every pair but the special and
+    alpha ones an entry path per terminal into F^o: [x] for x in F^o, else
+    x, omega(x) if moved, and omega(x) ^ b.  One solve in F^o joins the
+    pairs no entry path completes, avoiding the F^o ends of those it does."""
     _, b, v, first, _, _, _, Y_alpha, _, omega, S = _scenario3_context(free, pairs)
     s1, t1 = pairs[first]
-
-    routed = set(Y_alpha) | {first}
-    out = {i: list(pairs[i]) for i in Y_alpha}
-    M: dict = {}  # terminal -> its entry path into F^o
-    complete, open_idx = [], []
+    out = [None] * len(pairs)
+    for i in Y_alpha:
+        out[i] = list(pairs[i])
+    sub_pairs, sub_avoid, ends = [], [], []
     for i, (s, t) in enumerate(pairs):
-        if i in routed:
+        if i == first or out[i] is not None:
             continue
-        for x in (s, t):
-            if x & b != v:
-                M[x] = [x]
-            else:
-                wx = omega[x]
-                M[x] = [x, x ^ b] if wx == x else [x, wx, wx ^ b]
-        if M[s][-1] == t:
-            out[i] = M[s]
-            complete.append(i)
-        elif M[t][-1] == s:
-            out[i] = M[t][::-1]
-            complete.append(i)
+        ms = ([s] if s & b != v else
+              [s, s ^ b] if omega[s] == s else [s, omega[s], omega[s] ^ b])
+        mt = ([t] if t & b != v else
+              [t, t ^ b] if omega[t] == t else [t, omega[t], omega[t] ^ b])
+        if ms[-1] == t:
+            out[i] = ms
+            sub_avoid.append(t)
+        elif mt[-1] == s:
+            out[i] = mt[::-1]
+            sub_avoid.append(s)
         else:
-            open_idx.append(i)
+            sub_pairs.append((ms[-1], mt[-1]))
+            ends.append((i, ms, mt))
 
     sub = free ^ b
-    if open_idx:
-        sub_avoid = frozenset(
-            out[i][0] if out[i][0] & b != v else out[i][-1] for i in complete)
-        sub_pairs = [(M[pairs[i][0]][-1], M[pairs[i][1]][-1]) for i in open_idx]
-        sub_paths = _solve(sub, sub_pairs, sub_avoid, trace)
-        for i, mid in zip(open_idx, sub_paths):
-            s, t = pairs[i]
-            out[i] = M[s] + mid[1:] + M[t][::-1][1:]
+    if sub_pairs:
+        sub_paths = _solve(sub, sub_pairs, frozenset(sub_avoid), trace)
+        for (i, ms, mt), mid in zip(ends, sub_paths):
+            out[i] = ms[:-1] + mid + mt[-2::-1]
 
     # S lies in F, the special pair's facet.
     L1 = _route(sub, s1, t1, S)
@@ -904,7 +904,7 @@ def _scenario3(free: int, pairs: list, trace: list) -> list:
             {"free": free, "pair": (s1, t1), "S": sorted(S)},
         )
     out[first] = L1
-    return [_oriented(out[i], s, t) for i, (s, t) in enumerate(pairs)]
+    return [_oriented(path, s, t) for path, (s, t) in zip(out, pairs)]
 
 
 # ---------------------------------------------------------------------------

@@ -419,7 +419,22 @@ class TestOutputStability:
         assert list(obj) == sorted(obj)
 
 
-_CUBE5_FILE = {"host": {"type": "cube", "d": 5, "forbidden": ["00111"]},
+class TestStartup:
+    def test_import_leaves_multiprocessing_out(self):
+        # multiprocessing costs every command a start-up import; only
+        # certify with workers > 1 may load it
+        src = os.path.dirname(os.path.dirname(cubelink.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, cubelink, cubelink.cli; "
+             "print('multiprocessing' in sys.modules)"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+            timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+
+_CUBE5_FILE = {"host":{"type": "cube", "d": 5, "forbidden": ["00111"]},
                "pairs": [["00000", "11111"], ["00011", "11100"]]}
 _LINK6_FILE = {"host": {"type": "cube", "d": 6, "forbidden": ["000000", "111111"]},
                "pairs": [["000011", "110000"], ["000101", "101000"],

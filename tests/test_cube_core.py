@@ -70,6 +70,10 @@ class TestVertices:
             parse_vertex(3, "0101")
         with pytest.raises(ValueError):
             parse_vertex(3, "01x")
+        # int(s, 2) alone accepts every one of these
+        for s in ("0_1", " 01", "+01", "01\n"):
+            with pytest.raises(ValueError, match="is not a 3-bit binary word"):
+                parse_vertex(3, s)
 
 
 class TestFaces:

@@ -418,6 +418,15 @@ class TestScenario3Context:
         with pytest.raises(ValueError):
             scenario3_context(5, Pairing(((0, 31), (1, 30), (2, 29))))
 
+    def test_missing_special_pair_is_an_invariant_failure(self):
+        # _solve never sends an all-antipodal level here (scenario 1 takes
+        # it); a call that does is an engine fault, not a fall-through
+        pairs = [(0, 31), (1, 30), (2, 29)]
+        with pytest.raises(InvariantError, match="non-antipodal pair") as info:
+            linkage_engine._scenario3_context((1 << 5) - 1, pairs)
+        assert not isinstance(info.value, ValueError)
+        assert info.value.context == {"free": 31, "pairs": pairs}
+
     def test_rejects_common_facet(self):
         with pytest.raises(ValueError):
             scenario3_context(5, Pairing(((0, 3), (1, 2), (4, 8))))
@@ -1111,6 +1120,14 @@ PINNED_SOLVE_LABELS = {
 }
 PINNED_SOLVE_DIGEST = "87511e7830fb162811601bb72426a8f78cc29c43b90955cdc0970a81534efd52"
 
+# Scenario-3 levels of _golden_solves() that take each branch of the entry
+# step, read off the set-up (see _scenario3_branches).  Recorded when
+# _scenario3 kept its entry paths in a dict and joined them in a second pass.
+PINNED_SCENARIO3_BRANCHES = {
+    "levels": 365, "moved_entry": 34, "alpha_pair": 31,
+    "source_completes": 12, "target_completes": 9,
+}
+
 
 PINNED_DEEP_SOLVE_DIGEST = "ccc1372cd032050933b3263a5d2bbaf76141d569ee5e31caead440634a1af868"
 
@@ -1136,6 +1153,40 @@ class TestSolveGolden:
         digest = hashlib.sha256(
             json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
         assert digest == PINNED_SOLVE_DIGEST
+
+    def test_scenario3_branches_are_exercised(self, monkeypatch):
+        """The digest covers these branches only if the golden solves run
+        them: a moved omega entry (a three-vertex entry path), an alpha
+        pair, and a pair that one terminal's entry path completes, from
+        either end.  Each is counted from the set-up alone."""
+        seen: Counter = Counter()
+        inner = linkage_engine._scenario3_context
+
+        def spy(free, pairs):
+            ctx = inner(free, pairs)
+            _, b, v, first, _, _, _, Y_alpha, _, omega, _ = ctx
+
+            def end(x):  # the last vertex of x's entry path
+                return x if x & b != v else omega[x] ^ b
+
+            rest = [(s, t) for i, (s, t) in enumerate(pairs)
+                    if i != first and i not in Y_alpha]
+            by_source = [end(s) == t for s, t in rest]
+            by_target = [not hit and end(t) == s
+                         for hit, (s, t) in zip(by_source, rest)]
+            seen.update(label for label, hit in (
+                ("levels", True),
+                ("moved_entry", any(w != x for x, w in omega.items())),
+                ("alpha_pair", bool(Y_alpha)),
+                ("source_completes", any(by_source)),
+                ("target_completes", any(by_target))) if hit)
+            return ctx
+
+        monkeypatch.setattr(linkage_engine, "_scenario3_context", spy)
+        for solver, *args in _golden_solves():
+            solver(*args)
+        assert dict(seen) == PINNED_SCENARIO3_BRANCHES
+        assert min(seen.values()) > 0
 
 
 def _face_instance(rng, with_avoid):
