@@ -356,7 +356,7 @@ def _facet_routes(free: int, X: list, b: int) -> dict:
     every free drop first, and no later path can reroute one, as u's only
     neighbour off the facet is a, whose exit is reachable only through its
     own saturated source arc.  So only the blocked sources, whose drop is a
-    terminal, are sorted, read the face's bits and go through the flow.
+    terminal, are sorted and read the face's bits.
 
     That flow is a unit-capacity max-flow on the vertex-split cube, grown
     by shortest augmenting paths, one search per blocked source from the
@@ -366,14 +366,18 @@ def _facet_routes(free: int, X: list, b: int) -> dict:
     queues a facet entry whose arc to the sink is free: the queue is first
     in, first out, so no other entry would reach the sink before it.
 
-    With one blocked source a, that search finds no backward arc and runs
-    in layers: a's entry and exit, the entries of its non-terminal
-    neighbours u in ascending order (none is in the facet, since a's drop
-    is a terminal), then the exits of those u in the same order.  A facet
-    vertex w is entered only from the exit of w ^ b, so the search ends at
-    the drop of the first such u whose drop is no terminal.  That path,
-    the two-step drop [a, u, u ^ b], is returned at once, without building
-    the flow; when no u drops freely, the flow runs.
+    The blocked sources, in ascending order, each take the two-step drop
+    [a, u, u ^ b] through a's first neighbour u, ascending, that is no
+    terminal, drops onto none and is no earlier pick's middle vertex.
+    These are the flow's own paths: after j - 1 picks, the j-th search
+    queues the free sources' entries and exits, then the entries of a_j's
+    non-terminal neighbours in ascending order (none in the facet, as a_j's
+    drop is a terminal), then the exits these lead to in that order.  An
+    earlier pick u_i leads back only to a_i's exit, which reaches no facet
+    entry, as a_i's drop is a terminal; a facet vertex w is entered only
+    from the exit of w ^ b; so the first free facet entry queued is the
+    drop of a_j's pick.  When a blocked source has no pick, the flow runs
+    from the empty flow over all the blocked sources.
     """
     terminals = frozenset(X)
     routes = {}
@@ -390,12 +394,18 @@ def _facet_routes(free: int, X: list, b: int) -> dict:
     blocked.sort()
     source, sink = -1, -2
     bits = _bits(free)
-    if len(blocked) == 1:
-        a = blocked[0]
+    picks = {}  # the middle vertex of each two-step drop -> its source
+    for a in blocked:
         for u in sorted(a ^ c for c in bits):
-            if u not in terminals and u ^ b not in terminals:
-                routes[a] = [a, u, u ^ b]
-                return routes
+            if u not in terminals and u ^ b not in terminals and u not in picks:
+                picks[u] = a
+                break
+        else:
+            break
+    else:
+        for u, a in picks.items():
+            routes[a] = [a, u, u ^ b]
+        return routes
 
     def successors(node: int) -> list:
         if node == source:

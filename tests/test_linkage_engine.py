@@ -702,17 +702,26 @@ def _golden_facet_routes() -> list:
 
 
 def _facet_route_layers(free: int, X: list, b: int) -> tuple:
-    """(blocked sources, the first two-step drop (a, u) or None), read off
-    the instance as _facet_routes' docstring describes the flow's first
-    search: the neighbours u of the blocked sources in order, each
-    ascending, and the first u that is no terminal and drops onto none."""
+    """(blocked sources, the first two-step drop (a, u) or None, the picks),
+    read off the instance as _facet_routes' docstring describes the flow's
+    searches: the neighbours u of the blocked sources in order, each
+    ascending, and the first u that is no terminal and drops onto none.
+    The picks {a: u} give each blocked source in order its first such u
+    that no earlier pick took; they are None when one source has none."""
     terminals = set(X)
     blocked = sorted(a for a in X if a & b and a ^ b in terminals)
+    drops = {a: [u for u in sorted(a ^ c for c in linkage_engine._bits(free))
+                 if u not in terminals and u ^ b not in terminals]
+             for a in blocked}
+    drop = next(((a, drops[a][0]) for a in blocked if drops[a]), None)
+    picks: dict | None = {}
     for a in blocked:
-        for u in sorted(a ^ c for c in linkage_engine._bits(free)):
-            if u not in terminals and u ^ b not in terminals:
-                return blocked, (a, u)
-    return blocked, None
+        u = next((u for u in drops[a] if u not in picks.values()), None)
+        if u is None:
+            picks = None
+            break
+        picks[a] = u
+    return blocked, drop, picks
 
 
 # Recorded on _facet_routes before it took the two-step drop ahead of its
@@ -805,8 +814,8 @@ class TestRouting:
         vertex = st.integers(0, (1 << d) - 1)
         X = data.draw(st.lists(vertex, min_size=1, max_size=d + 2, unique=True))
         forced = []
-        # up to three sources whose straight drop is a terminal
-        for a in data.draw(st.lists(vertex, max_size=3)):
+        # up to four sources whose straight drop is a terminal
+        for a in data.draw(st.lists(vertex, max_size=4)):
             forced += [a | 1 << w, a & ~(1 << w)]
         if data.draw(st.booleans()):
             # a blocked source each of whose other neighbours is a terminal
@@ -841,19 +850,25 @@ class TestRouting:
             json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
         assert digest == PINNED_FACET_ROUTE_DIGEST
         layers = [_facet_route_layers(*call) for call in calls]
-        assert Counter(min(len(blocked), 3) for blocked, _ in layers) == {
+        assert Counter(min(len(blocked), 3) for blocked, _, _ in layers) == {
             0: 138, 1: 190, 2: 199, 3: 193}
-        # both branches run: calls that take the two-step drop, and calls
-        # that still search the flow (a second blocked source, or no
-        # two-step drop at all)
-        two_step = [drop is not None for _, drop in layers]
+        # calls where some blocked source has a two-step drop, and calls
+        # with a second blocked source or with no two-step drop at all
+        two_step = [drop is not None for _, drop, _ in layers]
         flow = [len(blocked) > 1 or bool(blocked) and drop is None
-                for blocked, drop in layers]
+                for blocked, drop, _ in layers]
         assert sum(two_step) == 555
         assert sum(flow) == 419
         # blocked sources but no two-step drop anywhere: the flow alone
-        assert sum(bool(blocked) and drop is None for blocked, drop in layers) == 27
-        # exactly the calls counted in `flow` run the flow, and it makes one
+        assert sum(bool(blocked) and drop is None
+                   for blocked, drop, _ in layers) == 27
+        # both branches run: calls whose blocked sources all take a pick,
+        # and calls where one has none, with one blocked source or several
+        assert sum(bool(blocked) and picks is not None
+                   for blocked, _, picks in layers) == 480
+        assert Counter(min(len(blocked), 2) for blocked, _, picks in layers
+                       if picks is None) == {1: 27, 2: 75}
+        # exactly the calls without picks run the flow, and it makes one
         # search, each of which builds a queue, per blocked source
         queues = []
         monkeypatch.setattr(linkage_engine, "deque",
@@ -863,8 +878,8 @@ class TestRouting:
             queues.clear()
             _facet_routes(free, X, b)
             searches.append(len(queues))
-        assert searches == [len(blocked) if f else 0
-                            for (blocked, _), f in zip(layers, flow)]
+        assert searches == [len(blocked) if picks is None else 0
+                            for blocked, _, picks in layers]
         # calls where no full routing exists
         assert sum(len(row) < len(X) for row, (_, X, _) in zip(rows, calls)) == 1
 
@@ -876,21 +891,28 @@ class TestRouting:
         # drop goes through 18
         assert _facet_routes((1 << 5) - 1, [16, 0, 1, 5], 1 << 4) == {
             0: [0], 1: [1], 5: [5], 16: [16, 18, 2]}
-        # every golden call with one blocked source and a two-step drop
+        # 18 takes 16; 20's first free neighbour is 16 too, so it takes 21
+        assert _facet_routes((1 << 5) - 1, [2, 4, 7, 18, 20], 1 << 4) == {
+            2: [2], 4: [4], 7: [7], 18: [18, 16, 0], 20: [20, 21, 5]}
+        # every golden call whose blocked sources all take a pick
         calls = 0
         for free, X, b in _golden_facet_routes():
-            blocked, drop = _facet_route_layers(free, X, b)
-            if len(blocked) != 1 or drop is None:
+            blocked, _, picks = _facet_route_layers(free, X, b)
+            if not blocked or picks is None:
                 continue
-            a, u = drop
             routes = _facet_routes(free, X, b)
-            assert routes[a] == [a, u, u ^ b]
             assert routes == {**{x: [x] for x in X if not x & b},
-                              **{x: [x, x ^ b] for x in X
-                                 if x & b and x != a}, a: [a, u, u ^ b]}
+                              **{x: [x, x ^ b] for x in X if x & b},
+                              **{a: [a, u, u ^ b] for a, u in picks.items()}}
             calls += 1
-        assert calls > 100
+        assert calls == 480
         assert not queues
+        # 16 would pick 17, 25's only free neighbour that drops freely: the
+        # flow runs, one search per blocked source, and sends 16 through 18
+        assert _facet_routes((1 << 5) - 1, [0, 9, 11, 16, 24, 25, 29], 1 << 4) == {
+            0: [0], 9: [9], 11: [11], 16: [16, 18, 2], 24: [24, 8],
+            25: [25, 17, 1], 29: [29, 13]}
+        assert len(queues) == 2
 
     def test_facet_routes_drop_or_detour(self):
         # 16 and 17 have terminals below them and detour; 18 drops straight.
