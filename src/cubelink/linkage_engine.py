@@ -56,12 +56,13 @@ straight descent along the bits where the endpoints differ when no avoided
 vertex blocks it and runs an A* search (Hamming heuristic) otherwise;
 d <= 4 goes to the oracle search, once per orbit; slack instances (k below
 the maximum, or a nonempty avoid set) project into a facet chosen through
-a free direction; tight even d routes its terminals by disjoint paths onto
-the facet "x & b == 0" of its highest free bit b (_facet_routes takes b)
-and solves there; tight odd d classifies into one of three scenario
-constructions (all pairs antipodal / all terminals in one facet / the
-rest).  Each recursion level appends a label to the scenario trace of the
-result, e.g. "Q7:scenario3", so a solve is auditable after the fact.
+a free direction; tight even d routes its terminals by disjoint paths of
+one or two edges onto the facet "x & b == 0" of its highest free bit b
+(_facet_routes takes b) and solves there; tight odd d classifies into one
+of three scenario constructions (all pairs antipodal / all terminals in
+one facet / the rest).  Each recursion level appends a label to the
+scenario trace of the result, e.g. "Q7:scenario3", so a solve is auditable
+after the fact.
 scenario3_context returns the scenario-3 set-up that the solver itself
 uses (special pair, facet F, entry map omega, and the special pair's avoid
 set S with its |S| <= d - 1 bound); the omega_conditions suite inspects it.
@@ -72,7 +73,6 @@ level's output against its own sub-instance, not just the final linkage.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -248,8 +248,10 @@ def _self_check(free: int, pairs: list, avoid: frozenset, paths: list) -> None:
 #
 # Both routers work on the implicit face: neighbours are flips of its free
 # bits and the target facet is a bit test, so no call materialises a vertex
-# set.  path_oracle keeps its own BFS and max-flow code as independent ground
-# truth.
+# set.  _route searches only when an avoided vertex blocks its descent, and
+# _facet_routes never searches: with at most d terminals each one reaches
+# the facet in one or two steps.  path_oracle keeps its own BFS and max-flow
+# code as independent ground truth, which the tests compare them against.
 
 
 def _route(free: int, s: int, t: int, avoid: set | frozenset) -> list | None:
@@ -342,42 +344,29 @@ def _astar(free: int, s: int, t: int, avoid: set | frozenset) -> list | None:
 
 
 def _facet_routes(free: int, X: list, b: int) -> dict:
-    """Disjoint paths in the face from its terminals X to its facet "x & b ==
-    0", b a free bit.
+    """Disjoint paths in the face from its terminals X, at most d =
+    free.bit_count() of them, to its facet "x & b == 0", b a free bit.
 
     Returns {x: path starting at x}.  A terminal already in the facet is its
     own one-vertex path; every other path meets the facet only at its last
     vertex, holds no other terminal, and shares no vertex with the rest.
-    Fewer paths than terminals come back only when no full routing exists.
 
-    A source a (a & b set) whose straight drop u = a ^ b is not a terminal
-    takes the edge [a, u] at once.  The flow would pick the same edges: a
-    drop is the only augmenting path of four arcs, so its search claims
-    every free drop first, and no later path can reroute one, as u's only
-    neighbour off the facet is a, whose exit is reachable only through its
-    own saturated source arc.  So only the blocked sources, whose drop is a
-    terminal, are sorted and read the face's bits.
+    A source a (a & b set) whose straight drop a ^ b is not a terminal takes
+    the edge [a, a ^ b].  The blocked sources, whose drop is a terminal, in
+    ascending order, each take the two-step drop [a, u, u ^ b] through a's
+    first neighbour u, ascending, that is no terminal, drops onto none and
+    is no earlier pick's middle vertex.  Such a u has b set, so it is no
+    straight drop's end, and u ^ b is no other path's end as u is no other
+    pick.
 
-    That flow is a unit-capacity max-flow on the vertex-split cube, grown
-    by shortest augmenting paths, one search per blocked source from the
-    empty flow.  Node 2v is v's entry and 2v + 1 its exit; a facet entry
-    drains to the sink, and an exit leads to the entries of its
-    non-terminal neighbours in ascending order.  A search ends when it
-    queues a facet entry whose arc to the sink is free: the queue is first
-    in, first out, so no other entry would reach the sink before it.
-
-    The blocked sources, in ascending order, each take the two-step drop
-    [a, u, u ^ b] through a's first neighbour u, ascending, that is no
-    terminal, drops onto none and is no earlier pick's middle vertex.
-    These are the flow's own paths: after j - 1 picks, the j-th search
-    queues the free sources' entries and exits, then the entries of a_j's
-    non-terminal neighbours in ascending order (none in the facet, as a_j's
-    drop is a terminal), then the exits these lead to in that order.  An
-    earlier pick u_i leads back only to a_i's exit, which reaches no facet
-    entry, as a_i's drop is a terminal; a facet vertex w is entered only
-    from the exit of w ^ b; so the first free facet entry queued is the
-    drop of a_j's pick.  When a blocked source has no pick, the flow runs
-    from the empty flow over all the blocked sources.
+    Every blocked source a has a pick.  It has d - 1 neighbours u off the
+    facet bit.  Each terminal other than a and its drop spoils at most one
+    of them (u itself, or u ^ b), and a terminal stacked on another across b
+    spoils the same one as its partner.  Every earlier blocked source brings
+    such a stacked pair, which leaves one of its two terminals to cancel the
+    neighbour its own pick took.  So the at most d - 2 other terminals and
+    the earlier picks spoil at most d - 2 of the d - 1.  More terminals than
+    d can leave a source with no pick, which raises InvariantError.
     """
     terminals = frozenset(X)
     routes = {}
@@ -392,75 +381,18 @@ def _facet_routes(free: int, X: list, b: int) -> dict:
     if not blocked:
         return routes
     blocked.sort()
-    source, sink = -1, -2
     bits = _bits(free)
-    picks = {}  # the middle vertex of each two-step drop -> its source
+    picks = set()  # the middle vertices of the two-step drops
     for a in blocked:
         for u in sorted(a ^ c for c in bits):
             if u not in terminals and u ^ b not in terminals and u not in picks:
-                picks[u] = a
+                picks.add(u)
+                routes[a] = [a, u, u ^ b]
                 break
         else:
-            break
-    else:
-        for u, a in picks.items():
-            routes[a] = [a, u, u ^ b]
-        return routes
-
-    def successors(node: int) -> list:
-        if node == source:
-            return [2 * a for a in blocked]
-        v = node >> 1
-        if not node & 1:
-            return [sink] if not v & b else [node + 1]
-        return [2 * u for u in sorted(v ^ c for c in bits)
-                if u not in terminals]
-
-    flow: set = set()  # saturated arcs; every capacity is one
-    into: dict = {}    # node -> the node whose saturated arc enters it
-    for _ in blocked:
-        parent = {source: None}
-        queue = deque([source])
-        while queue and sink not in parent:
-            node = queue.popleft()
-            for succ in successors(node):
-                if succ not in parent and (node, succ) not in flow:
-                    parent[succ] = (node, True)
-                    if not succ & 1 and not succ >> 1 & b and (succ, sink) not in flow:
-                        parent[sink] = (succ, True)  # a free facet entry
-                        break
-                    queue.append(succ)
-            else:
-                pred = into.get(node)
-                if pred is not None and pred not in parent:
-                    parent[pred] = (node, False)
-                    queue.append(pred)
-        if sink not in parent:
-            break
-        node = sink
-        while parent[node] is not None:
-            prev, forward = parent[node]
-            if forward:
-                flow.add((prev, node))
-                into[node] = prev
-            else:  # cancel the saturated arc node -> prev
-                flow.remove((node, prev))
-                del into[prev]
-            node = prev
-
-    for a in blocked:
-        if (source, 2 * a) not in flow:
-            continue
-        path = [a]
-        node = 2 * a
-        while node != sink:
-            node = next((n for n in successors(node) if (node, n) in flow), None)
-            if node is None:
-                raise InvariantError("facet flow decomposition ran out of arcs",
-                                     {"free": free, "terminals": X, "path": path})
-            if node != sink and not node & 1:
-                path.append(node >> 1)
-        routes[a] = path
+            raise InvariantError(
+                "no two-step drop: more terminals than the face's dimension",
+                {"free": free, "terminals": X, "source": a})
     return routes
 
 
@@ -670,11 +602,6 @@ def _even_reduction(free: int, pairs: list, trace: list) -> list:
     b = 1 << (free.bit_length() - 1)  # the highest free bit
     X = _terminals(pairs)
     stub = _facet_routes(free, X, b)
-    if len(stub) < len(X):
-        raise InvariantError(
-            "facet routing found fewer paths than the connectivity guarantees",
-            {"free": free, "pairs": pairs, "found": len(stub)},
-        )
     sub_pairs = [(stub[s][-1], stub[t][-1]) for s, t in pairs]
     sub_paths = _solve(free ^ b, sub_pairs, frozenset(), trace)
     return [stub[s][:-1] + sub + stub[t][-2::-1]

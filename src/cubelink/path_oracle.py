@@ -336,7 +336,8 @@ def menger_disjoint_paths(G: HostGraph, A: Iterable[Vertex], B: Iterable[Vertex]
     setwise Menger statement matching separators drawn from V minus
     (A union B).  With ``strict=True`` every vertex, terminals included,
     is used by at most one path, so a full routing has ``count`` distinct
-    start vertices; callers use this to push a terminal set into a facet.
+    start vertices; the tests use it, pushing a terminal set into a facet,
+    as the reference for linkage_engine._facet_routes.
 
     Vertices in both A and B become one-vertex paths first.  Implemented as
     unit-capacity max-flow on the vertex-split digraph (fan mode uncaps the

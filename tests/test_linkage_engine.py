@@ -7,7 +7,7 @@ import itertools
 import json
 import random
 import re
-from collections import Counter, deque
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -702,30 +702,50 @@ def _golden_facet_routes() -> list:
 
 
 def _facet_route_layers(free: int, X: list, b: int) -> tuple:
-    """(blocked sources, the first two-step drop (a, u) or None, the picks),
-    read off the instance as _facet_routes' docstring describes the flow's
-    searches: the neighbours u of the blocked sources in order, each
-    ascending, and the first u that is no terminal and drops onto none.
-    The picks {a: u} give each blocked source in order its first such u
-    that no earlier pick took; they are None when one source has none."""
+    """(blocked sources, the picks), read off the instance as _facet_routes'
+    docstring describes them: the blocked sources (terminals whose drop
+    across b is a terminal) ascending, and the picks {a: u} giving each in
+    order its first neighbour u, ascending, that is no terminal, drops onto
+    none and no earlier pick took.  The picks are None when one source has
+    no such u."""
     terminals = set(X)
     blocked = sorted(a for a in X if a & b and a ^ b in terminals)
-    drops = {a: [u for u in sorted(a ^ c for c in linkage_engine._bits(free))
-                 if u not in terminals and u ^ b not in terminals]
-             for a in blocked}
-    drop = next(((a, drops[a][0]) for a in blocked if drops[a]), None)
     picks: dict | None = {}
     for a in blocked:
-        u = next((u for u in drops[a] if u not in picks.values()), None)
+        u = next((u for u in sorted(a ^ c for c in linkage_engine._bits(free))
+                  if u not in terminals and u ^ b not in terminals
+                  and u not in picks.values()), None)
         if u is None:
             picks = None
             break
         picks[a] = u
-    return blocked, drop, picks
+    return blocked, picks
 
 
-# Recorded on _facet_routes before it took the two-step drop ahead of its
-# flow.
+def _oracle_facet_routes(free: int, X: list, b: int) -> dict:
+    """_facet_routes' answer from the oracle: the strict Menger routing of X
+    onto the facet "x & b == 0", run on the face mapped to Q_d (its fixed
+    coordinates deleted) and mapped back.  Fewer paths than terminals come
+    back only when no full routing exists."""
+    positions = [c for c in range(free.bit_length()) if free >> c & 1]
+    fixed = X[0] & ~free
+
+    def compress(v):
+        return sum(1 << i for i, c in enumerate(positions) if v >> c & 1)
+
+    def expand(u):
+        return fixed | sum(1 << c for i, c in enumerate(positions) if u >> i & 1)
+
+    d = len(positions)
+    sink = face_vertices(d, Face(1 << positions.index(b.bit_length() - 1), 0))
+    ref = menger_disjoint_paths(CubeGraph(d), [compress(x) for x in X], sink,
+                                len(X), strict=True)
+    return {expand(p[0]): [expand(u) for u in p] for p in ref.paths}
+
+
+# Recorded on _facet_routes while it still ran a unit-capacity flow where a
+# blocked source had no two-step drop; those calls now take their rows from
+# the oracle (_oracle_facet_routes).
 PINNED_FACET_ROUTE_DIGEST = (
     "2444463fceb3c803195686d95547f5f61d9265725f7b5a9ddf8f4fa30da79512")
 
@@ -809,27 +829,30 @@ class TestRouting:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_facet_routes_match_oracle_flow(self, data):
+        # at most d terminals, as every engine level gives _facet_routes
         d = data.draw(st.integers(4, 10))
         w = data.draw(st.integers(0, d - 1))
         vertex = st.integers(0, (1 << d) - 1)
-        X = data.draw(st.lists(vertex, min_size=1, max_size=d + 2, unique=True))
         forced = []
+        if data.draw(st.booleans()):
+            # a blocked source up to all but one of whose other neighbours
+            # are terminals or drop onto one: at d - 2 such neighbours a
+            # single two-step drop leaves it
+            a = data.draw(vertex) | 1 << w
+            forced += [a, a ^ 1 << w]
+            others = [c for c in range(d) if c != w]
+            walls = data.draw(st.integers(0, d - 2))
+            for c in data.draw(st.permutations(others))[:walls]:
+                forced.append(a ^ 1 << c ^ data.draw(st.sampled_from([0, 1 << w])))
         # up to four sources whose straight drop is a terminal
         for a in data.draw(st.lists(vertex, max_size=4)):
             forced += [a | 1 << w, a & ~(1 << w)]
-        if data.draw(st.booleans()):
-            # a blocked source each of whose other neighbours is a terminal
-            # or drops onto one: no two-step drop leaves it
-            a = data.draw(vertex) | 1 << w
-            forced += [a, a ^ 1 << w]
-            for c in range(d):
-                if c != w:
-                    forced.append(a ^ 1 << c ^ data.draw(st.sampled_from([0, 1 << w])))
-        X = list(dict.fromkeys(X[:d] + forced))
+        X = data.draw(st.lists(vertex, min_size=1, max_size=d, unique=True))
+        X = list(dict.fromkeys(forced + X))[:d]
         routes = _facet_routes((1 << d) - 1, X, 1 << w)
         sink = frozenset(face_vertices(d, Face(1 << w, 0)))
         ref = menger_disjoint_paths(CubeGraph(d), X, sink, len(X), strict=True)
-        assert len(routes) == ref.flow
+        assert len(routes) == ref.flow == len(X)
         assert routes == {p[0]: p for p in ref.paths}
         terminals = set(X)
         placed: set = set()
@@ -843,50 +866,41 @@ class TestRouting:
             assert not placed & set(path)
             placed |= set(path)
 
-    def test_facet_routes_match_pinned_digest(self, monkeypatch):
+    def test_facet_routes_match_pinned_digest(self):
         calls = _golden_facet_routes()
-        rows = [sorted(_facet_routes(free, X, b).items()) for free, X, b in calls]
+        layers = [_facet_route_layers(*call) for call in calls]
+        rows = []
+        raised = []
+        for free, X, b in calls:
+            try:
+                routes = _facet_routes(free, X, b)
+            except InvariantError as err:
+                assert set(err.context) == {"free", "terminals", "source"}
+                raised.append(True)
+                routes = _oracle_facet_routes(free, X, b)
+            else:
+                raised.append(False)
+            rows.append(sorted(routes.items()))
         digest = hashlib.sha256(
             json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
         assert digest == PINNED_FACET_ROUTE_DIGEST
-        layers = [_facet_route_layers(*call) for call in calls]
-        assert Counter(min(len(blocked), 3) for blocked, _, _ in layers) == {
+        assert Counter(min(len(blocked), 3) for blocked, _ in layers) == {
             0: 138, 1: 190, 2: 199, 3: 193}
-        # calls where some blocked source has a two-step drop, and calls
-        # with a second blocked source or with no two-step drop at all
-        two_step = [drop is not None for _, drop, _ in layers]
-        flow = [len(blocked) > 1 or bool(blocked) and drop is None
-                for blocked, drop, _ in layers]
-        assert sum(two_step) == 555
-        assert sum(flow) == 419
-        # blocked sources but no two-step drop anywhere: the flow alone
-        assert sum(bool(blocked) and drop is None
-                   for blocked, drop, _ in layers) == 27
         # both branches run: calls whose blocked sources all take a pick,
         # and calls where one has none, with one blocked source or several
         assert sum(bool(blocked) and picks is not None
-                   for blocked, _, picks in layers) == 480
-        assert Counter(min(len(blocked), 2) for blocked, _, picks in layers
+                   for blocked, picks in layers) == 480
+        assert Counter(min(len(blocked), 2) for blocked, picks in layers
                        if picks is None) == {1: 27, 2: 75}
-        # exactly the calls without picks run the flow, and it makes one
-        # search, each of which builds a queue, per blocked source
-        queues = []
-        monkeypatch.setattr(linkage_engine, "deque",
-                            lambda *args: queues.append(1) or deque(*args))
-        searches = []
-        for free, X, b in calls:
-            queues.clear()
-            _facet_routes(free, X, b)
-            searches.append(len(queues))
-        assert searches == [len(blocked) if picks is None else 0
-                            for blocked, _, picks in layers]
+        # exactly the calls without picks raise, and each has more
+        # terminals than the face's dimension
+        assert raised == [picks is None for _, picks in layers]
+        assert all(len(X) > free.bit_count()
+                   for hit, (free, X, _) in zip(raised, calls) if hit)
         # calls where no full routing exists
         assert sum(len(row) < len(X) for row, (_, X, _) in zip(rows, calls)) == 1
 
-    def test_facet_routes_one_blocked_source(self, monkeypatch):
-        queues = []
-        monkeypatch.setattr(linkage_engine, "deque",
-                            lambda *args: queues.append(1) or deque(*args))
+    def test_facet_routes_one_blocked_source(self):
         # 16's drop 0 is a terminal, and so is 17's drop 1: the two-step
         # drop goes through 18
         assert _facet_routes((1 << 5) - 1, [16, 0, 1, 5], 1 << 4) == {
@@ -897,7 +911,7 @@ class TestRouting:
         # every golden call whose blocked sources all take a pick
         calls = 0
         for free, X, b in _golden_facet_routes():
-            blocked, _, picks = _facet_route_layers(free, X, b)
+            blocked, picks = _facet_route_layers(free, X, b)
             if not blocked or picks is None:
                 continue
             routes = _facet_routes(free, X, b)
@@ -906,13 +920,49 @@ class TestRouting:
                               **{a: [a, u, u ^ b] for a, u in picks.items()}}
             calls += 1
         assert calls == 480
-        assert not queues
-        # 16 would pick 17, 25's only free neighbour that drops freely: the
-        # flow runs, one search per blocked source, and sends 16 through 18
-        assert _facet_routes((1 << 5) - 1, [0, 9, 11, 16, 24, 25, 29], 1 << 4) == {
-            0: [0], 9: [9], 11: [11], 16: [16, 18, 2], 24: [24, 8],
-            25: [25, 17, 1], 29: [29, 13]}
-        assert len(queues) == 2
+        # seven terminals in Q5: 16 picks 17, which was 25's only neighbour
+        # that is no terminal and drops onto none
+        with pytest.raises(InvariantError, match="no two-step drop") as err:
+            _facet_routes((1 << 5) - 1, [0, 9, 11, 16, 24, 25, 29], 1 << 4)
+        assert err.value.context == {
+            "free": 31, "terminals": [0, 9, 11, 16, 24, 25, 29], "source": 25}
+
+    def test_facet_routes_walled_in_source_raises(self):
+        # five terminals in Q4: 8's drop 0 is a terminal, 9 and 12 are
+        # terminals, and 10 drops onto the terminal 2
+        with pytest.raises(InvariantError) as err:
+            _facet_routes((1 << 4) - 1, [8, 0, 9, 2, 12], 1 << 3)
+        assert err.value.context == {
+            "free": 15, "terminals": [8, 0, 9, 2, 12], "source": 8}
+
+    def test_facet_routes_get_as_many_terminals_as_dimensions(self, monkeypatch):
+        """The pick argument in _facet_routes' docstring needs |X| <= d.  The
+        engine calls it only from tight even levels (2k = d), so every call
+        of the golden solves and of a seeded even-dimension sweep gets
+        exactly d terminals."""
+        sizes: Counter = Counter()
+        inner = linkage_engine._facet_routes
+
+        def spy(free, X, b):
+            sizes[len(X) - free.bit_count()] += 1
+            return inner(free, X, b)
+
+        monkeypatch.setattr(linkage_engine, "_facet_routes", spy)
+        rng = random.Random("facet_routes/even")
+        calls = list(_golden_solves())
+        for d in range(6, 17, 2):
+            n = 1 << d
+            for _ in range(4):
+                calls.append((solve_linkage, d, pairing(rng.sample(range(n), d))))
+                X = rng.sample(range(n), d + 1)
+                calls.append((solve_strong, d, pairing(X[1:]), X[0]))
+                v = rng.randrange(n)
+                calls.append((solve_link, d, v,
+                              pairing(rng.sample(off_link(d, v, range(n)), d))))
+        for solver, *args in calls:
+            check(solver(*args))
+        assert set(sizes) == {0}
+        assert sizes[0] > 0
 
     def test_facet_routes_drop_or_detour(self):
         # 16 and 17 have terminals below them and detour; 18 drops straight.
@@ -1022,12 +1072,13 @@ class TestFaceEquivariance:
         free, positions, expand = self.draw_face(data, min_free=4)
         d = len(positions)
         i = data.draw(st.integers(0, d - 1))
+        # at most d terminals, as every engine level gives _facet_routes
         X = data.draw(st.lists(st.integers(0, (1 << d) - 1),
-                               min_size=1, max_size=d + 2, unique=True))
+                               min_size=1, max_size=d, unique=True))
         if data.draw(st.booleans()):
             # force a source whose straight drop is a terminal
             a = data.draw(st.integers(0, (1 << d) - 1)) | 1 << i
-            X = X[:d] + [v for v in (a, a ^ 1 << i) if v not in X[:d]]
+            X = X[:d - 2] + [v for v in (a, a ^ 1 << i) if v not in X[:d - 2]]
         ref = _facet_routes((1 << d) - 1, X, 1 << i)
         mine = _facet_routes(free, [expand(x) for x in X], 1 << positions[i])
         assert mine == {expand(x): [expand(u) for u in p] for x, p in ref.items()}
