@@ -36,7 +36,6 @@ from typing import Iterator, Sequence
 from . import cube_core, path_oracle
 from .cube_core import CubeGraph, associated, free_bit, link_graph, opposite
 from .linkage_engine import (
-    UnsupportedInstanceError,
     _construction,
     check_supported,
     scenario3_context,
@@ -453,7 +452,7 @@ def _run_one(inst: Instance, job: CertificationJob, report: CertificationReport)
     if job.solver in (ENGINE, BOTH):
         try:
             result = engine_solve(inst)
-        except (InvariantError, UnsupportedInstanceError, ValueError) as exc:
+        except (InvariantError, ValueError) as exc:
             row = inst.to_json()
             row["reason"] = f"engine: {exc}"
             if isinstance(exc, InvariantError) and exc.context:

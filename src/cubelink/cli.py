@@ -234,6 +234,11 @@ def _cmd_link_solve(args) -> int:
     return 0
 
 
+def _certificate_line(cert: dict) -> str:
+    """The text line for a Q3 obstruction certificate (Config3F.to_json)."""
+    return f"certificate: face {cert['face']} witness {cert['witness_terminal']}"
+
+
 def _cmd_decide(args) -> int:
     G, Y = _input(args, "cube")
     start = time.perf_counter()
@@ -260,8 +265,7 @@ def _cmd_decide(args) -> int:
             for path in outcome.linkage:
                 print(" ".join(G.format_vertex(v) for v in path))
         if certificate is not None:
-            print(f"certificate: face {certificate['face']} "
-                  f"witness {certificate['witness_terminal']}")
+            print(_certificate_line(certificate))
     else:
         _emit(out)
     if outcome.status == LINKED:
@@ -483,9 +487,7 @@ def run(argv: list | None = None) -> int:
     except UnsupportedInstanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.certificate is not None:
-            cert = exc.certificate.to_json()
-            print(f"certificate: face {cert['face']} "
-                  f"witness {cert['witness_terminal']}", file=sys.stderr)
+            print(_certificate_line(exc.certificate.to_json()), file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

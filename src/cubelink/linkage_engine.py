@@ -12,9 +12,11 @@ instances are small enough for the exact search in path_oracle (dimension
 at most four), so the recursion is paved with guaranteed cases.  The
 contract is uniform: a call on Q_d with k pairs and an avoid set A is legal
 when 2k + |A| <= d + 1, with one pair only in Q3 (_within_budget), and
-within that budget the solver never fails.  Violations of the
-construction's internal facts raise InvariantError with a replayable
-context; they indicate bugs, not unsolvable inputs.
+within that budget the solver never fails.  A level checks its instance
+against the contract, the proof's counting bounds and each route it asks
+for, raising InvariantError with a replayable context (a bug, not an
+unsolvable input); it trusts what its own code or a sub-solve checked at
+its own level guarantees, and states why where the fact is made.
 
 The variants are avoid-set instances of that contract: solve_linkage(d, Y)
 is solve_avoiding(d, Y, ()), solve_strong(d, Y, x) is solve_avoiding(d, Y,
@@ -613,27 +615,17 @@ def _even_reduction(free: int, pairs: list, trace: list) -> list:
 
 
 def _scenario1(free: int, pairs: list, trace: list) -> list:
-    k = len(pairs)
     s1 = pairs[0][0]
     X = set(_terminals(pairs))
     b = _free_direction(free, X - {s1})
     v = s1 & b  # F^o = "x & b == v" holds every s_i after orientation
     oriented = [(s, t) if s & b == v else (t, s) for s, t in pairs]
-    # Pick the second special pair: its F-side terminal must not cross back
-    # onto s1.  At most one pair can fail this, so a pick exists.
-    idx2 = next((i for i in range(1, k) if oriented[i][1] ^ b != s1), None)
-    if idx2 is None:
-        raise InvariantError("no usable second pair among antipodal pairs",
-                             {"free": free, "pairs": pairs})
-    up = [oriented[i] for i in (0, idx2)]
-    rest = [i for i in range(1, k) if i != idx2]
-    down = [oriented[i] for i in rest]
-
+    # The second special pair is pair 1: no t_i crosses back onto s1, since
+    # t_i ^ b = s1 makes s_i ^ b = t1, an edge along b inside X - {s1}.
+    up, down = oriented[:2], oriented[2:]
     down_paths = _in_facet(free, b, v ^ b, down, frozenset(t for _, t in up), trace)
     up_paths = _in_facet(free, b, v, up, frozenset(s for s, _ in down), trace)
-    out = dict(zip((0, idx2), up_paths))
-    out.update(zip(rest, down_paths))
-    return [_oriented(out[i], s, t) for i, (s, t) in enumerate(pairs)]
+    return [_oriented(p, s, t) for p, (s, t) in zip(up_paths + down_paths, pairs)]
 
 
 # ---------------------------------------------------------------------------
@@ -743,6 +735,9 @@ def _build_omega(free: int, b: int, rho: dict, X_beta: tuple) -> dict:
     other than b) that is no terminal, no foreign projection onto F (n ^ b
     a terminal other than rho(x)) and no earlier assignment.  The
     obstruction set has at most d-2 members, so a candidate survives.
+    Moved values are no terminal, foreign projection or earlier value, and
+    x stays only if x ^ b is no foreign terminal: so omega is injective and
+    neither omega(x) nor omega(x) ^ b is a foreign terminal.
     """
     bits = _bits(free)
     omega: dict = {}
@@ -763,21 +758,10 @@ def _build_omega(free: int, b: int, rho: dict, X_beta: tuple) -> dict:
             if len(obstruction) > len(bits) - 2:
                 raise InvariantError("entry obstruction set is too large",
                                      {"x": x, "obstruction": obstruction})
-            if wx is None:
-                raise InvariantError("no entry vertex available",
-                                     {"x": x, "neighbors": [x ^ c for c in bits if c != b]})
         else:
             wx = x
         omega[x] = wx
         taken.add(wx)
-    if len(taken) != len(omega):
-        raise InvariantError("entry map is not injective", {"omega": omega})
-    for x, wx in omega.items():
-        own = (x, rho[x])
-        if wx in rho and wx not in own or wx ^ b in rho and wx ^ b not in own:
-            clash = [n for n in (wx, wx ^ b) if n in rho and n not in own]
-            raise InvariantError("entry vertex touches a foreign terminal",
-                                 {"x": x, "omega_x": wx, "clash": sorted(clash)})
     return omega
 
 
@@ -803,7 +787,8 @@ def _scenario3(free: int, pairs: list, trace: list) -> list:
     """F is "x & b == v".  One pass gives every pair but the special and
     alpha ones an entry path per terminal into F^o: [x] for x in F^o, else
     x, omega(x) if moved, and omega(x) ^ b.  One solve in F^o joins the
-    pairs no entry path completes, avoiding the F^o ends of those it does."""
+    pairs no entry path completes, avoiding the F^o ends of those it does.
+    Every path, sub-solve and _route result included, runs from s to t."""
     _, b, v, first, _, _, _, Y_alpha, _, omega, S = _scenario3_context(free, pairs)
     s1, t1 = pairs[first]
     out = [None] * len(pairs)
@@ -841,7 +826,7 @@ def _scenario3(free: int, pairs: list, trace: list) -> list:
             {"free": free, "pair": (s1, t1), "S": sorted(S)},
         )
     out[first] = L1
-    return [_oriented(path, s, t) for path, (s, t) in zip(out, pairs)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -917,25 +902,15 @@ def _link_one_side(free: int, v: int, vo: int, pairs: list, b: int,
     bad_B = vo if bad_A == v else v
     sub = free ^ b
     out = _solve(sub, pairs, frozenset(), trace)
-    hit = [i for i, p in enumerate(out) if bad_A in p]
-    if not hit:
+    # At most one of the disjoint paths holds bad_A, never at an end (_checked).
+    i = next((i for i, p in enumerate(out) if bad_A in p), None)
+    if i is None:
         return out
-    if len(hit) > 1:
-        raise InvariantError("disjoint paths share the removed vertex", {"hit": hit})
     trace.append(f"Q{D}:link_detour")
-    i = hit[0]
     path = out[i]
     j = path.index(bad_A)
-    if j == 0 or j == len(path) - 1:
-        raise InvariantError("removed vertex surfaced as a terminal",
-                             {"path": path, "v": bad_A})
     w1, w2 = path[j - 1], path[j + 1]
-    p1 = w1 ^ b
-    p2 = w2 ^ b
-    if bad_B in (p1, p2):
-        raise InvariantError("detour endpoints collide with the opposite removed vertex",
-                             {"w1": w1, "w2": w2})
-    M = _route(sub, p1, p2, {bad_B})
+    M = _route(sub, w1 ^ b, w2 ^ b, {bad_B})  # its ends lie D - 2 >= 4 from bad_B
     if M is None:
         raise InvariantError("detour routing failed in the opposite facet",
                              {"D": D, "from": w1, "to": w2})
@@ -963,10 +938,7 @@ def _link_two_sides(free: int, v: int, vo: int, pairs: list, b: int,
     sub_paths = _in_facet(free, b, side, [(s1, bad)] + [pairs[i] for i in others],
                           frozenset(), trace)
 
-    M1 = sub_paths[0]  # s1 -> bad; it crosses b first when s1 is tail-side
-    if len(M1) < 2:
-        raise InvariantError("guide path degenerated to the removed vertex",
-                             {"pair": (s1, t1)})
+    M1 = sub_paths[0]  # s1 -> bad, s1 != bad; it crosses b first when s1 is tail-side
     pw = M1[-2] ^ b  # the guide, M1's last vertex before bad, carried across
     # S, t1 and pw lie in the tail facet, the one opposite the solved one.
     S = {bad_tail} | (set(tail_terms) - {t1})
@@ -977,10 +949,7 @@ def _link_two_sides(free: int, v: int, vo: int, pairs: list, b: int,
         if L1 is None:
             raise InvariantError("direct tail routing failed", {"pair": (s1, t1)})
     else:
-        if pw in S:
-            raise InvariantError("tail entry vertex is blocked",
-                                 {"entry": pw, "S": sorted(S)})
-        tail = _route(sub, pw, t1, S)
+        tail = _route(sub, pw, t1, S)  # raises if pw is in S
         if tail is None:
             raise InvariantError("tail routing failed in the opposite facet",
                                  {"pair": (s1, t1), "S": sorted(S)})

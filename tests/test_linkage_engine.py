@@ -394,11 +394,23 @@ class TestScenario3Context:
             checked += 1
 
     def test_omega_lands_in_face_near_source(self):
-        ctx = scenario3_context(7, Pairing(
-            ((0, 127), (1, 126), (2, 124), (4, 120))))
-        for x, w in ctx.omega.items():
-            assert ctx.face.contains(w)
-            assert w == x or bin(w ^ x).count("1") == 1
+        """The facts _build_omega states without testing them, on every
+        seeded context: omega is injective, each value is x or an in-facet
+        neighbour of x that is no terminal, and neither omega(x) nor
+        omega(x) ^ b is a foreign terminal."""
+        moved = 0
+        for d, ctx in _scenario3_contexts():
+            b = ctx.face.fixed_mask
+            assert len(set(ctx.omega.values())) == len(ctx.omega)
+            for x, w in ctx.omega.items():
+                assert ctx.face.contains(w)
+                if w != x:
+                    moved += 1
+                    assert (w ^ x).bit_count() == 1
+                    assert w not in ctx.rho
+                foreign = ctx.rho.keys() - {x, ctx.rho[x]}
+                assert w not in foreign and w ^ b not in foreign
+        assert moved == PINNED_CONTEXT_MOVED
 
     def test_contexts_match_pinned_digest(self):
         rows = []
@@ -509,6 +521,25 @@ class TestLink:
             [14, 10, 8, 9, 1, 5, 4],
             [16, 18, 50, 54],
         ]
+
+    @pytest.mark.parametrize("D", [6, 8, 10, 12])
+    def test_forced_detours(self, D):
+        """All terminals on one side of bit 0 send the tight even link to
+        link_case1; draw until 20 solves reroute around the removed vertex
+        on that side."""
+        rng = random.Random(f"link/detour/{D}")
+        detours = 0
+        while detours < 20:
+            v = rng.getrandbits(D)
+            side = rng.getrandbits(1)
+            X: list = []
+            while len(X) < D:
+                x = rng.getrandbits(D) & ~1 | side
+                if x not in X and x != v and x != opposite(D, v):
+                    X.append(x)
+            res = check(solve_link(D, v, Pairing(tuple(zip(X[::2], X[1::2])))))
+            assert res.trace[0] == f"Q{D}:link_case1"
+            detours += f"Q{D}:link_detour" in res.trace
 
     def test_case_two_sides_tail_fallback(self):
         # instances picked to drive the guide vertex back onto the first
