@@ -20,18 +20,21 @@ Parallelism: a job with workers > 1 partitions the stream by instance
 index modulo the worker count, so reports are identical to a sequential
 run (fail-fast then applies per worker).
 
-Each job resolves its host spec once: the job check returns the host's
-vertex space, and the instance loops that certify runs, sequentially or in
-each worker, start from it.  sample_instances and exhaustive_instances are
-the same loops behind a host resolution of their own.
+A process resolves each host spec once: _host_space is memoised, the job
+check returns the host's vertex space, and the instance loops that certify
+runs, sequentially or in each worker, start from it.  sample_instances and
+exhaustive_instances are the same loops behind the same resolution.  Every
+instance of one shape (kind, d, forbidden vertex, apex, fixture) shares one
+host graph, built on first use.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import cube_core, path_oracle
 from .cube_core import CubeGraph, associated, free_bit, link_graph, opposite
@@ -47,6 +50,7 @@ from .path_oracle import (
     BUDGET_EXCEEDED,
     DEFAULT_NODE_BUDGET,
     LINKED,
+    UNLINKED,
     InvariantError,
     Pairing,
     check_separator_structure,
@@ -129,9 +133,9 @@ class CertificationJob:
     workers: int = 1
 
 
-@dataclass(frozen=True)
-class Instance:
-    """One generated test case; kind is plain, strong, or link."""
+class Instance(NamedTuple):
+    """One generated test case; kind is plain, strong, or link.  A named
+    tuple, so that a sweep pays little to build one per instance."""
 
     index: int
     kind: str
@@ -142,14 +146,26 @@ class Instance:
     fixture: str | None = None
 
     def host_graph(self):
-        if self.kind == "link":
-            return link_graph(self.d, self.apex)
-        G = CubeGraph(self.d) if self.fixture is None else pyramid2_quad()
-        return G if self.forbidden is None else G.without({self.forbidden})
+        """The instance's host, shared by every instance of its shape."""
+        return _shared_host(self.kind, self.d, self.forbidden, self.apex,
+                            self.fixture)
 
     def to_json(self) -> dict:
         return {"index": self.index, "kind": self.kind,
                 **instance_to_json(self.host_graph(), self.pairing)}
+
+
+@lru_cache(maxsize=1024)
+def _shared_host(kind: str, d: int, forbidden, apex: int | None,
+                 fixture: str | None):
+    """The host of an Instance with these fields, built once per shape: a
+    strong host is the shared whole host without its forbidden vertex.
+    Hosts are frozen, so instances may share them."""
+    if kind == "link":
+        return link_graph(d, apex)
+    if forbidden is not None:
+        return _shared_host("plain", d, None, None, fixture).without({forbidden})
+    return CubeGraph(d) if fixture is None else pyramid2_quad()
 
 
 @dataclass
@@ -182,6 +198,8 @@ class CertificationReport:
             self.count(key, n)
 
     def sort_rows(self) -> None:
+        if not self.failures and not self.budget_cases:
+            return
         self.failures.sort(key=lambda row: row.get("index", 0))
         self.budget_cases.sort(key=lambda row: row.get("index", 0))
 
@@ -252,9 +270,11 @@ def canonical_pairings(X: tuple) -> Iterator[tuple]:
             yield ((s, X[i]),) + tail
 
 
+@lru_cache(maxsize=256)
 def _host_space(host: str, k: int, strong: bool) -> tuple[str, int, Sequence, int]:
     """Resolve a host spec to (kind, d, vertices, size) for instances of k
-    pairs.
+    pairs.  Memoised: the result is immutable, and a bad spec, which
+    raises, is never stored, so it raises on every call.
 
     kind is plain, strong or link; d is 0 on a fixture, as in Instance.  The
     vertices are range(2^d) on a cube or link host and the fixture's sorted
@@ -269,7 +289,8 @@ def _host_space(host: str, k: int, strong: bool) -> tuple[str, int, Sequence, in
         raise ValueError("link jobs already remove two vertices; strong does not apply")
     kind = "link" if spec == "link" else "strong" if strong else "plain"
     removed = 2 if spec == "link" else int(strong)
-    vertices = range(1 << d) if d else tuple(pyramid2_quad().vertex_list())
+    vertices = range(1 << d) if d else tuple(
+        _shared_host("plain", 0, None, None, host).vertex_list())
     size = 1 << d if d else len(vertices)
     if 2 * k + removed > size:
         raise ValueError(f"{host} has {size} vertices, too few for "
@@ -446,6 +467,10 @@ def engine_solve(inst: Instance):
     return solve_link(inst.d, inst.apex, inst.pairing)
 
 
+_ORACLE_LABELS = {status: f"oracle:{status}"
+                  for status in (LINKED, UNLINKED, BUDGET_EXCEEDED)}
+
+
 def _run_one(inst: Instance, job: CertificationJob, report: CertificationReport) -> None:
     report.instances += 1
     host = inst.host_graph()
@@ -471,7 +496,7 @@ def _run_one(inst: Instance, job: CertificationJob, report: CertificationReport)
             report.successes += 1
             return
     outcome = decide_linked(host, inst.pairing, budget=job.budget)
-    report.count(f"oracle:{outcome.status}")
+    report.count(_ORACLE_LABELS[outcome.status])
     if outcome.status == BUDGET_EXCEEDED:
         row = inst.to_json()
         row["reason"] = f"oracle budget exhausted after {outcome.nodes_used} nodes"

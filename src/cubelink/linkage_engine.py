@@ -158,10 +158,9 @@ def check_supported(kind: str, d: int, k: int, forbidden: int = 0,
     if kind == "link":
         if d != 3 and d < 5:
             raise ValueError(f"link hosts need dimension 3 or at least 5, got {d}")
-        a, host = 1, f"the link of a vertex in Q{d}"
+        a = 1
     else:
         a = 1 if kind == "strong" else forbidden
-        host = f"Q{d} (forbidden vertices: {a})" if a else f"Q{d}"
     if _within_budget(d, k, a):
         return
     if 2 * k + a <= d + 1:  # within the budget, so it is the Q3 exception
@@ -172,6 +171,10 @@ def check_supported(kind: str, d: int, k: int, forbidden: int = 0,
     most = max(0, (d + 1 - a) // 2)
     if d == 3:
         most = min(most, 1)
+    if kind == "link":
+        host = f"the link of a vertex in Q{d}"
+    else:
+        host = f"Q{d} (forbidden vertices: {a})" if a else f"Q{d}"
     raise ValueError(f"{host} supports k <= {most} pairs, got k = {k}")
 
 
@@ -835,12 +838,15 @@ def _scenario3(free: int, pairs: list, trace: list) -> list:
 
 def _checked(d: int, Y: Pairing, avoid: Iterable[int]) -> frozenset:
     """Validate the dimension, terminals and forbidden vertices of an
-    instance in Q_d, and return the forbidden set."""
+    instance in Q_d, and return the forbidden set.  A plain int in range
+    passes at once; cube_core.check_vertex rules on any other vertex."""
     cube_core.check_dim(d)
     avoid_set = frozenset(avoid)
     terminals = Y.terminals
+    top = 1 << d
     for v in (*terminals, *avoid_set):
-        cube_core.check_vertex(d, v)
+        if type(v) is not int or not 0 <= v < top:
+            cube_core.check_vertex(d, v)
     hit = avoid_set.intersection(terminals)
     if hit:
         raise ValueError(f"forbidden vertex {min(hit)} is a terminal")

@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import filterfalse
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from . import cube_core
 from .cube_core import CubeGraph
@@ -519,14 +519,14 @@ def _reaches(G, A_set, B_set, removed) -> bool:
 # Exact pairing-linkage decision
 
 
-@dataclass(frozen=True)
-class DecideOutcome:
+class DecideOutcome(NamedTuple):
     """Result of decide_linked.
 
     ``status`` is one of LINKED / UNLINKED / BUDGET_EXCEEDED.  A LINKED
     outcome carries the witness linkage.  ``pair_order`` is always the
     input order ``tuple(range(k))``: the search routes the pairs in that
-    order whatever the verdict.
+    order whatever the verdict.  A named tuple, so that a search pays
+    little to return it; true exactly when the status is LINKED.
     """
 
     status: str
@@ -728,11 +728,16 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
     and reaching a pair's target starts the next pair.
     """
     pairs = Y.pairs
+    cube = isinstance(G, CubeGraph)
+    top, removed = 1 << G.d if cube else 0, G.removed
+    # A cube terminal that passes _cube_accepts' one-line test is usable;
+    # _member rules on every other terminal, so an int subclass still passes.
     for pair in pairs:
         for v in pair:
-            if not _member(G, v):
+            if (not cube or type(v) is not int or not 0 <= v < top
+                    or v in removed) and not _member(G, v):
                 raise ValueError(f"terminal {v!r} is not a usable vertex of the host")
-    if isinstance(G, CubeGraph):
+    if cube:
         d = G.d
     else:
         d = None
@@ -886,6 +891,9 @@ class ValidationReport:
         return self.ok
 
 
+_VALID = ValidationReport(True)  # immutable, so every valid linkage shares it
+
+
 def _member(G: HostGraph, v) -> bool:
     """validate_linkage's MEMBERSHIP rule: v is a usable vertex of G.  On a
     cube that is an int that is not a bool (as cube_core.check_vertex has
@@ -916,7 +924,7 @@ def validate_linkage(G: HostGraph, Y: Pairing, L: Linkage) -> ValidationReport:
     # MEMBERSHIP has passed every vertex of a path before its hops are read.
     if isinstance(G, CubeGraph):
         if _cube_accepts(G, Y, L):
-            return ValidationReport(True)
+            return _VALID
         hop = cube_core.adjacent
     else:
         def hop(a, b):
@@ -957,7 +965,7 @@ def validate_linkage(G: HostGraph, Y: Pairing, L: Linkage) -> ValidationReport:
                     f"vertex {v!r} lies on paths {placed[v]} and {i}",
                 )
             placed[v] = i
-    return ValidationReport(True)
+    return _VALID
 
 
 def _joins(path, s, t) -> bool:

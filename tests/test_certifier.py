@@ -35,6 +35,15 @@ from cubelink.linkage_engine import (
 from cubelink.path_oracle import Pairing
 
 
+@pytest.fixture
+def fresh_host_caches():
+    """Host specs and host graphs are memoised per process; clear them after
+    a test that resolves hosts under a patched MAX_DIM or pyramid2_quad."""
+    yield
+    certifier._host_space.cache_clear()
+    certifier._shared_host.cache_clear()
+
+
 def _word_loop_randrange(rng: SplitMix64, n: int) -> int:
     """randrange as a loop over whole next_u64 words, the way SplitMix64
     draws when n > 2^64; the reference for its one-word path."""
@@ -177,7 +186,7 @@ class TestHostSpecs:
 
 class TestInstanceStreams:
     @pytest.mark.parametrize("d", [62, 63, 64])
-    def test_vertex_count_past_ssize_t(self, monkeypatch, d):
+    def test_vertex_count_past_ssize_t(self, monkeypatch, fresh_host_caches, d):
         # len(range(2^d)) overflows from d = 63, so the sampler and the job
         # check count the cube's vertices themselves.
         monkeypatch.setattr(cube_core, "MAX_DIM", 64)
@@ -421,7 +430,7 @@ class TestSamplerDraws:
         assert hits
 
     @pytest.mark.parametrize("d", [65, 70, 128])
-    def test_vertex_draws_past_one_word(self, monkeypatch, d):
+    def test_vertex_draws_past_one_word(self, monkeypatch, fresh_host_caches, d):
         # a cube of more than 2^64 vertices draws each vertex from two or
         # more words, high word first
         monkeypatch.setattr(cube_core, "MAX_DIM", d)
@@ -579,6 +588,12 @@ class TestCertifyPins:
         (dict(host="cube:3", k=2, samples=300, solver=ORACLE, seed=5,
               fail_fast=True),
          "75e22b8ca1665d48fb9966c5f1337d8f85fe1da65ee8413b1286d85dc5b6f04d"),
+        # recorded before instances shared their hosts: six unlinked rows
+        # whose host dumps name the forbidden apex, and a link sweep
+        (dict(host="pyramid2-quad", k=2, samples=300, solver=ORACLE, strong=True),
+         "354e934586dc349ee7edc0e163d41bb8ab616ca8c5a34aed19a65548db5faee9"),
+        (dict(host="link:6", k=3, samples=300, solver=ORACLE),
+         "776b5507585d164da74d0693d4897db74dd8cfdc2753bc55a0ec0461a9571ce4"),
     ])
     def test_sampled_report(self, job, digest):
         assert _report_digest(CertificationJob(mode=SAMPLED, **job)) == digest
@@ -595,6 +610,25 @@ class TestCertifyPins:
                             lambda *args: calls.append(args) or resolve(*args))
         assert certify(job).instances > 0
         assert calls == [(job.host, job.k, job.strong)]
+
+    def test_instances_of_one_plain_job_share_their_host(self):
+        a, b = sample_instances("cube:5", 3, 2, seed=3)
+        assert a.host_graph() is b.host_graph()
+        assert next(exhaustive_instances("cube:5", 3)).host_graph() is a.host_graph()
+
+    def test_pyramid_sweep_builds_its_fixture_once(self, monkeypatch,
+                                                   fresh_host_caches):
+        built = []
+        real = certifier.pyramid2_quad
+        monkeypatch.setattr(certifier, "pyramid2_quad",
+                            lambda: built.append(1) or real())
+        certifier._host_space.cache_clear()
+        certifier._shared_host.cache_clear()
+        for strong in (False, True):
+            report = certify(CertificationJob(host="pyramid2-quad", k=2,
+                                              solver=ORACLE, strong=strong))
+            assert report.instances == (90 if strong else 45)
+        assert len(built) == 1
 
 
 class TestJobValidation:

@@ -8,6 +8,7 @@ import json
 import random
 import re
 from collections import Counter
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
@@ -123,6 +124,12 @@ class TestDispatch:
         assert res.trace[0].startswith("Q9:")
 
 
+class _Vertex(IntEnum):
+    ZERO = 0
+    SEVEN = 7
+    TOP = 31
+
+
 class TestPreconditions:
     def test_q3_two_pairs_unsupported(self):
         with pytest.raises(UnsupportedInstanceError) as info:
@@ -140,6 +147,34 @@ class TestPreconditions:
     def test_terminal_range(self):
         with pytest.raises(ValueError):
             solve_linkage(3, Pairing(((0, 9),)))
+
+    @pytest.mark.parametrize("bad, error, message", [
+        (True, TypeError, "vertex must be an int, got True"),
+        (1.0, TypeError, "vertex must be an int, got 1.0"),
+        (-1, ValueError, "vertex -1 outside Q_5 (need 0 <= v < 32)"),
+        (32, ValueError, "vertex 32 outside Q_5 (need 0 <= v < 32)"),
+    ], ids=["bool", "float", "negative", "past-top"])
+    def test_vertex_errors_name_the_first_bad_vertex(self, bad, error, message):
+        # cube_core.check_vertex words the error for the first vertex in
+        # input order that is no usable int: the terminals in pair order,
+        # then the forbidden vertex, whatever else is wrong after it
+        Y = Pairing(((3, bad), (99, 12)))
+        for call in (lambda: solve_linkage(5, Y),
+                     lambda: solve_strong(5, Y, -5),
+                     lambda: solve_strong(5, Pairing(((3, 7),)), bad)):
+            with pytest.raises(error) as info:
+                call()
+            assert type(info.value) is error
+            assert str(info.value) == message
+
+    def test_int_subclass_vertices_are_accepted(self):
+        # check_vertex accepts any int but a bool; the plain-int fast test
+        # in front of it must not turn an int subclass away
+        Y = Pairing(((_Vertex.ZERO, _Vertex.TOP), (3, 28)))
+        plain = Pairing(((0, 31), (3, 28)))
+        for solve, args in ((solve_linkage, ()), (solve_strong, (_Vertex.SEVEN,))):
+            res = check(solve(5, Y, *args))
+            assert res.linkage == solve(5, plain, *map(int, args)).linkage
 
     def test_avoid_budget(self):
         with pytest.raises(ValueError):
@@ -311,6 +346,88 @@ def _scenario3_contexts():
     return out
 
 
+def _omega_skip_contexts():
+    """Seeded scenario-3 set-ups at maximal k in Q5, Q7, Q9 and Q11, 40 per
+    dimension, planted so that _build_omega passes over candidate entry
+    vertices.  The special pair comes first, so F is the facet of the
+    lowest bit b its terminals agree on; x is a random F-side terminal,
+    blocked by a terminal of another pair at x ^ b.  Even draws plant a
+    second blocked terminal y next to x's smallest neighbour in F, x's
+    first candidate, which one of them takes before the other looks.  Odd
+    draws put a foreign terminal across F from x's first candidate, a
+    foreign projection.  The other pairs are random."""
+    rng = random.Random("scenario3/omega-skips")
+    out = []
+    for d in (5, 7, 9, 11):
+        n, k = 1 << d, (d + 1) // 2
+        for i in range(40):
+            while True:
+                s1, t1 = rng.sample(range(n), 2)
+                agree = (n - 1) & ~(s1 ^ t1)
+                if not agree:
+                    continue
+                b = agree & -agree
+                others = [1 << c for c in range(d) if 1 << c != b]
+                x = rng.randrange(n) & ~b | s1 & b
+                first = min(x ^ c for c in others)  # x's first candidate
+                if i % 2 == 0:
+                    y = first ^ rng.choice([c for c in others if c != first ^ x])
+                    planted = [x, y ^ b, y, x ^ b]
+                else:
+                    planted = [x, rng.randrange(n), x ^ b, first ^ b]
+                X = [s1, t1] + planted
+                while len(X) < 2 * k:
+                    X.append(rng.randrange(n))
+                if len(set(X)) < 2 * k:
+                    continue
+                try:
+                    out.append((d, scenario3_context(d, pairing(X))))
+                    break
+                except ValueError:
+                    continue
+    return out
+
+
+def _omega_skips(ctx) -> Counter:
+    """The candidates _build_omega passed over for each moved entry: a
+    neighbour n of x in F, smaller than omega(x) and no terminal, that an
+    earlier entry had taken or whose n ^ b is a foreign terminal."""
+    b = ctx.face.fixed_mask
+    skips: Counter = Counter()
+    taken: set = set()
+    for x in ctx.X_beta:
+        w = ctx.omega[x]
+        for c in (1 << i for i in range(ctx.d)):
+            n = x ^ c
+            if w == x or c == b or n >= w or n in ctx.rho:
+                continue
+            if n in taken:
+                skips["taken"] += 1
+            elif n ^ b in ctx.rho and n ^ b != ctx.rho[x]:
+                skips["foreign"] += 1
+        taken.add(w)
+    return skips
+
+
+def _check_omega(ctx) -> int:
+    """Assert what _build_omega states without testing it: omega is
+    injective, each value is x or an in-facet neighbour of x that is no
+    terminal, and neither omega(x) nor omega(x) ^ b is a foreign terminal.
+    Returns the number of moved entries."""
+    b = ctx.face.fixed_mask
+    moved = 0
+    assert len(set(ctx.omega.values())) == len(ctx.omega)
+    for x, w in ctx.omega.items():
+        assert ctx.face.contains(w)
+        if w != x:
+            moved += 1
+            assert (w ^ x).bit_count() == 1
+            assert w not in ctx.rho
+        foreign = ctx.rho.keys() - {x, ctx.rho[x]}
+        assert w not in foreign and w ^ b not in foreign
+    return moved
+
+
 # Recorded before facets became one-bit masks inside the engine.
 PINNED_CONTEXT_MOVED = 85
 PINNED_CONTEXT_DIGEST = "320166978fb10e29626244c6db7d50fe9555a9ec11fb81ad1664c0d58102dec7"
@@ -398,19 +515,19 @@ class TestScenario3Context:
         seeded context: omega is injective, each value is x or an in-facet
         neighbour of x that is no terminal, and neither omega(x) nor
         omega(x) ^ b is a foreign terminal."""
-        moved = 0
-        for d, ctx in _scenario3_contexts():
-            b = ctx.face.fixed_mask
-            assert len(set(ctx.omega.values())) == len(ctx.omega)
-            for x, w in ctx.omega.items():
-                assert ctx.face.contains(w)
-                if w != x:
-                    moved += 1
-                    assert (w ^ x).bit_count() == 1
-                    assert w not in ctx.rho
-                foreign = ctx.rho.keys() - {x, ctx.rho[x]}
-                assert w not in foreign and w ^ b not in foreign
+        moved = sum(_check_omega(ctx) for _, ctx in _scenario3_contexts())
         assert moved == PINNED_CONTEXT_MOVED
+
+    def test_omega_skips_taken_and_foreign_candidates(self):
+        """The same facts on contexts planted so that _build_omega passes
+        over a smaller candidate because an earlier entry took it, and
+        because it is a foreign projection; both skips must occur, or a
+        fault in either test would go unseen."""
+        skips: Counter = Counter()
+        for _, ctx in _omega_skip_contexts():
+            _check_omega(ctx)
+            skips += _omega_skips(ctx)
+        assert skips["taken"] > 0 and skips["foreign"] > 0, skips
 
     def test_contexts_match_pinned_digest(self):
         rows = []
@@ -483,8 +600,10 @@ class TestStrong:
         assert res.host.removed == frozenset({7})
 
     def test_forbidden_terminal_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             solve_strong(5, Pairing(((0, 31), (3, 7))), 3)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "forbidden vertex 3 is a terminal"
 
     def test_pair_bound_is_floor_half(self):
         with pytest.raises(ValueError):

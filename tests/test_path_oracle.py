@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from enum import IntEnum
 from itertools import combinations
 
 import pytest
@@ -283,6 +284,11 @@ PINNED_MENGER_KINDS = (919, 907, 134, 440)
 PINNED_MENGER_DIGEST = "1438bf31b4a43a6526c9cc3556a9c956cfd064aed6b7fcf22e88116432d3315e"
 
 
+class _Vertex(IntEnum):
+    ONE = 1
+    SIX = 6
+
+
 class TestDecideLinked:
     def test_linked_q3(self):
         out = decide_linked(CubeGraph(3), Pairing(((0b000, 0b110), (0b011, 0b101))))
@@ -341,8 +347,22 @@ class TestDecideLinked:
         # and a float or str one a TypeError from inside the search
         Y = Pairing(((terminal, other),))
         assert validate_linkage(G, Y, [[terminal, other]]).clause == "MEMBERSHIP"
-        with pytest.raises(ValueError, match="is not a usable vertex of the host"):
+        with pytest.raises(ValueError) as info:
             decide_linked(G, Y)
+        assert type(info.value) is ValueError
+        assert str(info.value) == \
+            f"terminal {terminal!r} is not a usable vertex of the host"
+
+    def test_int_subclass_terminals_are_usable(self):
+        # _member accepts any int but a bool, so a terminal that fails the
+        # plain-int fast test is still usable when it is an int subclass
+        G = CubeGraph(4, frozenset({5}))
+        Y = Pairing(((_Vertex.ONE, _Vertex.SIX), (0, 15)))
+        out = decide_linked(G, Y)
+        assert out.status == LINKED
+        assert out.linkage[0][0] is _Vertex.ONE
+        assert validate_linkage(G, Y, out.linkage).ok
+        assert out == decide_linked(G, Pairing(((1, 6), (0, 15))))
 
     def test_interior_never_crosses_other_terminals(self):
         out = decide_linked(CubeGraph(4), Pairing(((0, 15), (5, 10))))
@@ -480,6 +500,9 @@ class TestValidateLinkage:
         (CubeGraph(3), (0, 3), [[0], 1, 3], "ENDPOINTS", 0),
         (pyramid2_quad(), ("s1", "t1"), ["s1", ["x"], "t1"], "MEMBERSHIP", ["x"]),
         (pyramid2_quad(), ("s1", "t1"), [["s1"], "x", "t1"], "ENDPOINTS", 0),
+        (CubeGraph(3), (0, 2), [0, -1, 2], "MEMBERSHIP", -1),
+        (CubeGraph(3), (0, 8), [0, 8], "MEMBERSHIP", 8),
+        (CubeGraph(3, frozenset({1})), (0, 3), [0, 1, 3], "MEMBERSHIP", 1),
     ])
     def test_non_vertex_elements_are_reported(self, G, pair, path, clause, witness):
         report = validate_linkage(G, Pairing((pair,)), [path])
