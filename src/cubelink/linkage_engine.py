@@ -81,7 +81,7 @@ from heapq import heappop, heappush
 from typing import Iterable
 
 from . import cube_core
-from .cube_core import CubeGraph, Face, face_vertices, free_bit, link_graph, opposite
+from .cube_core import CubeGraph, Face, face_vertices, free_bit, opposite
 from .path_oracle import (
     LINKED,
     HostGraph,
@@ -853,6 +853,14 @@ def _checked(d: int, Y: Pairing, avoid: Iterable[int]) -> frozenset:
     return avoid_set
 
 
+@lru_cache(maxsize=1024)
+def _shared_host(d: int, removed: frozenset) -> CubeGraph:
+    """Q_d minus ``removed``, built once per shape for the solves' results;
+    the caller has validated both.  Hosts are frozen, so results may share
+    them."""
+    return CubeGraph(d, removed)
+
+
 def solve_avoiding(d: int, Y: Pairing, avoid: Iterable[int]) -> SolveResult:
     """A Y-linkage in Q_d dodging the forbidden vertices `avoid`, in the
     range check_supported("plain", d, k, |avoid|) accepts."""
@@ -860,7 +868,7 @@ def solve_avoiding(d: int, Y: Pairing, avoid: Iterable[int]) -> SolveResult:
     check_supported("plain", d, Y.k, len(avoid_set), Y)
     trace: list = []
     paths = _solve((1 << d) - 1, list(Y.pairs), avoid_set, trace)
-    return SolveResult(CubeGraph(d, avoid_set), Y, paths, tuple(trace))
+    return SolveResult(_shared_host(d, avoid_set), Y, paths, tuple(trace))
 
 
 def solve_linkage(d: int, Y: Pairing) -> SolveResult:
@@ -897,7 +905,7 @@ def solve_link(d_plus_1: int, v: int, Y: Pairing) -> SolveResult:
         paths = construct(free, v, vo, pairs, b, trace)
         if SELF_CHECK:
             _self_check(free, pairs, removed, paths)
-    return SolveResult(link_graph(d_plus_1, v), Y, paths, tuple(trace))
+    return SolveResult(_shared_host(d_plus_1, removed), Y, paths, tuple(trace))
 
 
 def _link_one_side(free: int, v: int, vo: int, pairs: list, b: int,

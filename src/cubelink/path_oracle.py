@@ -726,6 +726,20 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
     is bounded by memory, not by Python's recursion limit.  Each search
     node is one extension step of one path (``nodes_used`` counts them),
     and reaching a pair's target starts the next pair.
+
+    On a cube the first node's walks are taken before the search starts:
+    each pair's ``_cube_walk`` from its source, around the first source and
+    the pair's barred vertices, the walk that the first node's ``_reach``
+    tries first.  Each walk that arrives is that pair's witness, the list
+    the first node would compute.  When every walk arrives, no two walks
+    share a vertex and the k sources plus the walks' vertices fit in the
+    budget, the walks are the linkage, at one node per vertex, and the
+    search returns them unrun: at each step of a walk, every neighbour that
+    ``_cube_steps`` orders before the walk's next vertex was barred when
+    the walk ran and is barred still, since the used vertices only grow;
+    the next vertex itself is free, since the walks are disjoint; so the
+    search steps along the walks and never re-tests a pair.  Otherwise the
+    search runs with those witnesses, to the same outcome.
     """
     pairs = Y.pairs
     cube = isinstance(G, CubeGraph)
@@ -751,6 +765,17 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
     barred_has = [b.__contains__ for b in blocked]
     order = tuple(range(k))
     witness: list = [None] * k
+    if cube:  # the first node's walks; see the docstring's last paragraph
+        start = {sources[0]}
+        for j in range(k):
+            trail = _cube_walk(d, sources[j], targets[j], start, blocked[j])
+            if trail and trail[-1] == targets[j]:
+                witness[j] = trail
+        if all(witness):
+            total = sum(map(len, witness))
+            if k + total <= budget and len(set().union(*witness)) == total:
+                return DecideOutcome(LINKED, [[s, *trail] for s, trail in
+                                              zip(sources, witness)], order, k + total)
 
     path = [sources[0]]
     paths = [path]

@@ -599,6 +599,14 @@ class TestStrong:
         res = solve_strong(5, Pairing(((0, 31), (3, 28))), 7)
         assert res.host.removed == frozenset({7})
 
+    def test_solves_of_one_shape_share_their_host(self):
+        first = solve_strong(5, Pairing(((0, 31), (3, 28))), 7)
+        again = solve_strong(5, Pairing(((1, 30), (2, 29))), 7)
+        other = solve_strong(5, Pairing(((0, 31), (3, 28))), 8)
+        assert first.host is again.host
+        assert first.host == CubeGraph(5, frozenset({7}))
+        assert other.host == CubeGraph(5, frozenset({8}))
+
     def test_forbidden_terminal_rejected(self):
         with pytest.raises(ValueError) as info:
             solve_strong(5, Pairing(((0, 31), (3, 7))), 3)

@@ -1070,7 +1070,7 @@ class TestDecideReference:
 
     # (host, k, samples, seed): nodes, _cube_witness calls, _bfs_witness calls
     RETEST_PINS = (
-        ("cube:5", 3, 5000, 11, 54292, 17150, 39),
+        ("cube:5", 3, 5000, 11, 54292, 2321, 39),
         ("pyramid2-quad", 2, 2000, 11, 8532, 0, 4048),
     )
 
@@ -1087,3 +1087,60 @@ class TestDecideReference:
         total = sum(decide_linked(inst.host_graph(), inst.pairing).nodes_used
                     for inst in sample_instances(host, k, n, seed))
         assert (total, calls["_cube_witness"], calls["_bfs_witness"]) == (nodes, cube, bfs)
+
+
+class TestFirstNodeWalks:
+    """On a cube, decide_linked returns the first node's walks unsearched
+    when they are disjoint and fit the budget; the outcome is the one the
+    search reaches by stepping along them."""
+
+    def test_budget_boundary(self, monkeypatch):
+        calls = []
+        for name in ("_cube_witness", "_bfs_witness"):
+            def spy(*args, test=getattr(path_oracle, name)):
+                calls.append(args)
+                return test(*args)
+            monkeypatch.setattr(path_oracle, name, spy)
+        answered = 0
+        for inst in sample_instances("cube:5", 3, 300, 21):
+            G, Y = inst.host_graph(), inst.pairing
+            calls.clear()
+            out = decide_linked(G, Y)
+            if calls:  # a pair was re-tested, so the walks did not answer
+                continue
+            answered += 1
+            n = out.nodes_used
+            assert out.status == LINKED
+            assert n == 3 + sum(len(path) - 1 for path in out.linkage)
+            assert decide_linked(G, Y, budget=n) == out
+            over = decide_linked(G, Y, budget=n - 1)
+            assert (over.status, over.linkage, over.nodes_used) == (BUDGET_EXCEEDED, None, n)
+        assert answered >= 150
+
+    # (host, k, strong, samples, seed, nodes): sha256 of [status, linkage,
+    # nodes_used] per instance, recorded before the first node's walks
+    # could answer, when every instance ran the search.
+    SEARCH_PINS = (
+        ("cube:9", 5, False, 500, 301, 13796,
+         "d5ce91c235bb5f9aedb8b1fd0f9ba94e2ffc0aa89213162d5a1f7f12656af723"),
+        ("cube:13", 7, False, 500, 302, 26101,
+         "e9284025fe50dfe37e3ad380f1f5813a880ea3edb8ef160646bfcbe26e7415fe"),
+        ("link:13", 6, False, 500, 303, 22398,
+         "43edf5c909c42682ecbf17d6036648e0c432e26850e6fe5f786db4ec90cb211f"),
+        ("cube:11", 5, True, 500, 304, 16310,
+         "7a975308d4de24b6f7bba29b388c872ee20a2d4fc02dea2a8c7f89c9a09a638e"),
+        ("cube:20", 10, False, 100, 305, 11014,
+         "bb58f3d1b046dfff5c5c49c32aefe016e1224b0558d44738d59258ae9c9f5b42"),
+    )
+
+    @pytest.mark.parametrize("host, k, strong, n, seed, nodes, digest", SEARCH_PINS,
+                             ids=[f"{p[0]}-k{p[1]}" + "-strong" * p[2]
+                                  for p in SEARCH_PINS])
+    def test_outcomes_match_the_search_pins(self, host, k, strong, n, seed,
+                                            nodes, digest):
+        rows = []
+        for inst in sample_instances(host, k, n, seed, strong=strong):
+            out = decide_linked(inst.host_graph(), inst.pairing)
+            rows.append([out.status, out.linkage, out.nodes_used])
+        assert sum(row[2] for row in rows) == nodes
+        assert _sha256(rows) == digest
