@@ -33,8 +33,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
-from itertools import filterfalse
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from . import cube_core
@@ -538,29 +536,38 @@ class DecideOutcome(NamedTuple):
         return self.status == LINKED
 
 
-@lru_cache(maxsize=4096)
-def _cube_steps(d: int, cur: int, t: int) -> tuple:
-    """The d neighbours of cur in Q_d, closer to t first, ties by ascending
-    vertex: ``sorted(neighbours, key=lambda w: ((w ^ t).bit_count(), w))``.
+def _cube_steps(d: int, cur: int, t: int, used=(), blocked=()):
+    """The neighbours of cur in Q_d that lie in neither ``used`` nor
+    ``blocked``, closer to t first, ties by ascending vertex: the order of
+    ``sorted(neighbours, key=lambda w: ((w ^ t).bit_count(), w))``.
 
-    Read off the bits: set in cur and clear in t, highest first; clear in
-    cur and set in t, lowest first; then set in both, highest first; clear
-    in both, lowest first.  The cache holds every (cur, t) of Q5 or of Q6.
+    Read off the bits: first those where cur and t differ, then the rest;
+    within each group, the bits set in cur highest first, then those clear
+    in cur lowest first.  Each neighbour is tested when it is drawn.
     """
-    ascending = ([cur ^ (1 << i) for i in reversed(range(d)) if cur >> i & 1]
-                 + [cur ^ (1 << i) for i in range(d) if not cur >> i & 1])
-    differ = cur ^ t
-    return tuple([w for w in ascending if (w ^ cur) & differ]
-                 + [w for w in ascending if not (w ^ cur) & differ])
+    same = (1 << d) - 1 ^ cur ^ t
+    for ones, zeros in ((cur & ~t, t & ~cur), (cur & same, same & ~cur)):
+        while ones:
+            bit = 1 << ones.bit_length() - 1
+            ones ^= bit
+            if (w := cur ^ bit) not in used and w not in blocked:
+                yield w
+        while zeros:
+            bit = zeros & -zeros
+            zeros ^= bit
+            if (w := cur ^ bit) not in used and w not in blocked:
+                yield w
 
 
-def _toward(G: FixtureGraph, t: Vertex):
-    """The neighbours of a vertex of a fixture host, closer to t first, ties
-    by ascending vertex.
+def _toward(G: FixtureGraph, t: Vertex, used, blocked):
+    """The neighbours of a vertex of a fixture host that lie in neither
+    ``used`` nor ``blocked``, closer to t first, ties by ascending vertex,
+    each tested as it is drawn.
 
     Returns a function of the path's end.  The distance is the BFS distance
     to t in G, with vertices that cannot reach t last, and each call sorts
-    the neighbours.  A cube reads the same order from ``_cube_steps``.
+    the neighbours.  A cube reads the same order off the bits
+    (``_cube_steps``).
     """
     dist = {t: 0}
     queue = deque([t])
@@ -571,7 +578,9 @@ def _toward(G: FixtureGraph, t: Vertex):
                 dist[w] = dist[v] + 1
                 queue.append(w)
     far = len(G.adjacency)
-    return lambda cur: sorted(G.neighbors(cur), key=lambda w: (dist.get(w, far), w))
+    return lambda cur: (w for w in sorted(G.neighbors(cur),
+                                          key=lambda w: (dist.get(w, far), w))
+                        if w not in used and w not in blocked)
 
 
 def _cube_walk(d: int, v: int, t: int, used, blocked) -> list:
@@ -581,23 +590,31 @@ def _cube_walk(d: int, v: int, t: int, used, blocked) -> list:
     Each step goes to the first neighbour in ``_cube_steps`` order, the
     order in which decide_linked tries a path end's neighbours, that lies
     in neither ``used`` nor ``blocked``, provided that neighbour is one step
-    closer to t; v itself may be in either set.  So the walk flips the bits
-    where it differs from t, those set at v first, highest first, then
-    those clear at v, lowest first, skipping flips onto barred vertices, and
-    the search's first option at v is the walk's first step.  A walk that
+    closer to t; v itself may be in either set.  The closer neighbours come
+    first in that order, so the walk reads them off the bits itself: it
+    flips the bits where it differs from t, those set at v first, highest
+    first, then those clear at v, lowest first, skipping flips onto barred
+    vertices, and stops where every closer neighbour is barred; the
+    search's first option at v is the walk's first step.  A walk that
     arrives is a shortest v-t path.  It never backtracks, so a walk that
-    sticks proves nothing: it met a vertex with every closer neighbour
-    barred.  Each probe is two set lookups, whatever d is.
+    sticks proves nothing.  Each probe is two set lookups, whatever d is.
     """
     trail = []
     while v != t:
-        for w in _cube_steps(d, v, t):
+        ones, zeros = v & ~t, t & ~v
+        while ones:
+            w = v ^ 1 << ones.bit_length() - 1
             if w not in used and w not in blocked:
                 break
+            ones ^= v ^ w
         else:
-            break
-        if not (w ^ v) & (v ^ t):  # the first free neighbour is no closer
-            break
+            while zeros:
+                w = v ^ (zeros & -zeros)
+                if w not in used and w not in blocked:
+                    break
+                zeros ^= v ^ w
+            else:
+                break
         trail.append(w)
         v = w
     return trail
@@ -608,23 +625,22 @@ def _cube_witness(d: int, s: int, t: int, used, blocked) -> list | None:
     ``used`` nor ``blocked``, as the list of those vertices, or None when
     these walks find none (which proves nothing).
 
-    A ``_cube_walk``; where it sticks, at v, one step from v onto each free
-    neighbour u in ``_cube_steps`` order (the closer ones are barred), each
-    followed by a second walk from u that also avoids s and the first
-    walk.  The search, at v in turn, tries those neighbours in the same
-    order, so when the first one leads on, the witness is the path the
-    search walks first.
+    A ``_cube_walk``; where it sticks, at v, one step onto each neighbour u
+    that ``_cube_steps`` draws clear of ``used``, ``blocked``, s and the
+    first walk (the closer ones are barred), each followed by a second walk
+    from u that avoids the same vertices.  The search, at v in turn, tries
+    those neighbours in the same order, so when the first one leads on,
+    the witness is the path the search walks first.
     """
     trail = _cube_walk(d, s, t, used, blocked)
     if trail and trail[-1] == t:
         return trail
     v = trail[-1] if trail else s
     off = blocked.union(trail, (s,))
-    for u in _cube_steps(d, v, t):
-        if u not in used and u not in off:
-            rest = _cube_walk(d, u, t, used, off)
-            if rest and rest[-1] == t:
-                return trail + [u] + rest
+    for u in _cube_steps(d, v, t, used, off):
+        rest = _cube_walk(d, u, t, used, off)
+        if rest and rest[-1] == t:
+            return trail + [u] + rest
     return None
 
 
@@ -693,13 +709,14 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
     neighbors one step closer come first: bits set at the end and clear at
     the target, highest first, then bits clear at the end and set at the
     target, lowest first; so the first path tried is a straight descent
-    whenever nothing blocks it.  A cube reads this order from a cached
-    table (``_cube_steps``); a graph host sorts by BFS distance
-    (``_toward``).  Pruning is sound: a partial state is abandoned when
-    some unfinished pair has its endpoints separated in the graph minus the
-    vertices already used and minus all other terminals (terminals of other
-    pairs can never lie on a pair's path, since each is an endpoint of its
-    own path in any linkage).  The node budget turns oversize searches into
+    whenever nothing blocks it.  A cube reads this order off the bits of
+    the end and the target (``_cube_steps``), so the search keeps no state
+    between calls; a graph host sorts by BFS distance (``_toward``).
+    Pruning is sound: a partial state is abandoned when some unfinished
+    pair has its endpoints separated in the graph minus the vertices
+    already used and minus all other terminals (terminals of other pairs
+    can never lie on a pair's path, since each is an endpoint of its own
+    path in any linkage).  The node budget turns oversize searches into
     an explicit BUDGET_EXCEEDED outcome; it is never reported as UNLINKED.
 
     The separation test is incremental.  Each unfinished pair keeps a
@@ -751,24 +768,19 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
             if (not cube or type(v) is not int or not 0 <= v < top
                     or v in removed) and not _member(G, v):
                 raise ValueError(f"terminal {v!r} is not a usable vertex of the host")
-    if cube:
-        d = G.d
-    else:
-        d = None
-        toward = [_toward(G, t) for _, t in pairs]
     k = len(pairs)
     sources, targets = zip(*pairs)
     # blocked[j]: the vertices a path of pair j may not pass through, every
     # removed vertex and every other terminal (no terminal is removed)
     barred = G.removed.union(*pairs)
     blocked = list(map(barred.difference, pairs))
-    barred_has = [b.__contains__ for b in blocked]
+    used = {sources[0]}
     order = tuple(range(k))
     witness: list = [None] * k
     if cube:  # the first node's walks; see the docstring's last paragraph
-        start = {sources[0]}
+        d = G.d
         for j in range(k):
-            trail = _cube_walk(d, sources[j], targets[j], start, blocked[j])
+            trail = _cube_walk(d, sources[j], targets[j], used, blocked[j])
             if trail and trail[-1] == targets[j]:
                 witness[j] = trail
         if all(witness):
@@ -776,11 +788,11 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
             if k + total <= budget and len(set().union(*witness)) == total:
                 return DecideOutcome(LINKED, [[s, *trail] for s, trail in
                                               zip(sources, witness)], order, k + total)
+    else:
+        toward = [_toward(G, t, used, b) for (_, t), b in zip(pairs, blocked)]
 
     path = [sources[0]]
     paths = [path]
-    used = {sources[0]}
-    used_has = used.__contains__
     # (pair, path length, untried neighbors) per open vertex.  The untried
     # neighbours are filtered as they are drawn: whenever a frame is drawn
     # from, the paths (so used) are the ones it was pushed with.
@@ -808,8 +820,8 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
                     cur = None
                     break
         else:
-            steps = toward[i](cur) if d is None else _cube_steps(d, cur, targets[i])
-            options = filterfalse(used_has, filterfalse(barred_has[i], steps))
+            options = (_cube_steps(d, cur, targets[i], used, blocked[i]) if cube
+                       else toward[i](cur))
             stack.append((i, len(path), options))
             cur = next(options, None)
         while cur is None:  # backtrack to the deepest vertex with an untried neighbor

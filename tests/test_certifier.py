@@ -550,6 +550,10 @@ class TestCertify:
         ("cube:8", 4, False),
         ("cube:7", 3, True),
         ("link:7", 3, False),
+        ("cube:9", 5, False),
+        ("cube:11", 5, True),
+        ("cube:13", 7, False),
+        ("link:13", 6, False),
     ])
     def test_exact_cross_validation_beyond_q5(self, host, k, strong):
         # Every engine linkage is confirmed by decide_linked at the default

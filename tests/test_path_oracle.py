@@ -825,6 +825,90 @@ class TestCubeSteps:
         t = data.draw(st.integers(0, (1 << d) - 1))
         assert list(path_oracle._cube_steps(d, cur, t)) == _closer_first(d, cur, t)
 
+    def test_filters_as_the_sorted_order_exhaustively(self):
+        rng = random.Random("cube_steps/filtered")
+        for d in range(1, 6):
+            every = range(1 << d)
+            for cur in every:
+                for t in every:
+                    for _ in range(2):
+                        used = set(rng.sample(every, rng.randrange(1 << d)))
+                        blocked = set(rng.sample(every, rng.randrange(1 << d)))
+                        assert list(path_oracle._cube_steps(d, cur, t, used, blocked)) == [
+                            w for w in _closer_first(d, cur, t)
+                            if w not in used and w not in blocked]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_filters_as_the_sorted_order_up_to_q64(self, data):
+        # no table bounds d: the order is read off the bits at any dimension
+        d = data.draw(st.integers(1, 64))
+        cur = data.draw(st.integers(0, (1 << d) - 1))
+        t = data.draw(st.integers(0, (1 << d) - 1))
+        bits = st.sets(st.integers(0, d - 1))
+        used = {cur ^ 1 << i for i in data.draw(bits)}
+        blocked = {cur ^ 1 << i for i in data.draw(bits)}
+        assert list(path_oracle._cube_steps(d, cur, t, used, blocked)) == [
+            w for w in _closer_first(d, cur, t) if w not in used and w not in blocked]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_walk_takes_the_first_free_neighbour(self, data):
+        # decide_linked returns the first node's walks as the search's own
+        # first path; that rests on this equality, for arrived and stuck walks
+        d = data.draw(st.integers(1, 64))
+        s = data.draw(st.integers(0, (1 << d) - 1))
+        t = data.draw(st.integers(0, (1 << d) - 1))
+        density = st.sampled_from([0.0, 0.1, 0.3, 0.6])
+        used = _CoinSet(data.draw(st.integers(0, 2**32)), data.draw(density))
+        blocked = _CoinSet(data.draw(st.integers(0, 2**32)), data.draw(density))
+        walk = [s] + _check_walk(d, s, t, used, blocked)
+        if s != t:  # bar every closer neighbour of a vertex before t: stuck there
+            j = data.draw(st.integers(0, len(walk) - 1 - (walk[-1] == t)))
+            blocked.add.update(w for w in _closer_first(d, walk[j], t)
+                               if (w ^ t).bit_count() < (walk[j] ^ t).bit_count())
+            assert [s] + _check_walk(d, s, t, used, blocked) == walk[:j + 1]
+            blocked.add.clear()
+        while walk[-1] != t:  # free the stuck end's first closer neighbour
+            free = _closer_first(d, walk[-1], t)[0]
+            used.free.add(free)
+            blocked.free.add(free)
+            longer = [s] + _check_walk(d, s, t, used, blocked)
+            assert longer[:len(walk) + 1] == walk + [free]
+            walk = longer
+        assert len(walk) == (s ^ t).bit_count() + 1
+
+
+class _CoinSet:
+    """A vertex set of any cube, each vertex in it by a seeded coin, except
+    those in ``add`` (always in) and in ``free`` (never in)."""
+
+    def __init__(self, seed: int, density: float) -> None:
+        self.seed, self.cut = seed, int(density * 2**16)
+        self.add, self.free = set(), set()
+
+    def __contains__(self, w) -> bool:
+        if w in self.free:
+            return False
+        return w in self.add or hash((self.seed, w)) & 0xFFFF < self.cut
+
+
+def _check_walk(d, s, t, used, blocked) -> list:
+    """_cube_walk(d, s, t, used, blocked), checked step by step: each step
+    takes the first free neighbour in _closer_first order, and the walk
+    stops exactly at t, or where that neighbour is missing or no closer."""
+    trail = path_oracle._cube_walk(d, s, t, used, blocked)
+    v = s
+    for w in trail + [None]:
+        free = [u for u in _closer_first(d, v, t) if u not in used and u not in blocked]
+        closer = bool(free) and (free[0] ^ t).bit_count() < (v ^ t).bit_count()
+        if w is None:
+            assert v == t or not closer
+        else:
+            assert v != t and closer and w == free[0]
+            v = w
+    return trail
+
 
 def _golden_instances():
     """A seeded set of (host, pairing, budget) covering every decide_linked
