@@ -34,10 +34,13 @@ paths it returns are already in the caller's words.  Deleting the fixed
 bits preserves order, distance and adjacency among the vertices of a face,
 so every tie-break (min, sorted, the A* heap key, ascending neighbours, the
 lowest free or agreeing bit) picks what it would pick in Q_d words.  Only
-the d <= 4 base case (_base) leaves the face's words: it maps the instance
-onto its representative under Aut(Q_d) (translation and coordinate
-permutation) in d-bit words, runs the oracle search once per representative
-and maps the stored paths back.
+the d <= 4 base case (_base) leaves the face's words.  It first reads the
+instance in local indices (translated by its first source, free bits in
+ascending order) and looks that key up in a table of stored paths, so a
+repeat costs one lookup.  On a miss it maps the instance onto its
+representative under Aut(Q_d) (translation and coordinate permutation) in
+d-bit words, runs the oracle search once per representative, maps the
+stored paths back and keeps them in the table in local indices.
 
 A facet of the face is one free bit b with a side value v, 0 or b:
 membership is x & b == v, projection onto it is x & ~b | v, and crossing to
@@ -467,7 +470,7 @@ def _solve(free: int, pairs: list, avoid: frozenset, trace: list) -> list:
     legal when _within_budget(d, k, |avoid|).  Paths come back oriented,
     path i running pairs[i][0] -> [1]."""
     label, b = _construction(free, pairs, avoid)
-    trace.append(f"Q{free.bit_count()}:{label}")
+    trace.append(_trace_label(free, label))
     if label == "trivial_pair":
         s, t = pairs[0]
         path = _route(free, s, t, avoid)
@@ -491,6 +494,12 @@ def _solve(free: int, pairs: list, avoid: frozenset, trace: list) -> list:
     if SELF_CHECK:
         _self_check(free, pairs, avoid, paths)
     return paths
+
+
+@lru_cache(maxsize=1024)
+def _trace_label(free: int, label: str) -> str:
+    """The trace entry "Q{d}:{label}" of a level on the face `free`."""
+    return f"Q{free.bit_count()}:{label}"
 
 
 def _in_facet(free: int, b: int, v: int, pairs: list, avoid: frozenset,
@@ -531,10 +540,13 @@ def base_solve(G: HostGraph, Y: Pairing, avoid: Iterable[int] = ()) -> list:
     return [_oriented(p, s, t) for p, (s, t) in zip(outcome.linkage, Y.pairs)]
 
 
-# The base's paths per orbit key (see _base), in the representative's Q_d
-# words.  Q4 with k = 2 and at most one avoid vertex has 1,744 keys, so the
-# memo needs no eviction.
+# The base's paths per orbit key (see _orbit_base), in the representative's
+# Q_d words.  Q4 with k = 2 and at most one avoid vertex has 1,744 keys, so
+# the memo needs no eviction.
 _BASE_ORBITS: dict = {}
+
+# The base's paths per face-local key (see _base), as local indices.
+_BASE_LOCAL: dict = {}
 
 
 @lru_cache(maxsize=1024)
@@ -546,7 +558,45 @@ def _spread(bits: tuple) -> tuple:
     return tuple(words)
 
 
+@lru_cache(maxsize=1024)
+def _local(free: int) -> tuple:
+    """(words, index) for the face: words = _spread(_bits(free)) reads a
+    local index as a word of the face's span, and index is its inverse."""
+    words = _spread(_bits(free))
+    return words, {w: y for y, w in enumerate(words)}
+
+
 def _base(free: int, pairs: list, avoid: frozenset) -> list:
+    """The d <= 4 base: one lookup in a face-local table, with the orbit
+    path (_orbit_base) behind it.
+
+    The key is k, |A| and the local index of each terminal, in pair order,
+    then of the avoid vertex, after translating by the first source; bit j
+    of an index is the j-th free bit, ascending.  Instances with one key
+    differ by a translation and an order-keeping relabelling of free bits,
+    which leaves _orbit_base's representative and its map back the same in
+    local indices.  So a hit is one lookup and the map back words[y] ^ s0,
+    the paths remain a function of the orbit key, and no exact search runs
+    beyond one per orbit.  Every base level has d = 4 (two pairs need
+    d >= 4), so the table needs no eviction: it holds at most 2,730 keys
+    with no avoid vertex and 32,760 with one."""
+    s0 = pairs[0][0]
+    words, index = _local(free)
+    key = [len(pairs), len(avoid)]
+    for s, t in pairs:
+        key += (index[s ^ s0], index[t ^ s0])
+    for a in sorted(avoid):
+        key.append(index[a ^ s0])
+    key = tuple(key)
+    paths = _BASE_LOCAL.get(key)
+    if paths is None:
+        paths = _orbit_base(free, pairs, avoid)
+        _BASE_LOCAL[key] = tuple([tuple([index[x ^ s0] for x in p]) for p in paths])
+        return paths
+    return [[words[y] ^ s0 for y in p] for p in paths]
+
+
+def _orbit_base(free: int, pairs: list, avoid: frozenset) -> list:
     """base_solve once per orbit of Aut(Q_d), with the paths mapped back.
 
     Every automorphism of the face (a translation composed with a coordinate
@@ -683,9 +733,9 @@ def _scenario3_context(free: int, pairs: list) -> tuple:
     the lowest free bit b its two terminals agree on, on their side.
 
     Returns the fields of ScenarioContext as a plain tuple, with F as its
-    bit b and side v: (d, b, v, first, rho, X_F, X_alpha, Y_alpha, X_beta,
-    omega, S).  The solver unpacks it; only scenario3_context builds the
-    dataclass."""
+    bit b and side v and with X_F and X_alpha as lists: (d, b, v, first,
+    rho, X_F, X_alpha, Y_alpha, X_beta, omega, S).  The solver unpacks it;
+    only scenario3_context builds the dataclass and its frozensets."""
     d = free.bit_count()
     for first, (s1, t1) in enumerate(pairs):
         if s1 ^ t1 != free:
@@ -715,15 +765,14 @@ def _scenario3_context(free: int, pairs: list) -> tuple:
                 beta.append(s)
         elif t & b == v:
             beta.append(t)
-    X_alpha = frozenset(alpha)
-    X_F = X_alpha.union(beta)
     X_beta = tuple(sorted(beta))
     omega = _build_omega(free, b, rho, X_beta)
-    S = X_F.union(w for w in omega.values() if w not in rho)
+    X_F = alpha + beta
+    S = frozenset(X_F + [w for w in omega.values() if w not in rho])
     if len(S) > d - 1:
         raise InvariantError("avoid set for the special pair is too large",
                              {"S": sorted(S), "d": d})
-    return (d, b, v, first, rho, X_F, X_alpha, tuple(alpha_idx), X_beta,
+    return (d, b, v, first, rho, X_F, alpha, tuple(alpha_idx), X_beta,
             omega, S)
 
 
@@ -782,8 +831,9 @@ def scenario3_context(d: int, Y: Pairing) -> ScenarioContext:
                   "scenario2": "all terminals share a facet"}.get(
                       label, f"the solver runs {label} on this instance")
         raise ValueError(f"{reason}: no scenario3 context exists")
-    d, b, v, *fields = _scenario3_context(free, pairs)
-    return ScenarioContext(d, Face(b, v), *fields)
+    d, b, v, first, rho, X_F, X_alpha, *fields = _scenario3_context(free, pairs)
+    return ScenarioContext(d, Face(b, v), first, rho, frozenset(X_F),
+                           frozenset(X_alpha), *fields)
 
 
 def _scenario3(free: int, pairs: list, trace: list) -> list:
@@ -809,7 +859,8 @@ def _scenario3(free: int, pairs: list, trace: list) -> list:
             out[i] = ms
             sub_avoid.append(t)
         elif mt[-1] == s:
-            out[i] = mt[::-1]
+            mt.reverse()
+            out[i] = mt
             sub_avoid.append(s)
         else:
             sub_pairs.append((ms[-1], mt[-1]))
@@ -819,7 +870,9 @@ def _scenario3(free: int, pairs: list, trace: list) -> list:
     if sub_pairs:
         sub_paths = _solve(sub, sub_pairs, frozenset(sub_avoid), trace)
         for (i, ms, mt), mid in zip(ends, sub_paths):
-            out[i] = ms[:-1] + mid + mt[-2::-1]
+            ms[-1:] = mid
+            ms += mt[-2::-1]
+            out[i] = ms
 
     # S lies in F, the special pair's facet.
     L1 = _route(sub, s1, t1, S)
@@ -842,14 +895,15 @@ def _checked(d: int, Y: Pairing, avoid: Iterable[int]) -> frozenset:
     passes at once; cube_core.check_vertex rules on any other vertex."""
     cube_core.check_dim(d)
     avoid_set = frozenset(avoid)
-    terminals = Y.terminals
     top = 1 << d
-    for v in (*terminals, *avoid_set):
-        if type(v) is not int or not 0 <= v < top:
-            cube_core.check_vertex(d, v)
-    hit = avoid_set.intersection(terminals)
-    if hit:
-        raise ValueError(f"forbidden vertex {min(hit)} is a terminal")
+    for vertices in (*Y.pairs, avoid_set):
+        for v in vertices:
+            if type(v) is not int or not 0 <= v < top:
+                cube_core.check_vertex(d, v)
+    if avoid_set:
+        hit = [v for p in Y.pairs for v in p if v in avoid_set]
+        if hit:
+            raise ValueError(f"forbidden vertex {min(hit)} is a terminal")
     return avoid_set
 
 

@@ -1432,7 +1432,14 @@ def _face_instance(rng, with_avoid):
 
 class TestOrbitBase:
     """The Q4 base solves one representative per Aut(Q4) orbit and maps its
-    paths back; every mapped linkage must be a linkage of the instance."""
+    paths back; every mapped linkage must be a linkage of the instance.  A
+    face-local table in front of the orbit path answers repeat instances."""
+
+    @staticmethod
+    def _cold(monkeypatch):
+        """Empty the orbit memo and the face-local table for this test."""
+        monkeypatch.setattr(linkage_engine, "_BASE_ORBITS", {})
+        monkeypatch.setattr(linkage_engine, "_BASE_LOCAL", {})
 
     @staticmethod
     def _check(D, free, pairs, avoid, paths):
@@ -1448,19 +1455,31 @@ class TestOrbitBase:
         real = linkage_engine.base_solve
         monkeypatch.setattr(linkage_engine, "base_solve",
                             lambda *a: calls.append(a) or real(*a))
-        monkeypatch.setattr(linkage_engine, "_BASE_ORBITS", {})
-        n = 0
-        for s0, t0, s1, t1 in itertools.permutations(range(16), 4):
-            pairs = [(s0, t0), (s1, t1)]
-            self._check(4, 15, pairs, frozenset(),
-                        linkage_engine._base(15, pairs, frozenset()))
-            n += 1
-        assert n == 43_680
+        self._cold(monkeypatch)
+        instances = [[(s0, t0), (s1, t1)]
+                     for s0, t0, s1, t1 in itertools.permutations(range(16), 4)]
+        assert len(instances) == 43_680
+        first = []
+        for pairs in instances:
+            paths = linkage_engine._base(15, pairs, frozenset())
+            self._check(4, 15, pairs, frozenset(), paths)
+            first.append(paths)
         # 169 orbits: one exact search each, however many instances share it.
         assert len(calls) == 169
         assert len(linkage_engine._BASE_ORBITS) == 169
+        # One face-local key per (t0, s1, t1) relative to s0: 15 * 14 * 13.
+        assert len(linkage_engine._BASE_LOCAL) == 2_730
+        orbit_calls = []
+        orbit = linkage_engine._orbit_base
+        monkeypatch.setattr(linkage_engine, "_orbit_base",
+                            lambda *a: orbit_calls.append(a) or orbit(*a))
+        again = [linkage_engine._base(15, pairs, frozenset()) for pairs in instances]
+        # A hit is one lookup: the second sweep never reaches the orbit path.
+        assert orbit_calls == []
+        assert again == first
 
-    def test_one_avoid_vertex_on_faces_of_q8(self):
+    def test_one_avoid_vertex_on_faces_of_q8(self, monkeypatch):
+        self._cold(monkeypatch)
         rng = random.Random("base/orbits/avoid")
         for _ in range(20_000):
             free, pairs, avoid = _face_instance(rng, with_avoid=True)
@@ -1471,10 +1490,11 @@ class TestOrbitBase:
     def test_output_does_not_depend_on_the_memo(self, monkeypatch):
         rng = random.Random("base/orbits/memo")
         instances = [_face_instance(rng, with_avoid=i % 2 == 1) for i in range(300)]
-        monkeypatch.setattr(linkage_engine, "_BASE_ORBITS", {})
+        self._cold(monkeypatch)
         cold = []
         for free, pairs, avoid in instances:
             linkage_engine._BASE_ORBITS.clear()
+            linkage_engine._BASE_LOCAL.clear()
             cold.append(linkage_engine._base(free, pairs, avoid))
         for _ in range(3_000):
             X = rng.sample(range(32), 7)
@@ -1485,6 +1505,42 @@ class TestOrbitBase:
         assert len(linkage_engine._BASE_ORBITS) > 100
         warm = [linkage_engine._base(*inst) for inst in instances]
         assert warm == cold
+
+    def test_face_table_matches_the_orbit_path(self, monkeypatch):
+        """Every face-local Q4 key, 2,730 with no avoid vertex and 32,760
+        with one, is stored from one 4-face of Q8 and read on another, each
+        with free bits that are not contiguous, fixed bits that are not 0
+        and a translation that varies.  Each answer the table gives must be
+        what the orbit path computes on the second face, and a linkage."""
+        monkeypatch.setattr(linkage_engine, "_BASE_LOCAL", {})
+        keys = []
+        for t0, s1, t1 in itertools.permutations(range(1, 16), 3):
+            keys.append((t0, s1, t1, ()))
+            keys += [(t0, s1, t1, (a,)) for a in range(1, 16)
+                     if a not in (t0, s1, t1)]
+        assert len(keys) == 2_730 + 32_760
+
+        def instance(free, fixed, u, t0, s1, t1, a):
+            words = linkage_engine._spread(linkage_engine._bits(free))
+            x = [words[y ^ u] | fixed for y in (0, t0, s1, t1, *a)]
+            return [(x[0], x[1]), (x[2], x[3])], frozenset(x[4:])
+
+        for n, key in enumerate(keys):
+            linkage_engine._base(0b11000101, *instance(0b11000101, 0b00110000,
+                                                        (7 * n + 3) % 16, *key))
+        assert len(linkage_engine._BASE_LOCAL) == len(keys)
+        free, fixed = 0b10110010, 0b01001001
+        hosts = {}
+        for n, key in enumerate(keys):
+            pairs, avoid = instance(free, fixed, n % 16, *key)
+            paths = linkage_engine._base(free, pairs, avoid)
+            assert paths == linkage_engine._orbit_base(free, pairs, avoid)
+            if avoid not in hosts:
+                hosts[avoid] = CubeGraph(8).without(avoid)
+            assert validate_linkage(hosts[avoid], Pairing(tuple(pairs)), paths).ok
+            assert all(v & ~free == fixed for path in paths for v in path)
+        # Every call on the second face was a hit.
+        assert len(linkage_engine._BASE_LOCAL) == len(keys)
 
 
 def test_readme_library_example():
