@@ -16,6 +16,15 @@ over as many 64-bit outputs as the bound needs, so uniformity is exact;
 the instance stream for a given (host, k, n, seed) is part of this
 module's compatibility contract.
 
+Word i of the stream is the mix of seed + (i + 1) * 0x9E3779B97F4A7C15, so
+the words need not be computed one after another.  The sampler reads them
+from _words, which computes 16 per pass in the lanes of one 2048-bit int,
+spaced 128 bits apart.  Every lane is masked to 64 bits before each
+multiply, so each product is below 2^128 and stays inside its lane; the
+output xor-shift leaves the low 64 bits of each lane exact, and they are
+read as little-endian words, the same on every platform.  SplitMix64
+stays the one-word-at-a-time reference.
+
 Parallelism: a job with workers > 1 partitions the stream by instance
 index modulo the worker count, so reports are identical to a sequential
 run (fail-fast then applies per worker).
@@ -30,6 +39,7 @@ host graph, built on first use.
 
 from __future__ import annotations
 
+import struct
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -76,6 +86,14 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
+# _words' 16 lanes of 128 bits: each lane's low 64 bits hold one word.
+_LANES = 16
+_LANE_ONES = sum(1 << 128 * j for j in range(_LANES))
+_LANE_MASK = _MASK64 * _LANE_ONES
+_LANE_OFFSETS = sum(((j + 1) * _GAMMA & _MASK64) << 128 * j for j in range(_LANES))
+_LANE_STEP = (_LANES * _GAMMA & _MASK64) * _LANE_ONES
+_LANE_WORDS = struct.Struct("<" + "Q8x" * _LANES).unpack   # each low word
+
 
 class SplitMix64:
     """Deterministic 64-bit generator; see the module docstring for the
@@ -115,12 +133,38 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
+def _words(seed: int) -> Iterator[int]:
+    """The words of SplitMix64(seed).next_u64(), without end, computed 16
+    per pass; see the module docstring for the lane layout."""
+    mask, mix1, mix2, step = _LANE_MASK, _MIX1, _MIX2, _LANE_STEP
+    state = ((seed & _MASK64) * _LANE_ONES + _LANE_OFFSETS) & mask
+    while True:
+        z = (state ^ state >> 30) & mask
+        z = (z * mix1) & mask
+        z = (z ^ z >> 27) & mask
+        z = (z * mix2) & mask
+        z ^= z >> 31
+        yield from _LANE_WORDS(z.to_bytes(16 * _LANES, "little"))
+        state = (state + step) & mask
+
+
+def _joined(words: Iterator[int], count: int) -> Iterator[int]:
+    """Values of `count` words each from the word stream, high word first."""
+    while True:
+        x = next(words)
+        for _ in range(1, count):
+            x = x << 64 | next(words)
+        yield x
+
+
 # ---------------------------------------------------------------------------
 # Jobs, instances, reports
 
 
-@dataclass(frozen=True)
-class CertificationJob:
+class CertificationJob(NamedTuple):
+    """What certify runs; see the module docstring.  A named tuple, so that
+    a one-instance job is cheap to build."""
+
     host: str
     k: int
     mode: str = EXHAUSTIVE
@@ -357,62 +401,69 @@ def sample_instances(host: str, k: int, n: int, seed: int,
     yield from _sample(_host_space(host, k, strong), host, k, n, seed)
 
 
+@lru_cache(maxsize=256)
+def _shuffle_draws(count: int) -> tuple:
+    """(position, range, rejection bound) of each one-word draw that
+    SplitMix64.shuffle makes on `count` items, in draw order."""
+    return tuple((j, j + 1, _TWO64 - _TWO64 % (j + 1)) for j in range(count - 1, 0, -1))
+
+
 def _sample(space: tuple, host: str, k: int, n: int,
             seed: int) -> Iterator[Instance]:
-    """The instances of sample_instances, drawn with SplitMix64(seed).randrange
-    written out on a local state, so that no word costs a call.
+    """The instances of sample_instances, drawn from _words(seed), the
+    words of SplitMix64(seed).next_u64() computed 16 per pass in lanes of
+    128 bits (each lane masked to 64 bits before every multiply, so each
+    product stays under 2^128; the low words read little-endian).
 
-    As in randrange, a draw from range(m) reads w words, high word first,
-    for the least w with span = 2^(64 w) >= m, and rejects the values at or
-    above span - span % m.  Only the vertex draws, from range(size), can
-    need more than one word.  An instance's vertex draws are one loop, each
-    new vertex distinct from the ones before and from the barred vertices:
-    a link's apex, whose opposite it then bars; the 2k terminals, shuffled
-    as SplitMix64.shuffle does as soon as the last one is drawn; and a
-    strong host's forbidden vertex.
+    Each instance reads the stream in phases, in the order randrange and
+    shuffle would: a link's apex, which bars itself and its opposite; the
+    2k distinct terminals; the 2k - 1 shuffle draws, as SplitMix64.shuffle
+    makes them; and a strong host's forbidden vertex, distinct from the
+    terminals.  As in randrange, a draw from range(m) reads w words, high
+    word first, for the least w with span = 2^(64 w) >= m, and rejects the
+    values at or above span - span % m.  Only the vertex draws, from
+    range(size), can need more than one word.
     """
     kind, d, vertices, size = space
     fixture = None if d else host
-    gamma, mix1, mix2, mask, two64 = _GAMMA, _MIX1, _MIX2, _MASK64, _TWO64
-    span, words = two64, 1
+    span, width = _TWO64, 1
     while span < size:
-        span, words = span << 64, words + 1
-    words, limit = range(words), span - span % size
-    first = int(kind == "link")     # terminals are drawn[first:last]
-    last = first + 2 * k
-    want = last + (kind == "strong")
-    state = seed & mask
+        span, width = span << 64, width + 1
+    limit = span - span % size
+    words = _words(seed)
+    draws = words if width == 1 else _joined(words, width)
+    count = 2 * k
+    shuffle = _shuffle_draws(count)
+    link, strong = kind == "link", kind == "strong"
+    apex = forbidden = None
     for i in range(n):
-        drawn: list = []
-        barred = set()
-        while len(drawn) < want:
-            x = 0
-            for _ in words:
-                state = (state + gamma) & mask
-                z = ((state ^ state >> 30) * mix1) & mask
-                z = ((z ^ z >> 27) * mix2) & mask
-                x = x << 64 | z ^ z >> 31
-            if x >= limit or (v := vertices[x % size]) in barred:
-                continue
-            drawn.append(v)
-            barred.add(v)
-            if len(drawn) == last:
-                j = 2 * k - 1
-                while j:
-                    state = (state + gamma) & mask
-                    z = ((state ^ state >> 30) * mix1) & mask
-                    z = ((z ^ z >> 27) * mix2) & mask
-                    z ^= z >> 31
-                    if z < two64 - two64 % (j + 1):
-                        a, b = first + j, first + z % (j + 1)
-                        drawn[a], drawn[b] = drawn[b], drawn[a]
-                        j -= 1
-            elif len(drawn) == first:
-                barred.add(opposite(d, v))
-        terminals = drawn[first:last]
+        if link:
+            for x in draws:
+                if x < limit:
+                    break
+            apex = vertices[x % size]
+            barred = {apex, opposite(d, apex)}
+        else:
+            barred = set()
+        terminals: list = []
+        for x in draws:
+            if x < limit and (v := vertices[x % size]) not in barred:
+                barred.add(v)
+                terminals.append(v)
+                if len(terminals) == count:
+                    break
+        for a, m, bound in shuffle:
+            for x in words:
+                if x < bound:
+                    b = x % m
+                    terminals[a], terminals[b] = terminals[b], terminals[a]
+                    break
+        if strong:
+            for x in draws:
+                if x < limit and (forbidden := vertices[x % size]) not in barred:
+                    break
         yield Instance(i, kind, d, Pairing(tuple(zip(terminals[::2], terminals[1::2]))),
-                       drawn[last] if kind == "strong" else None,
-                       drawn[0] if first else None, fixture)
+                       forbidden, apex, fixture)
 
 
 # ---------------------------------------------------------------------------

@@ -635,6 +635,18 @@ def _orbit_base(free: int, pairs: list, avoid: frozenset) -> list:
 
 
 def _projection(free: int, pairs: list, avoid: frozenset, trace: list) -> list:
+    """Solve a slack level (an avoid set, or k < floor((d + 1) / 2)) in one
+    facet of its face: one step of an induction on d.
+
+    With a avoided vertices, it drops the least one, z*, and crosses along
+    a free direction b of the terminals plus the rest of the avoid set,
+    which exists because that set has 2k + a - 1 <= d vertices.  The
+    instance moves to the facet of b away from z*, and only the rest of
+    the avoid set that lies in that facet stays avoided, so the facet
+    instance has 2k + a' <= d, one dimension down, with a' <= a - 1.  With
+    no avoid set, b is a free direction of the 2k <= d terminals.  The
+    induction ends in its base cases: Q4 with k = 2 and a <= 1, and single
+    pairs."""
     X = set(_terminals(pairs))
     if avoid:
         z_star = min(avoid)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import pickle
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +34,7 @@ from cubelink.linkage_engine import (
     check_supported,
     solve_linkage,
 )
-from cubelink.path_oracle import Pairing
+from cubelink.path_oracle import DEFAULT_NODE_BUDGET, Pairing
 
 
 @pytest.fixture
@@ -141,6 +143,25 @@ class TestSplitMix64:
         rng.shuffle(items)
         assert sorted(items) == list(range(20))
         assert items != list(range(20))
+
+
+class TestLaneWords:
+    """_words computes SplitMix64's stream 16 words per pass; three blocks
+    and five words cover the 64-bit state's wrap and the step from one
+    block to the next."""
+
+    @pytest.mark.parametrize("seed", [0, -1, 2**64 - 1, 2**64 + 3])
+    def test_matches_next_u64(self, seed):
+        rng = SplitMix64(seed)
+        assert (list(islice(certifier._words(seed), 53))
+                == [rng.next_u64() for _ in range(53)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(-2**130, 2**130))
+    def test_matches_next_u64_for_any_seed(self, seed):
+        rng = SplitMix64(seed)
+        assert (list(islice(certifier._words(seed), 53))
+                == [rng.next_u64() for _ in range(53)])
 
 
 class TestPairingEnumeration:
@@ -429,6 +450,18 @@ class TestSamplerDraws:
             hits += rejected
         assert hits
 
+    @pytest.mark.parametrize("name, k, strong", _SAMPLER_HOSTS)
+    def test_rejected_words_across_blocks(self, name, k, strong):
+        # The sampler's words come 16 to a block: put 2^64 - 1 at each
+        # position from 12 to 36, on either side of two block boundaries.
+        hits = 0
+        for position in range(12, 37):
+            seed = _seed_for_word(position, 2**64 - 1)
+            want, rejected = _randrange_sample(name, k, 5, seed, strong)
+            assert _sampled(name, k, 5, seed, strong) == want
+            hits += rejected
+        assert hits
+
     @pytest.mark.parametrize("d", [65, 70, 128])
     def test_vertex_draws_past_one_word(self, monkeypatch, fresh_host_caches, d):
         # a cube of more than 2^64 vertices draws each vertex from two or
@@ -633,6 +666,39 @@ class TestCertifyPins:
                                               solver=ORACLE, strong=strong))
             assert report.instances == (90 if strong else 45)
         assert len(built) == 1
+
+
+class TestCertificationJob:
+    """A job is a named tuple; it keeps the fields, defaults, keyword
+    construction and immutability of the frozen dataclass it was."""
+
+    def test_keyword_construction_defaults(self):
+        job = CertificationJob(host="cube:5", k=3)
+        assert CertificationJob._fields == (
+            "host", "k", "mode", "solver", "samples", "seed", "strong",
+            "budget", "fail_fast", "workers")
+        assert job == ("cube:5", 3, EXHAUSTIVE, ENGINE, 0, None, False,
+                       DEFAULT_NODE_BUDGET, False, 1)
+
+    def test_fields_cannot_be_assigned(self):
+        job = CertificationJob(host="cube:5", k=3)
+        with pytest.raises(AttributeError):
+            job.k = 2
+        with pytest.raises(AttributeError):
+            job.workers = 4
+
+    def test_equal_jobs_hash_equal(self):
+        a = CertificationJob(host="cube:5", k=3, mode=SAMPLED, samples=20, seed=7)
+        b = CertificationJob("cube:5", 3, SAMPLED, samples=20, seed=7)
+        assert a == b and hash(a) == hash(b)
+        assert a != CertificationJob(host="cube:5", k=3, mode=SAMPLED,
+                                     samples=20, seed=8)
+
+    def test_pickle_round_trip(self):
+        job = CertificationJob(host="link:6", k=3, mode=SAMPLED, samples=5,
+                               seed=-1, workers=2)
+        again = pickle.loads(pickle.dumps(job))
+        assert again == job and type(again) is CertificationJob
 
 
 class TestJobValidation:

@@ -619,6 +619,27 @@ class TestStrong:
         check(solve_strong(7, Pairing(((0, 127), (3, 124), (9, 118))), 12))
 
 
+class TestAvoidSets:
+    def test_every_shape_with_two_or_more_avoided(self):
+        # _projection's induction on avoid sets of two or more, which no
+        # certify job draws: 50 seeded solves of every (d, k, a) in the
+        # contract 2k + a <= d + 1, each level self-checked.
+        assert linkage_engine.SELF_CHECK
+        shapes = [(d, k, a) for d in range(4, 12) for k in range(1, d)
+                  for a in range(2, d + 2 - 2 * k)]
+        assert len(shapes) == 94
+        rng = random.Random(13)
+        for d, k, a in shapes:
+            for _ in range(50):
+                picks = rng.sample(range(1 << d), 2 * k + a)
+                Y = Pairing(tuple(zip(picks[:2 * k:2], picks[1:2 * k:2])))
+                avoid = frozenset(picks[2 * k:])
+                res = check(solve_avoiding(d, Y, avoid))
+                assert res.host.removed == avoid
+                assert res.trace[0] == (f"Q{d}:trivial_pair" if k == 1
+                                        else f"Q{d}:projection")
+
+
 class TestLink:
     def test_single_pair_bfs(self):
         res = check(solve_link(6, 0, Pairing(((3, 48),))))
