@@ -372,9 +372,9 @@ def _enumerate(space: tuple, host: str, k: int) -> Iterator[Instance]:
                 idx += 1
 
 
-def _draw_distinct(rng: SplitMix64, size: int, count: int, taken: set) -> list:
+def _draw_distinct(rng: SplitMix64, size: int, count: int) -> list:
     out: list = []
-    seen = set(taken)
+    seen = set()
     while len(out) < count:
         v = rng.randrange(size)
         if v in seen:
@@ -686,7 +686,7 @@ def _suite_separator(seed: int, samples: int) -> CertificationReport:
             report.successes += 1
     rng = SplitMix64(seed)
     for _ in range(samples):
-        S = _draw_distinct(rng, 16, 4, set())
+        S = _draw_distinct(rng, 16, 4)
         report.instances += 1
         verdict = check_separator_structure(4, S)
         report.count(f"d4:{verdict.kind}")

@@ -131,13 +131,6 @@ def _require(args, *names: str) -> None:
             raise ValueError(f"--{name.replace('_', '-')} is required without an instance file")
 
 
-def _result_json(result: SolveResult, args, wall: float) -> dict:
-    out = result.to_json()
-    if args.timing:
-        out["wall_time_s"] = round(wall, 6)
-    return out
-
-
 def _validated(G, Y: Pairing, linkage: list, source: str) -> None:
     """Return when validate_linkage accepts the linkage for the command's
     host G and pairing Y; otherwise raise InvariantError, so the command
@@ -159,7 +152,10 @@ def _print_solve(result: SolveResult, args, wall: float) -> None:
         if args.timing:
             print(f"wall: {wall:.6f}s")
     else:
-        _emit(_result_json(result, args, wall))
+        out = result.to_json()
+        if args.timing:
+            out["wall_time_s"] = round(wall, 6)
+        _emit(out)
 
 
 def _input(args, spec: str):

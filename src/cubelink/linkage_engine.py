@@ -34,13 +34,13 @@ paths it returns are already in the caller's words.  Deleting the fixed
 bits preserves order, distance and adjacency among the vertices of a face,
 so every tie-break (min, sorted, the A* heap key, ascending neighbours, the
 lowest free or agreeing bit) picks what it would pick in Q_d words.  Only
-the d <= 4 base case (_base) leaves the face's words.  It first reads the
+the d <= 4 base case (_base) leaves the face's words.  It reads the
 instance in local indices (translated by its first source, free bits in
-ascending order) and looks that key up in a table of stored paths, so a
-repeat costs one lookup.  On a miss it maps the instance onto its
-representative under Aut(Q_d) (translation and coordinate permutation) in
-d-bit words, runs the oracle search once per representative, maps the
-stored paths back and keeps them in the table in local indices.
+ascending order) and looks that key up in one table of stored paths, so a
+repeat costs one lookup.  On a miss (_orbit_paths) it permutes the key's
+bits onto its representative under Aut(Q4), itself a key of the same
+table, runs the oracle search once per representative and stores the
+paths mapped back under the key.
 
 A facet of the face is one free bit b with a side value v, 0 or b:
 membership is x & b == v, projection onto it is x & ~b | v, and crossing to
@@ -540,16 +540,13 @@ def base_solve(G: HostGraph, Y: Pairing, avoid: Iterable[int] = ()) -> list:
     return [_oriented(p, s, t) for p, (s, t) in zip(outcome.linkage, Y.pairs)]
 
 
-# The base's paths per orbit key (see _orbit_base), in the representative's
-# Q_d words.  Q4 with k = 2 and at most one avoid vertex has 1,744 keys, so
-# the memo needs no eviction.
-_BASE_ORBITS: dict = {}
-
-# The base's paths per face-local key (see _base), as local indices.
-_BASE_LOCAL: dict = {}
+# The base's paths per face-local key (see _base), as local indices.  Every
+# base level is a Q4 face with k = 2 and at most one avoid vertex, so the
+# table holds at most 2,730 keys with no avoid vertex and 32,760 with one,
+# and needs no eviction.
+_BASE: dict = {}
 
 
-@lru_cache(maxsize=1024)
 def _spread(bits: tuple) -> tuple:
     """words[y] is the OR of bits[j] over the set bits j of y."""
     words = [0]
@@ -567,19 +564,16 @@ def _local(free: int) -> tuple:
 
 
 def _base(free: int, pairs: list, avoid: frozenset) -> list:
-    """The d <= 4 base: one lookup in a face-local table, with the orbit
-    path (_orbit_base) behind it.
+    """The d <= 4 base: one lookup in the face-local table, _orbit_paths
+    on a miss.
 
     The key is k, |A| and the local index of each terminal, in pair order,
     then of the avoid vertex, after translating by the first source; bit j
     of an index is the j-th free bit, ascending.  Instances with one key
     differ by a translation and an order-keeping relabelling of free bits,
-    which leaves _orbit_base's representative and its map back the same in
-    local indices.  So a hit is one lookup and the map back words[y] ^ s0,
-    the paths remain a function of the orbit key, and no exact search runs
-    beyond one per orbit.  Every base level has d = 4 (two pairs need
-    d >= 4), so the table needs no eviction: it holds at most 2,730 keys
-    with no avoid vertex and 32,760 with one."""
+    so the paths stored in local indices serve them all: a hit is one
+    lookup and the map back words[y] ^ s0.  Every base level has d = 4
+    (two pairs need d >= 4)."""
     s0 = pairs[0][0]
     words, index = _local(free)
     key = [len(pairs), len(avoid)]
@@ -588,46 +582,42 @@ def _base(free: int, pairs: list, avoid: frozenset) -> list:
     for a in sorted(avoid):
         key.append(index[a ^ s0])
     key = tuple(key)
-    paths = _BASE_LOCAL.get(key)
+    paths = _BASE.get(key)
     if paths is None:
-        paths = _orbit_base(free, pairs, avoid)
-        _BASE_LOCAL[key] = tuple([tuple([index[x ^ s0] for x in p]) for p in paths])
-        return paths
+        _BASE[key] = paths = _orbit_paths(key)
     return [[words[y] ^ s0 for y in p] for p in paths]
 
 
-def _orbit_base(free: int, pairs: list, avoid: frozenset) -> list:
-    """base_solve once per orbit of Aut(Q_d), with the paths mapped back.
+def _orbit_paths(key: tuple) -> tuple:
+    """The paths of a face-local key, base_solve run once per orbit of
+    Aut(Q4).
 
-    Every automorphism of the face (a translation composed with a coordinate
+    Every automorphism of Q4 (a translation composed with a coordinate
     permutation) maps a linkage onto a linkage of the image instance, pairs,
-    orientation and avoid set included.  The representative translates the
-    first source to 0 (every word XOR the first source) and orders the free
-    bits by their column, ties by ascending bit: the column of bit b reads
-    b in each translated terminal in pair order, then in each avoid vertex,
-    as a binary number, first word highest.  Bit j of a representative word
-    is the j-th free bit in that order.  The key (d, k, |A|, sorted columns)
-    fixes the representative, so the paths are a function of the key alone,
-    whatever the memo holds."""
-    s0 = pairs[0][0]
-    rel = [x ^ s0 for p in pairs for x in p] + [a ^ s0 for a in sorted(avoid)]
+    orientation and avoid set included.  The key's first source is already
+    0, so only the bits 1, 2, 4 and 8 move: they are ordered by their
+    column, ties by ascending bit, where the column of a bit reads it in
+    each index of the key, as a binary number, first index highest.  Bit j
+    of the representative is the j-th bit in that order.  The
+    representative is a face-local key whose columns are already in order,
+    so it is its own representative, and its paths in _BASE, computed once,
+    are a function of the orbit alone, whatever the table holds."""
+    k, n_avoid, *rel = key
     cols = []
-    for b in _bits(free):
+    for b in (1, 2, 4, 8):
         col = 0
         for x in rel:
             col = col << 1 | (x & b != 0)
         cols.append((col, b))
     cols.sort()
-    key = (len(cols), len(pairs), len(avoid), tuple([col for col, _ in cols]))
     words = _spread(tuple([b for _, b in cols]))
-    paths = _BASE_ORBITS.get(key)
+    rep = (k, n_avoid, *[words.index(x) for x in rel])
+    paths = _BASE.get(rep)
     if paths is None:
-        rep = [words.index(x) for x in rel]
-        k = len(pairs)
-        Y = Pairing(tuple(zip(rep[0:2 * k:2], rep[1:2 * k:2])))
-        paths = base_solve(CubeGraph(len(cols)), Y, rep[2 * k:])
-        _BASE_ORBITS[key] = paths = tuple(map(tuple, paths))
-    return [[words[y] ^ s0 for y in p] for p in paths]
+        Y = Pairing(tuple(zip(rep[2:2 + 2 * k:2], rep[3:2 + 2 * k:2])))
+        paths = base_solve(CubeGraph(4), Y, rep[2 + 2 * k:])
+        _BASE[rep] = paths = tuple(map(tuple, paths))
+    return tuple([tuple([words[y] for y in p]) for p in paths])
 
 
 # ---------------------------------------------------------------------------
@@ -952,7 +942,11 @@ def solve_link(d_plus_1: int, v: int, Y: Pairing) -> SolveResult:
     range check_supported("link", d_plus_1, k) accepts.  When 2k + 2 <=
     d_plus_1 + 1 the uniform solver takes the two removed vertices as its
     avoid set, as solve_avoiding would; only the tight even case k =
-    d_plus_1 / 2 needs the link construction.
+    d_plus_1 / 2 needs the link construction.  That construction stays
+    outside _solve because its output depends on which removed vertex is
+    the apex v: when half the terminals lie on v's side of the split bit,
+    _link_two_sides breaks the tie towards v, which a frozenset avoid set
+    cannot carry.
     """
     cube_core.check_dim(d_plus_1)
     vo = opposite(d_plus_1, cube_core.check_vertex(d_plus_1, v))
@@ -976,8 +970,7 @@ def solve_link(d_plus_1: int, v: int, Y: Pairing) -> SolveResult:
 
 def _link_one_side(free: int, v: int, vo: int, pairs: list, b: int,
                    trace: list) -> list:
-    D = free.bit_count()
-    trace.append(f"Q{D}:link_case1")
+    trace.append(_trace_label(free, "link_case1"))
     bad_A = v if v & b == pairs[0][0] & b else vo
     bad_B = vo if bad_A == v else v
     sub = free ^ b
@@ -986,21 +979,21 @@ def _link_one_side(free: int, v: int, vo: int, pairs: list, b: int,
     i = next((i for i, p in enumerate(out) if bad_A in p), None)
     if i is None:
         return out
-    trace.append(f"Q{D}:link_detour")
+    trace.append(_trace_label(free, "link_detour"))
     path = out[i]
     j = path.index(bad_A)
     w1, w2 = path[j - 1], path[j + 1]
     M = _route(sub, w1 ^ b, w2 ^ b, {bad_B})  # its ends lie D - 2 >= 4 from bad_B
     if M is None:
         raise InvariantError("detour routing failed in the opposite facet",
-                             {"D": D, "from": w1, "to": w2})
+                             {"D": free.bit_count(), "from": w1, "to": w2})
     out[i] = path[:j] + M + path[j + 1:]
     return out
 
 
 def _link_two_sides(free: int, v: int, vo: int, pairs: list, b: int,
                     trace: list) -> list:
-    trace.append(f"Q{free.bit_count()}:link_case2")
+    trace.append(_trace_label(free, "link_case2"))
     X = _terminals(pairs)
     count_v_side = sum(1 for x in X if x & b == v & b)
     if count_v_side >= len(X) - count_v_side:

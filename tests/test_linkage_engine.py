@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cubelink.linkage_engine as linkage_engine
+from cubelink.certifier import sample_instances
 from cubelink.cube_core import (
     CubeGraph,
     Face,
@@ -688,6 +689,26 @@ class TestLink:
             res = check(solve_link(D, v, Pairing(tuple(zip(X[::2], X[1::2])))))
             assert res.trace[0] == f"Q{D}:link_case1"
             detours += f"Q{D}:link_detour" in res.trace
+
+    @pytest.mark.parametrize("D, ties", [(6, 82), (8, 76), (10, 68)])
+    def test_apex_breaks_the_case2_tie(self, D, ties):
+        """The tight even link solves in the facet holding the removed vertex
+        with more terminals on its side of b, and on a tie in the one holding
+        the apex v.  So solve_link(D, v, Y) and solve_link(D, opposite(v), Y)
+        differ on exactly the ties: an avoid set {v, opposite(v)} could not
+        say which removed vertex breaks them."""
+        seen = 0
+        for inst in sample_instances(f"link:{D}", D // 2, 300, 5):
+            v, Y = inst.apex, inst.pairing
+            res = check(solve_link(D, v, Y))
+            other = check(solve_link(D, opposite(D, v), Y))
+            b = _free_direction((1 << D) - 1, set(Y.terminals))
+            tie = 2 * sum(1 for x in Y.terminals if x & b == v & b) == 2 * Y.k
+            if tie:
+                assert res.trace[0] == f"Q{D}:link_case2"
+            assert (res.linkage != other.linkage) == tie
+            seen += tie
+        assert seen == ties
 
     def test_case_two_sides_tail_fallback(self):
         # instances picked to drive the guide vertex back onto the first
@@ -1441,6 +1462,11 @@ class TestSolveGolden:
         assert min(seen.values()) > 0
 
 
+# The paths of all 35,490 face-local Q4 keys, read on a second 4-face of Q8
+# (TestOrbitBase.test_face_table_matches_the_orbit_path).
+PINNED_BASE_DIGEST = "880c1bcf1e23cef24e74b3c91cf538dd747e7d2666c6c81db4c453e585e1e657"
+
+
 def _face_instance(rng, with_avoid):
     """Two pairs and at most one avoid vertex, all distinct, in a random
     4-dimensional face of Q8: (free, pairs, avoid)."""
@@ -1453,14 +1479,23 @@ def _face_instance(rng, with_avoid):
 
 class TestOrbitBase:
     """The Q4 base solves one representative per Aut(Q4) orbit and maps its
-    paths back; every mapped linkage must be a linkage of the instance.  A
-    face-local table in front of the orbit path answers repeat instances."""
+    paths back; every mapped linkage must be a linkage of the instance.  One
+    face-local table holds the representatives' paths and answers repeat
+    instances."""
 
     @staticmethod
     def _cold(monkeypatch):
-        """Empty the orbit memo and the face-local table for this test."""
-        monkeypatch.setattr(linkage_engine, "_BASE_ORBITS", {})
-        monkeypatch.setattr(linkage_engine, "_BASE_LOCAL", {})
+        """Empty the face-local table for this test."""
+        monkeypatch.setattr(linkage_engine, "_BASE", {})
+
+    @staticmethod
+    def _searches(monkeypatch):
+        """The avoid sets of every base_solve call from here on."""
+        calls = []
+        real = linkage_engine.base_solve
+        monkeypatch.setattr(linkage_engine, "base_solve",
+                            lambda *a: calls.append(tuple(a[2])) or real(*a))
+        return calls
 
     @staticmethod
     def _check(D, free, pairs, avoid, paths):
@@ -1472,10 +1507,7 @@ class TestOrbitBase:
             assert all(v & ~free == fixed for v in path)
 
     def test_every_two_pair_q4_instance(self, monkeypatch):
-        calls = []
-        real = linkage_engine.base_solve
-        monkeypatch.setattr(linkage_engine, "base_solve",
-                            lambda *a: calls.append(a) or real(*a))
+        calls = self._searches(monkeypatch)
         self._cold(monkeypatch)
         instances = [[(s0, t0), (s1, t1)]
                      for s0, t0, s1, t1 in itertools.permutations(range(16), 4)]
@@ -1487,12 +1519,11 @@ class TestOrbitBase:
             first.append(paths)
         # 169 orbits: one exact search each, however many instances share it.
         assert len(calls) == 169
-        assert len(linkage_engine._BASE_ORBITS) == 169
         # One face-local key per (t0, s1, t1) relative to s0: 15 * 14 * 13.
-        assert len(linkage_engine._BASE_LOCAL) == 2_730
+        assert len(linkage_engine._BASE) == 2_730
         orbit_calls = []
-        orbit = linkage_engine._orbit_base
-        monkeypatch.setattr(linkage_engine, "_orbit_base",
+        orbit = linkage_engine._orbit_paths
+        monkeypatch.setattr(linkage_engine, "_orbit_paths",
                             lambda *a: orbit_calls.append(a) or orbit(*a))
         again = [linkage_engine._base(15, pairs, frozenset()) for pairs in instances]
         # A hit is one lookup: the second sweep never reaches the orbit path.
@@ -1500,13 +1531,14 @@ class TestOrbitBase:
         assert again == first
 
     def test_one_avoid_vertex_on_faces_of_q8(self, monkeypatch):
+        calls = self._searches(monkeypatch)
         self._cold(monkeypatch)
         rng = random.Random("base/orbits/avoid")
         for _ in range(20_000):
             free, pairs, avoid = _face_instance(rng, with_avoid=True)
             self._check(8, free, pairs, avoid, linkage_engine._base(free, pairs, avoid))
-        # Q4 with k = 2 and |A| <= 1 has 1,744 orbit keys in all.
-        assert len(linkage_engine._BASE_ORBITS) <= 1_744
+        # Q4 with k = 2 and |A| <= 1 has 1,744 orbits in all.
+        assert len(calls) <= 1_744
 
     def test_output_does_not_depend_on_the_memo(self, monkeypatch):
         rng = random.Random("base/orbits/memo")
@@ -1514,8 +1546,7 @@ class TestOrbitBase:
         self._cold(monkeypatch)
         cold = []
         for free, pairs, avoid in instances:
-            linkage_engine._BASE_ORBITS.clear()
-            linkage_engine._BASE_LOCAL.clear()
+            linkage_engine._BASE.clear()
             cold.append(linkage_engine._base(free, pairs, avoid))
         for _ in range(3_000):
             X = rng.sample(range(32), 7)
@@ -1523,7 +1554,7 @@ class TestOrbitBase:
                 check(solve_linkage(5, pairing(X[1:])))
             else:
                 check(solve_strong(5, pairing(X[1:5]), X[0]))
-        assert len(linkage_engine._BASE_ORBITS) > 100
+        assert len(linkage_engine._BASE) > 100
         warm = [linkage_engine._base(*inst) for inst in instances]
         assert warm == cold
 
@@ -1532,8 +1563,10 @@ class TestOrbitBase:
         with one, is stored from one 4-face of Q8 and read on another, each
         with free bits that are not contiguous, fixed bits that are not 0
         and a translation that varies.  Each answer the table gives must be
-        what the orbit path computes on the second face, and a linkage."""
-        monkeypatch.setattr(linkage_engine, "_BASE_LOCAL", {})
+        a linkage, all of them together must hash to PINNED_BASE_DIGEST, and
+        the exact search must run once per orbit."""
+        calls = self._searches(monkeypatch)
+        self._cold(monkeypatch)
         keys = []
         for t0, s1, t1 in itertools.permutations(range(1, 16), 3):
             keys.append((t0, s1, t1, ()))
@@ -1549,19 +1582,26 @@ class TestOrbitBase:
         for n, key in enumerate(keys):
             linkage_engine._base(0b11000101, *instance(0b11000101, 0b00110000,
                                                         (7 * n + 3) % 16, *key))
-        assert len(linkage_engine._BASE_LOCAL) == len(keys)
+        assert len(linkage_engine._BASE) == len(keys)
+        # Q4 with k = 2 has 169 orbits with no avoid vertex, 1,575 with one.
+        assert len(calls) == 1_744
+        assert sum(1 for avoid in calls if not avoid) == 169
         free, fixed = 0b10110010, 0b01001001
         hosts = {}
+        rows = []
         for n, key in enumerate(keys):
             pairs, avoid = instance(free, fixed, n % 16, *key)
             paths = linkage_engine._base(free, pairs, avoid)
-            assert paths == linkage_engine._orbit_base(free, pairs, avoid)
+            rows.append(paths)
             if avoid not in hosts:
                 hosts[avoid] = CubeGraph(8).without(avoid)
             assert validate_linkage(hosts[avoid], Pairing(tuple(pairs)), paths).ok
             assert all(v & ~free == fixed for path in paths for v in path)
         # Every call on the second face was a hit.
-        assert len(linkage_engine._BASE_LOCAL) == len(keys)
+        assert len(linkage_engine._BASE) == len(keys)
+        digest = hashlib.sha256(
+            json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+        assert digest == PINNED_BASE_DIGEST
 
 
 def test_readme_library_example():
