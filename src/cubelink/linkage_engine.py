@@ -21,8 +21,9 @@ its own level guarantees, and states why where the fact is made.
 The variants are avoid-set instances of that contract: solve_linkage(d, Y)
 is solve_avoiding(d, Y, ()), solve_strong(d, Y, x) is solve_avoiding(d, Y,
 {x}), and solve_link(D, v, Y) is solve_avoiding(D, Y, {v, opposite(v)})
-whenever 2k + 2 <= D + 1; only the tight even case k = D/2 keeps its own
-construction (_link_one_side / _link_two_sides).
+whenever 2k + 2 <= D + 1.  Its tight even case k = D/2 is one over that
+budget: solve_link also hands _solve the apex v, and that top level alone
+runs the link construction (_link_one_side / _link_two_sides).
 
 Every recursion level works on a face of the top-level cube Q_D and keeps
 its vertices as D-bit words.  The face is given by its free-coordinate mask
@@ -65,9 +66,11 @@ a free direction; tight even d routes its terminals by disjoint paths of
 one or two edges onto the facet "x & b == 0" of its highest free bit b
 (_facet_routes takes b) and solves there; tight odd d classifies into one
 of three scenario constructions (all pairs antipodal / all terminals in
-one facet / the rest).  Each recursion level appends a label to the
-scenario trace of the result, e.g. "Q7:scenario3", so a solve is auditable
-after the fact.
+one facet / the rest); the top of a tight even link runs link_case1 or
+link_case2.  _solve is the one place a level is entered: it appends the
+level's label to the scenario trace, e.g. "Q7:scenario3", so a solve is
+auditable after the fact, and an InvariantError raised in a level leaves
+it with that level's instance and trace so far as context["level"].
 scenario3_context returns the scenario-3 set-up that the solver itself
 uses (special pair, facet F, entry map omega, and the special pair's avoid
 set S with its |S| <= d - 1 bound); the omega_conditions suite inspects it.
@@ -408,16 +411,20 @@ def _facet_routes(free: int, X: list, b: int) -> dict:
 # The uniform internal solver
 
 
-def _construction(free: int, pairs: list, avoid: frozenset) -> tuple:
+def _construction(free: int, pairs: list, avoid: frozenset,
+                  apex: int | None = None) -> tuple:
     """Check a level's instance against the solver contract and name the
     construction _solve runs on it, in one pass over the pairs.
 
     Returns (label, b): b is the lowest free bit every terminal agrees on,
-    as a one-bit mask, when the label is scenario2, and 0 otherwise.  Every
-    vertex lies in the face exactly when no fixed bit differs among them
-    (both ^ either); only when one does is the first vertex off the face
-    looked for.  A scenario2 level has no avoid set, so the bits its
-    terminals agree on are the free bits outside both ^ either."""
+    as a one-bit mask, for scenario2, the terminals' free direction for a
+    link label, and 0 otherwise.  Every vertex lies in the face exactly when
+    no fixed bit differs among them (both ^ either); only when one does is
+    the first vertex off the face looked for.  A scenario2 level has no
+    avoid set, so the bits its terminals agree on are the free bits outside
+    both ^ either.  `apex` is given only at the top of a link: with 2k = d
+    it runs link_case1 when every terminal lies on one side of b, else
+    link_case2."""
     d = free.bit_count()
     k = len(pairs)
     terminals = set()
@@ -432,6 +439,10 @@ def _construction(free: int, pairs: list, avoid: frozenset) -> tuple:
             "recursive instance has colliding terminals",
             {"d": d, "pairs": pairs, "avoid": sorted(avoid)},
         )
+    if apex is not None and 2 * k == d:
+        b = _free_direction(free, terminals)
+        on_v_side = sum(1 for x in terminals if x & b == apex & b)
+        return "link_case1" if on_v_side in (0, 2 * k) else "link_case2", b
     if k < 1 or not _within_budget(d, k, len(avoid)):
         raise InvariantError(
             "recursive instance exceeds the solver contract",
@@ -464,35 +475,46 @@ def _construction(free: int, pairs: list, avoid: frozenset) -> tuple:
     return "scenario3", 0
 
 
-def _solve(free: int, pairs: list, avoid: frozenset, trace: list) -> list:
+def _solve(free: int, pairs: list, avoid: frozenset, trace: list,
+           apex: int | None = None) -> list:
     """k disjoint paths in the face with free-coordinate mask `free` (of
     dimension d, holding every terminal and avoid vertex) avoiding `avoid`;
-    legal when _within_budget(d, k, |avoid|).  Paths come back oriented,
-    path i running pairs[i][0] -> [1]."""
-    label, b = _construction(free, pairs, avoid)
-    trace.append(_trace_label(free, label))
-    if label == "trivial_pair":
-        s, t = pairs[0]
-        path = _route(free, s, t, avoid)
-        if path is None:
-            # |avoid| <= d-1 < connectivity, so this cannot happen.
-            raise InvariantError("routing failed under the connectivity budget",
-                                 {"free": free, "pair": pairs[0], "avoid": sorted(avoid)})
-        paths = [path]
-    elif label == "base":
-        paths = _base(free, pairs, avoid)
-    elif label == "projection":
-        paths = _projection(free, pairs, avoid, trace)
-    elif label == "even_menger":
-        paths = _even_reduction(free, pairs, trace)
-    elif label == "scenario1":
-        paths = _scenario1(free, pairs, trace)
-    elif label == "scenario2":
-        paths = _scenario2(free, pairs, b, trace)
-    else:
-        paths = _scenario3(free, pairs, trace)
-    if SELF_CHECK:
-        _self_check(free, pairs, avoid, paths)
+    legal when _within_budget(d, k, |avoid|), or at a link's top (`apex`).
+    Paths come back oriented, path i running pairs[i][0] -> [1].  An
+    InvariantError gets the innermost failing level as context["level"]."""
+    try:
+        label, b = _construction(free, pairs, avoid, apex)
+        trace.append(_trace_label(free, label))
+        if label == "trivial_pair":
+            s, t = pairs[0]
+            path = _route(free, s, t, avoid)
+            if path is None:
+                # |avoid| <= d-1 < connectivity, so this cannot happen.
+                raise InvariantError("routing failed under the connectivity budget",
+                                     {"free": free, "pair": pairs[0], "avoid": sorted(avoid)})
+            paths = [path]
+        elif label == "base":
+            paths = _base(free, pairs, avoid)
+        elif label == "projection":
+            paths = _projection(free, pairs, avoid, trace)
+        elif label == "even_menger":
+            paths = _even_reduction(free, pairs, trace)
+        elif label == "scenario1":
+            paths = _scenario1(free, pairs, trace)
+        elif label == "scenario2":
+            paths = _scenario2(free, pairs, b, trace)
+        elif label == "scenario3":
+            paths = _scenario3(free, pairs, trace)
+        elif label == "link_case1":
+            paths = _link_one_side(free, apex, pairs, b, trace)
+        else:
+            paths = _link_two_sides(free, apex, pairs, b, trace)
+        if SELF_CHECK:
+            _self_check(free, pairs, avoid, paths)
+    except InvariantError as exc:
+        exc.context.setdefault("level", {"free": free, "pairs": pairs,
+                                         "avoid": sorted(avoid), "trace": list(trace)})
+        raise
     return paths
 
 
@@ -939,40 +961,26 @@ def solve_strong(d: int, Y: Pairing, x: int) -> SolveResult:
 
 def solve_link(d_plus_1: int, v: int, Y: Pairing) -> SolveResult:
     """A Y-linkage in Q_{d+1} minus {v, opposite(v)}: the link of v, in the
-    range check_supported("link", d_plus_1, k) accepts.  When 2k + 2 <=
-    d_plus_1 + 1 the uniform solver takes the two removed vertices as its
-    avoid set, as solve_avoiding would; only the tight even case k =
-    d_plus_1 / 2 needs the link construction.  That construction stays
-    outside _solve because its output depends on which removed vertex is
-    the apex v: when half the terminals lie on v's side of the split bit,
-    _link_two_sides breaks the tie towards v, which a frozenset avoid set
-    cannot carry.
+    range check_supported("link", d_plus_1, k) accepts.  The uniform solver
+    takes the two removed vertices as its avoid set, as solve_avoiding
+    would, and the apex v besides: only the tight even case k = d_plus_1 / 2
+    reads it, running the link construction.  That construction's output
+    depends on which removed vertex is the apex: when half the terminals
+    lie on v's side of the split bit, _link_two_sides breaks the tie
+    towards v, which a frozenset avoid set cannot carry.
     """
     cube_core.check_dim(d_plus_1)
     vo = opposite(d_plus_1, cube_core.check_vertex(d_plus_1, v))
     check_supported("link", d_plus_1, Y.k)
     removed = _checked(d_plus_1, Y, {v, vo})
-    pairs = list(Y.pairs)
-    free = (1 << d_plus_1) - 1
     trace: list = []
-    if _within_budget(d_plus_1, Y.k, 2):
-        paths = _solve(free, pairs, removed, trace)
-    else:
-        X = _terminals(pairs)
-        b = _free_direction(free, set(X))
-        on_v_side = sum(1 for x in X if x & b == v & b)
-        construct = _link_one_side if on_v_side in (0, len(X)) else _link_two_sides
-        paths = construct(free, v, vo, pairs, b, trace)
-        if SELF_CHECK:
-            _self_check(free, pairs, removed, paths)
+    paths = _solve((1 << d_plus_1) - 1, list(Y.pairs), removed, trace, v)
     return SolveResult(_shared_host(d_plus_1, removed), Y, paths, tuple(trace))
 
 
-def _link_one_side(free: int, v: int, vo: int, pairs: list, b: int,
-                   trace: list) -> list:
-    trace.append(_trace_label(free, "link_case1"))
-    bad_A = v if v & b == pairs[0][0] & b else vo
-    bad_B = vo if bad_A == v else v
+def _link_one_side(free: int, v: int, pairs: list, b: int, trace: list) -> list:
+    bad_A = v if v & b == pairs[0][0] & b else v ^ free
+    bad_B = bad_A ^ free
     sub = free ^ b
     out = _solve(sub, pairs, frozenset(), trace)
     # At most one of the disjoint paths holds bad_A, never at an end (_checked).
@@ -991,15 +999,11 @@ def _link_one_side(free: int, v: int, vo: int, pairs: list, b: int,
     return out
 
 
-def _link_two_sides(free: int, v: int, vo: int, pairs: list, b: int,
-                    trace: list) -> list:
-    trace.append(_trace_label(free, "link_case2"))
+def _link_two_sides(free: int, v: int, pairs: list, b: int, trace: list) -> list:
     X = _terminals(pairs)
     count_v_side = sum(1 for x in X if x & b == v & b)
-    if count_v_side >= len(X) - count_v_side:
-        bad, bad_tail = v, vo
-    else:
-        bad, bad_tail = vo, v
+    bad = v if count_v_side >= len(X) - count_v_side else v ^ free
+    bad_tail = bad ^ free
     side = bad & b  # solve in the facet "x & b == side", which holds bad
     tail_terms = [x for x in X if x & b != side]
     pref = bad ^ b  # the unique tail-side neighbor of bad

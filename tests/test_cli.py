@@ -624,6 +624,9 @@ class TestFailureHandling:
         assert dump["error"] == "recursive instance leaves its face"
         assert dump["context"]["free"] == 0b111110
         assert dump["context"]["vertex"] == 126
+        # the failing level and the labels emitted before it
+        assert dump["context"]["level"]["free"] == 0b111110
+        assert dump["context"]["level"]["trace"] == ["Q6:projection"]
 
     @pytest.mark.parametrize("argv", [
         ("solve", "--dim", "9", "--pairs",

@@ -276,6 +276,53 @@ class TestPreconditions:
         linkage_engine._self_check(0b110, [(0, 6)], frozenset(), [[0, 2, 6]])
 
 
+class TestFaultContext:
+    """An InvariantError raised in a level leaves _solve with that level's
+    free mask, pairs, sorted avoid set and trace so far as context["level"],
+    next to the raise site's own keys.  The innermost level sets it; the
+    levels around it leave it as it is."""
+
+    @pytest.mark.parametrize("site, label, solve", [
+        ("_facet_routes", "even_menger",
+         lambda: solve_linkage(9, next(sample_instances("cube:9", 5, 1, 3)).pairing)),
+        ("_build_omega", "scenario3",
+         lambda: solve_linkage(10, next(sample_instances("cube:10", 5, 1, 3)).pairing)),
+        ("_base", "base", lambda: solve_link(5, 0, Pairing(((1, 2), (4, 8))))),
+        ("_link_one_side", "link_case1",
+         lambda: solve_link(6, 0, Pairing(((46, 52), (14, 4), (16, 54))))),
+    ])
+    def test_planted_fault_names_its_level(self, monkeypatch, site, label, solve):
+        monkeypatch.setattr(linkage_engine, "SELF_CHECK", False)
+        trace = solve().trace
+        depth = next(i for i, x in enumerate(trace) if x.endswith(f":{label}"))
+        real = linkage_engine._construction
+        levels = []
+
+        def recording(free, pairs, avoid, apex=None):
+            levels.append((free, pairs, sorted(avoid)))
+            return real(free, pairs, avoid, apex)
+
+        def planted(*args):
+            raise InvariantError("planted fault", {"site": site})
+
+        monkeypatch.setattr(linkage_engine, "_construction", recording)
+        monkeypatch.setattr(linkage_engine, site, planted)
+        with pytest.raises(InvariantError, match="planted fault") as info:
+            solve()
+        # the planted site runs before its level starts any sub-solve, so
+        # the last level entered is the one that fails
+        free, pairs, avoid = levels[-1]
+        assert trace[depth] == f"Q{free.bit_count()}:{label}"
+        assert info.value.context == {
+            "site": site,
+            "level": {"free": free, "pairs": pairs, "avoid": avoid,
+                      "trace": list(trace[:depth + 1])}}
+        # only the link construction fails at the top level
+        assert (len(levels) == 1) == (site == "_link_one_side")
+        if site == "_base":
+            assert avoid  # a link's second removed vertex reaches the base
+
+
 class TestConfig3F:
     BAD = [
         ((0, 3), (1, 2)),
@@ -304,6 +351,11 @@ class TestConfig3F:
         assert cert.face == Face(1 << 2, 0)
         assert cert.witness_terminal == 0
         assert cert.to_json() == {"face": "0**", "witness_terminal": "000"}
+
+    def test_rejects_a_vertex_outside_q3(self):
+        # 9 lies in Q4 but not in Q3
+        with pytest.raises(ValueError, match="outside Q_3"):
+            detect_config_3F(Pairing(((0, 9), (1, 2))))
 
     def test_matches_exact_search_everywhere(self):
         from cubelink.certifier import exhaustive_instances
@@ -709,6 +761,33 @@ class TestLink:
             assert (res.linkage != other.linkage) == tie
             seen += tie
         assert seen == ties
+
+    def test_apex_dispatch(self):
+        """With the apex, a tight even link's top level (2k = D) runs
+        link_case1 or link_case2 through the terminals' free direction b,
+        case 1 exactly when every terminal lies on one side of b; without
+        it that level is over the contract.  Every other link level names
+        the construction it would name without the apex."""
+        labels = Counter()
+        for D in range(5, 11):
+            free = (1 << D) - 1
+            for k in range(1, D // 2 + 1):
+                for inst in sample_instances(f"link:{D}", k, 20, 36):
+                    v, pairs = inst.apex, list(inst.pairing.pairs)
+                    avoid = frozenset({v, opposite(D, v)})
+                    label, b = _construction(free, pairs, avoid, v)
+                    labels[label] += 1
+                    if 2 * k != D:
+                        assert (label, b) == _construction(free, pairs, avoid)
+                        continue
+                    X = set(inst.pairing.terminals)
+                    assert b == _free_direction(free, X)
+                    one_side = len({x & b == v & b for x in X}) == 1
+                    assert label == ("link_case1" if one_side else "link_case2")
+                    with pytest.raises(InvariantError, match="solver contract"):
+                        _construction(free, pairs, avoid)
+        assert labels["link_case1"] and labels["link_case2"]
+        assert sum(labels.values()) == 20 * sum(D // 2 for D in range(5, 11))
 
     def test_case_two_sides_tail_fallback(self):
         # instances picked to drive the guide vertex back onto the first
