@@ -75,6 +75,14 @@ scenario3_context returns the scenario-3 set-up that the solver itself
 uses (special pair, facet F, entry map omega, and the special pair's avoid
 set S with its |S| <= d - 1 bound); the omega_conditions suite inspects it.
 
+A level owns the lists its child _solve returns and extends them in place:
+_in_facet inserts or appends the terminals off its facet, the even
+reduction and scenario 3 write each head stub in front of its sub-path and
+each tail stub after it, and the link's detour and tail are spliced in by
+slice assignment, so no level copies a path.  That is safe because no list
+a level returns is held anywhere else: routes are built per call, and _base
+maps the tuples it stores into fresh lists.
+
 Set SELF_CHECK = True (tests do) to validate every internal recursion
 level's output against its own sub-instance, not just the final linkage.
 """
@@ -295,26 +303,26 @@ def _descent(s: int, t: int, avoid: set | frozenset) -> list | None:
     """The straight s-t descent of _route, or None where it is blocked.  Its
     steps flip the bits where s and t differ: those set in s, highest first,
     then those clear in s, lowest first, each time the first remaining one
-    whose flip is not avoided."""
+    whose flip is not avoided.  `order` holds them in reverse."""
     order = []
-    down = s & ~t
-    while down:
-        high = 1 << (down.bit_length() - 1)
-        order.append(high)
-        down ^= high
     up = t & ~s
     while up:
-        low = up & -up
+        high = 1 << (up.bit_length() - 1)
+        order.append(high)
+        up ^= high
+    down = s & ~t
+    while down:
+        low = down & -down
         order.append(low)
-        up ^= low
+        down ^= low
     path = [s]
     v = s
     while order:
-        i = 0
+        i = len(order) - 1
         while v ^ order[i] in avoid:
-            i += 1
-            if i == len(order):
+            if not i:
                 return None
+            i -= 1
         v ^= order.pop(i)
         path.append(v)
     return path
@@ -354,11 +362,14 @@ def _astar(free: int, s: int, t: int, avoid: set | frozenset) -> list | None:
     return None
 
 
-def _facet_routes(free: int, X: list, b: int) -> dict:
+def _facet_routes(free: int, X: list, b: int) -> tuple:
     """Disjoint paths in the face from its terminals X, at most d =
     free.bit_count() of them, to its facet "x & b == 0", b a free bit.
 
-    Returns {x: path starting at x}.  A terminal already in the facet is its
+    Returns (ends, picks), the facet end of each terminal's path and the
+    middle vertex of each two-step drop, so x's path is [x] if ends[x] == x,
+    else [x, picks[x], ends[x]] or [x, ends[x]]: the calling level owns and
+    extends its child's paths by these stubs.  A terminal in the facet is its
     own one-vertex path; every other path meets the facet only at its last
     vertex, holds no other terminal, and shares no vertex with the rest.
 
@@ -380,31 +391,32 @@ def _facet_routes(free: int, X: list, b: int) -> dict:
     d can leave a source with no pick, which raises InvariantError.
     """
     terminals = frozenset(X)
-    routes = {}
+    ends, picks = {}, {}
     blocked = []
     for x in X:
         if not x & b:
-            routes[x] = [x]
+            ends[x] = x
         elif x ^ b in terminals:
             blocked.append(x)
         else:
-            routes[x] = [x, x ^ b]
+            ends[x] = x ^ b
     if not blocked:
-        return routes
+        return ends, picks
     blocked.sort()
     bits = _bits(free)
-    picks = set()  # the middle vertices of the two-step drops
+    taken = set()  # the middle vertices picked so far
     for a in blocked:
         for u in sorted(a ^ c for c in bits):
-            if u not in terminals and u ^ b not in terminals and u not in picks:
-                picks.add(u)
-                routes[a] = [a, u, u ^ b]
+            if u not in terminals and u ^ b not in terminals and u not in taken:
+                taken.add(u)
+                picks[a] = u
+                ends[a] = u ^ b
                 break
         else:
             raise InvariantError(
                 "no two-step drop: more terminals than the face's dimension",
                 {"free": free, "terminals": X, "source": a})
-    return routes
+    return ends, picks
 
 
 # ---------------------------------------------------------------------------
@@ -529,16 +541,16 @@ def _in_facet(free: int, b: int, v: int, pairs: list, avoid: frozenset,
     """Solve `pairs` in the facet "x & b == v" of the face (b a free bit, v
     either 0 or b) avoiding `avoid`, which lies in the facet: project every
     terminal onto it (x & ~b | v), solve there, and extend each sub-path by
-    its terminals off the facet, one edge away across b."""
+    its terminals off the facet, one edge away across b, in place: like
+    every level, it owns and extends the lists its child returns."""
     sub_pairs = [(s & ~b | v, t & ~b | v) for s, t in pairs]
-    out = []
-    for (s, t), path in zip(pairs, _solve(free ^ b, sub_pairs, avoid, trace)):
+    paths = _solve(free ^ b, sub_pairs, avoid, trace)
+    for (s, t), path in zip(pairs, paths):
         if s & b != v:
-            path = [s] + path
+            path.insert(0, s)
         if t & b != v:
-            path = path + [t]
-        out.append(path)
-    return out
+            path.append(t)
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -679,12 +691,15 @@ def _projection(free: int, pairs: list, avoid: frozenset, trace: list) -> list:
 
 def _even_reduction(free: int, pairs: list, trace: list) -> list:
     b = 1 << (free.bit_length() - 1)  # the highest free bit
-    X = _terminals(pairs)
-    stub = _facet_routes(free, X, b)
-    sub_pairs = [(stub[s][-1], stub[t][-1]) for s, t in pairs]
-    sub_paths = _solve(free ^ b, sub_pairs, frozenset(), trace)
-    return [stub[s][:-1] + sub + stub[t][-2::-1]
-            for (s, t), sub in zip(pairs, sub_paths)]
+    ends, picks = _facet_routes(free, _terminals(pairs), b)
+    paths = _solve(free ^ b, [(ends[s], ends[t]) for s, t in pairs],
+                   frozenset(), trace)
+    for (s, t), path in zip(pairs, paths):
+        if s & b:  # s is off the facet: its stub comes before the end
+            path[:0] = (s, picks[s]) if s in picks else (s,)
+        if t & b:
+            path += (picks[t], t) if t in picks else (t,)
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -863,40 +878,41 @@ def scenario3_context(d: int, Y: Pairing) -> ScenarioContext:
 def _scenario3(free: int, pairs: list, trace: list) -> list:
     """F is "x & b == v".  One pass gives every pair but the special and
     alpha ones an entry path per terminal into F^o: [x] for x in F^o, else
-    x, omega(x) if moved, and omega(x) ^ b.  One solve in F^o joins the
-    pairs no entry path completes, avoiding the F^o ends of those it does.
+    x, omega(x) if moved, and omega(x) ^ b, read off omega.  One solve in
+    F^o joins the pairs no entry path completes, avoiding the F^o ends of
+    those it does, and their stubs are written onto its paths in place.
     Every path, sub-solve and _route result included, runs from s to t."""
     _, b, v, first, _, _, _, Y_alpha, _, omega, S = _scenario3_context(free, pairs)
     s1, t1 = pairs[first]
     out = [None] * len(pairs)
     for i in Y_alpha:
         out[i] = list(pairs[i])
-    sub_pairs, sub_avoid, ends = [], [], []
+    sub_pairs, sub_avoid, joined = [], [], []
     for i, (s, t) in enumerate(pairs):
         if i == first or out[i] is not None:
             continue
-        ms = ([s] if s & b != v else
-              [s, s ^ b] if omega[s] == s else [s, omega[s], omega[s] ^ b])
-        mt = ([t] if t & b != v else
-              [t, t ^ b] if omega[t] == t else [t, omega[t], omega[t] ^ b])
-        if ms[-1] == t:
-            out[i] = ms
+        es = s if s & b != v else omega[s] ^ b  # the F^o ends of the entries
+        et = t if t & b != v else omega[t] ^ b
+        if es == t:
+            out[i] = [s, t] if omega[s] == s else [s, omega[s], t]
             sub_avoid.append(t)
-        elif mt[-1] == s:
-            mt.reverse()
-            out[i] = mt
+        elif et == s:
+            out[i] = [s, t] if omega[t] == t else [s, omega[t], t]
             sub_avoid.append(s)
         else:
-            sub_pairs.append((ms[-1], mt[-1]))
-            ends.append((i, ms, mt))
+            sub_pairs.append((es, et))
+            joined.append(i)
 
     sub = free ^ b
     if sub_pairs:
         sub_paths = _solve(sub, sub_pairs, frozenset(sub_avoid), trace)
-        for (i, ms, mt), mid in zip(ends, sub_paths):
-            ms[-1:] = mid
-            ms += mt[-2::-1]
-            out[i] = ms
+        for i, path in zip(joined, sub_paths):
+            s, t = pairs[i]
+            if s & b == v:
+                path[:0] = (s,) if omega[s] == s else (s, omega[s])
+            if t & b == v:
+                path += (t,) if omega[t] == t else (omega[t], t)
+            out[i] = path
 
     # S lies in F, the special pair's facet.
     L1 = _route(sub, s1, t1, S)
@@ -995,7 +1011,7 @@ def _link_one_side(free: int, v: int, pairs: list, b: int, trace: list) -> list:
     if M is None:
         raise InvariantError("detour routing failed in the opposite facet",
                              {"D": free.bit_count(), "from": w1, "to": w2})
-    out[i] = path[:j] + M + path[j + 1:]
+    path[j:j + 1] = M
     return out
 
 
@@ -1030,7 +1046,8 @@ def _link_two_sides(free: int, v: int, pairs: list, b: int, trace: list) -> list
         if tail is None:
             raise InvariantError("tail routing failed in the opposite facet",
                                  {"pair": (s1, t1), "S": sorted(S)})
-        L1 = M1[:-1] + tail
+        M1[-1:] = tail
+        L1 = M1
     out = dict(zip(others, sub_paths[1:]))
     out[j1] = _oriented(L1, *pairs[j1])
     return [out[i] for i in range(len(pairs))]

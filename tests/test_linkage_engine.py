@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cubelink.linkage_engine as linkage_engine
+from cubelink import cube_core
 from cubelink.certifier import sample_instances
 from cubelink.cube_core import (
     CubeGraph,
@@ -1001,6 +1002,14 @@ def _facet_route_layers(free: int, X: list, b: int) -> tuple:
     return blocked, picks
 
 
+def _facet_paths(free: int, X: list, b: int) -> dict:
+    """_facet_routes' answer as {x: path starting at x}, rebuilt from the
+    facet ends and two-step-drop middles it returns."""
+    ends, picks = _facet_routes(free, X, b)
+    return {x: [x] if end == x else [x, picks[x], end] if x in picks else [x, end]
+            for x, end in ends.items()}
+
+
 def _oracle_facet_routes(free: int, X: list, b: int) -> dict:
     """_facet_routes' answer from the oracle: the strict Menger routing of X
     onto the facet "x & b == 0", run on the face mapped to Q_d (its fixed
@@ -1128,7 +1137,7 @@ class TestRouting:
             forced += [a | 1 << w, a & ~(1 << w)]
         X = data.draw(st.lists(vertex, min_size=1, max_size=d, unique=True))
         X = list(dict.fromkeys(forced + X))[:d]
-        routes = _facet_routes((1 << d) - 1, X, 1 << w)
+        routes = _facet_paths((1 << d) - 1, X, 1 << w)
         sink = frozenset(face_vertices(d, Face(1 << w, 0)))
         ref = menger_disjoint_paths(CubeGraph(d), X, sink, len(X), strict=True)
         assert len(routes) == ref.flow == len(X)
@@ -1152,7 +1161,7 @@ class TestRouting:
         raised = []
         for free, X, b in calls:
             try:
-                routes = _facet_routes(free, X, b)
+                routes = _facet_paths(free, X, b)
             except InvariantError as err:
                 assert set(err.context) == {"free", "terminals", "source"}
                 raised.append(True)
@@ -1182,10 +1191,10 @@ class TestRouting:
     def test_facet_routes_one_blocked_source(self):
         # 16's drop 0 is a terminal, and so is 17's drop 1: the two-step
         # drop goes through 18
-        assert _facet_routes((1 << 5) - 1, [16, 0, 1, 5], 1 << 4) == {
+        assert _facet_paths((1 << 5) - 1, [16, 0, 1, 5], 1 << 4) == {
             0: [0], 1: [1], 5: [5], 16: [16, 18, 2]}
         # 18 takes 16; 20's first free neighbour is 16 too, so it takes 21
-        assert _facet_routes((1 << 5) - 1, [2, 4, 7, 18, 20], 1 << 4) == {
+        assert _facet_paths((1 << 5) - 1, [2, 4, 7, 18, 20], 1 << 4) == {
             2: [2], 4: [4], 7: [7], 18: [18, 16, 0], 20: [20, 21, 5]}
         # every golden call whose blocked sources all take a pick
         calls = 0
@@ -1193,7 +1202,7 @@ class TestRouting:
             blocked, picks = _facet_route_layers(free, X, b)
             if not blocked or picks is None:
                 continue
-            routes = _facet_routes(free, X, b)
+            routes = _facet_paths(free, X, b)
             assert routes == {**{x: [x] for x in X if not x & b},
                               **{x: [x, x ^ b] for x in X if x & b},
                               **{a: [a, u, u ^ b] for a, u in picks.items()}}
@@ -1245,7 +1254,7 @@ class TestRouting:
 
     def test_facet_routes_drop_or_detour(self):
         # 16 and 17 have terminals below them and detour; 18 drops straight.
-        assert _facet_routes((1 << 5) - 1, [16, 0, 17, 1, 18], 1 << 4) == {
+        assert _facet_paths((1 << 5) - 1, [16, 0, 17, 1, 18], 1 << 4) == {
             0: [0], 1: [1], 16: [16, 20, 4], 17: [17, 19, 3], 18: [18, 2]}
 
     @settings(max_examples=300, deadline=None)
@@ -1358,8 +1367,8 @@ class TestFaceEquivariance:
             # force a source whose straight drop is a terminal
             a = data.draw(st.integers(0, (1 << d) - 1)) | 1 << i
             X = X[:d - 2] + [v for v in (a, a ^ 1 << i) if v not in X[:d - 2]]
-        ref = _facet_routes((1 << d) - 1, X, 1 << i)
-        mine = _facet_routes(free, [expand(x) for x in X], 1 << positions[i])
+        ref = _facet_paths((1 << d) - 1, X, 1 << i)
+        mine = _facet_paths(free, [expand(x) for x in X], 1 << positions[i])
         assert mine == {expand(x): [expand(u) for u in p] for x, p in ref.items()}
 
 
@@ -1452,6 +1461,33 @@ def _deep_golden_solves():
     return out
 
 
+def _cap_golden_solves():
+    """Seeded plain, strong and link solves at maximal k in Q32 and Q64,
+    twelve of each per dimension: dimensions above the default cap (the
+    caller patches cube_core.MAX_DIM), so paths run to dozens of vertices
+    and cross many levels."""
+    rng = random.Random("solve/golden/cap")
+    out = []
+    for d in (32, 64):
+
+        def distinct(m, skip=()):
+            X: list = []
+            while len(X) < m:
+                x = rng.getrandbits(d)
+                if x not in X and x not in skip:
+                    X.append(x)
+            return X
+
+        for _ in range(12):
+            out.append((solve_linkage, d, pairing(distinct(2 * ((d + 1) // 2)))))
+            X = distinct(2 * (d // 2) + 1)
+            out.append((solve_strong, d, pairing(X[1:]), X[0]))
+            v = rng.getrandbits(d)
+            X = distinct(2 * (d // 2), (v, opposite(d, v)))
+            out.append((solve_link, d, v, pairing(X)))
+    return out
+
+
 def _solve_digest(calls) -> str:
     rows = []
     for solver, *args in calls:
@@ -1483,6 +1519,9 @@ PINNED_SCENARIO3_BRANCHES = {
 
 PINNED_DEEP_SOLVE_DIGEST = "ccc1372cd032050933b3263a5d2bbaf76141d569ee5e31caead440634a1af868"
 
+# Recorded while every level still copied each path it extended.
+PINNED_CAP_SOLVE_DIGEST = "26e956e258f3e2df1989a90f8f0616d2cdc4137bd1f9a17f1e05836ef741083b"
+
 
 class TestSolveGolden:
     """The engine's output is pinned path for path and label for label:
@@ -1490,6 +1529,10 @@ class TestSolveGolden:
 
     def test_deep_solves_match_pinned_digest(self):
         assert _solve_digest(_deep_golden_solves()) == PINNED_DEEP_SOLVE_DIGEST
+
+    def test_solves_above_the_cap_match_pinned_digest(self, monkeypatch):
+        monkeypatch.setattr(cube_core, "MAX_DIM", 64)
+        assert _solve_digest(_cap_golden_solves()) == PINNED_CAP_SOLVE_DIGEST
 
     def test_solves_match_pinned_digest(self):
         rows = []
@@ -1505,6 +1548,55 @@ class TestSolveGolden:
         digest = hashlib.sha256(
             json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
         assert digest == PINNED_SOLVE_DIGEST
+
+    def test_levels_extend_their_childs_paths(self, monkeypatch):
+        """A level owns the lists its child _solve returns and extends them
+        in place: at every even_menger, scenario3 and projection level of
+        the golden solves, each path the child returned comes back from the
+        level as the very same list."""
+        inner = linkage_engine._solve
+        returned = [[]]  # per open level, what its children returned
+        levels: Counter = Counter()
+
+        def spy(free, pairs, avoid, trace, apex=None):
+            depth = len(trace)
+            returned.append([])
+            paths = inner(free, pairs, avoid, trace, apex)
+            children = returned.pop()
+            label = trace[depth].split(":", 1)[1]
+            if label in ("even_menger", "scenario3", "projection"):
+                # scenario 3 solves no child when entry paths complete every pair
+                assert len(children) == 1 or label == "scenario3" and not children
+                written = {id(p) for p in paths}
+                for child in children:
+                    assert all(id(p) in written for p in child)
+                levels[label] += 1
+            returned[-1].append(paths)
+            return paths
+
+        monkeypatch.setattr(linkage_engine, "_solve", spy)
+        for solver, *args in _golden_solves():
+            check(solver(*args))
+        assert dict(levels) == {label: PINNED_SOLVE_LABELS[label] for label in
+                                ("even_menger", "scenario3", "projection")}
+
+    def test_returned_paths_are_not_shared(self):
+        """In-place extension is safe only while no returned list is also
+        held by a cache.  Clearing every path of a result, one whose Q4
+        level hit the base table included, leaves a repeat solve unchanged,
+        and the base table keeps its paths as tuples."""
+        hits = 0
+        for solver, *args in _golden_solves():
+            paths = [list(p) for p in solver(*args).linkage]
+            for _ in range(2):  # the first solve stored every Q4 key: all hit
+                res = solver(*args)
+                assert res.linkage == paths
+                for p in res.linkage:
+                    p.clear()
+            hits += any(x.endswith(":base") for x in res.trace)
+        assert hits > 0
+        assert all(type(p) is tuple for v in linkage_engine._BASE.values()
+                   for p in (v, *v))
 
     def test_scenario3_branches_are_exercised(self, monkeypatch):
         """The digest covers these branches only if the golden solves run
