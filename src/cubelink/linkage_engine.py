@@ -78,10 +78,11 @@ set S with its |S| <= d - 1 bound); the omega_conditions suite inspects it.
 A level owns the lists its child _solve returns and extends them in place:
 _in_facet inserts or appends the terminals off its facet, the even
 reduction and scenario 3 write each head stub in front of its sub-path and
-each tail stub after it, and the link's detour and tail are spliced in by
-slice assignment, so no level copies a path.  That is safe because no list
-a level returns is held anywhere else: routes are built per call, and _base
-maps the tuples it stores into fresh lists.
+each tail stub after it, the link's detour and tail are spliced in by
+slice assignment, and _oriented reverses a path in place, so no level
+copies a path.  That is safe because no list a level returns is held
+anywhere else: routes are built per call, and _base maps the tuples it
+stores into fresh lists.
 
 Set SELF_CHECK = True (tests do) to validate every internal recursion
 level's output against its own sub-instance, not just the final linkage.
@@ -197,10 +198,10 @@ def check_supported(kind: str, d: int, k: int, forbidden: int = 0,
 
 
 def _oriented(path: list, s: int, t: int) -> list:
+    if path and path[0] == t and path[-1] == s:
+        path.reverse()  # every caller owns path
     if path and path[0] == s and path[-1] == t:
         return path
-    if path and path[0] == t and path[-1] == s:
-        return path[::-1]
     raise InvariantError(
         "path endpoints disagree with its pair",
         {"path": path, "pair": (s, t)},

@@ -1551,9 +1551,10 @@ class TestSolveGolden:
 
     def test_levels_extend_their_childs_paths(self, monkeypatch):
         """A level owns the lists its child _solve returns and extends them
-        in place: at every even_menger, scenario3 and projection level of
-        the golden solves, each path the child returned comes back from the
-        level as the very same list."""
+        in place: at every even_menger, scenario3, projection and scenario1
+        level of the golden solves, each path a child returned comes back
+        from the level as the very same list."""
+        LEVELS = ("even_menger", "scenario3", "projection", "scenario1")
         inner = linkage_engine._solve
         returned = [[]]  # per open level, what its children returned
         levels: Counter = Counter()
@@ -1564,9 +1565,11 @@ class TestSolveGolden:
             paths = inner(free, pairs, avoid, trace, apex)
             children = returned.pop()
             label = trace[depth].split(":", 1)[1]
-            if label in ("even_menger", "scenario3", "projection"):
-                # scenario 3 solves no child when entry paths complete every pair
-                assert len(children) == 1 or label == "scenario3" and not children
+            if label in LEVELS:
+                # scenario 3 solves no child when entry paths complete every
+                # pair; scenario 1 solves one in each facet
+                assert len(children) == (2 if label == "scenario1" else 1) or (
+                    label == "scenario3" and not children)
                 written = {id(p) for p in paths}
                 for child in children:
                     assert all(id(p) in written for p in child)
@@ -1577,8 +1580,7 @@ class TestSolveGolden:
         monkeypatch.setattr(linkage_engine, "_solve", spy)
         for solver, *args in _golden_solves():
             check(solver(*args))
-        assert dict(levels) == {label: PINNED_SOLVE_LABELS[label] for label in
-                                ("even_menger", "scenario3", "projection")}
+        assert dict(levels) == {label: PINNED_SOLVE_LABELS[label] for label in LEVELS}
 
     def test_returned_paths_are_not_shared(self):
         """In-place extension is safe only while no returned list is also
