@@ -54,9 +54,11 @@ left outside goes through one helper, _in_facet.  cube_core.Face appears
 only where a facet or 2-face is handed out: ScenarioContext.face and the
 Q3 obstruction's certificate.
 
-Each level makes one pass over its pairs (_construction): it checks the
-instance against the contract, names the construction and, for scenario 2,
-finds the lowest free bit that every terminal agrees on.  The dispatch, in
+Each level makes one pass over its pairs (_construction): it builds the
+partner map rho[s] = t, rho[t] = s, the level's terminal set for every
+construction, checks the instance against the contract, names the
+construction and, for scenario 2, finds the lowest free bit that every
+terminal agrees on.  The dispatch, in
 order: single pairs go to the engine's router (_route), which takes the
 straight descent along the bits where the endpoints differ when no avoided
 vertex blocks it and runs an A* search (Hamming heuristic) otherwise;
@@ -233,10 +235,6 @@ def _free_direction(free: int, Z: set) -> int:
     return c
 
 
-def _terminals(pairs: list) -> list:
-    return [v for p in pairs for v in p]
-
-
 def _self_check(free: int, pairs: list, avoid: frozenset, paths: list) -> None:
     """Validate a level's output against its sub-instance.  Every path vertex
     must lie in the face; given that, a linkage of the face is a linkage of
@@ -304,27 +302,26 @@ def _descent(s: int, t: int, avoid: set | frozenset) -> list | None:
     """The straight s-t descent of _route, or None where it is blocked.  Its
     steps flip the bits where s and t differ: those set in s, highest first,
     then those clear in s, lowest first, each time the first remaining one
-    whose flip is not avoided.  `order` holds them in reverse."""
-    order = []
-    up = t & ~s
-    while up:
-        high = 1 << (up.bit_length() - 1)
-        order.append(high)
-        up ^= high
-    down = s & ~t
-    while down:
-        low = down & -down
-        order.append(low)
-        down ^= low
+    whose flip is not avoided, read off v at each step: v & ~t, then t & ~v."""
     path = [s]
     v = s
-    while order:
-        i = len(order) - 1
-        while v ^ order[i] in avoid:
-            if not i:
+    while v != t:
+        down = v & ~t
+        while down:
+            c = 1 << (down.bit_length() - 1)
+            if v ^ c not in avoid:
+                break
+            down ^= c
+        else:
+            up = t & ~v
+            while up:
+                c = up & -up
+                if v ^ c not in avoid:
+                    break
+                up ^= c
+            else:
                 return None
-            i -= 1
-        v ^= order.pop(i)
+        v ^= c
         path.append(v)
     return path
 
@@ -363,9 +360,11 @@ def _astar(free: int, s: int, t: int, avoid: set | frozenset) -> list | None:
     return None
 
 
-def _facet_routes(free: int, X: list, b: int) -> tuple:
+def _facet_routes(free: int, X: list | dict, b: int) -> tuple:
     """Disjoint paths in the face from its terminals X, at most d =
-    free.bit_count() of them, to its facet "x & b == 0", b a free bit.
+    free.bit_count() of them, to its facet "x & b == 0", b a free bit.  X
+    is iterated and tested for membership only, so a level hands over its
+    partner map, whose keys are its terminals in pair order.
 
     Returns (ends, picks), the facet end of each terminal's path and the
     middle vertex of each two-step drop, so x's path is [x] if ends[x] == x,
@@ -391,13 +390,12 @@ def _facet_routes(free: int, X: list, b: int) -> tuple:
     the earlier picks spoil at most d - 2 of the d - 1.  More terminals than
     d can leave a source with no pick, which raises InvariantError.
     """
-    terminals = frozenset(X)
     ends, picks = {}, {}
     blocked = []
     for x in X:
         if not x & b:
             ends[x] = x
-        elif x ^ b in terminals:
+        elif x ^ b in X:
             blocked.append(x)
         else:
             ends[x] = x ^ b
@@ -408,7 +406,7 @@ def _facet_routes(free: int, X: list, b: int) -> tuple:
     taken = set()  # the middle vertices picked so far
     for a in blocked:
         for u in sorted(a ^ c for c in bits):
-            if u not in terminals and u ^ b not in terminals and u not in taken:
+            if u not in X and u ^ b not in X and u not in taken:
                 taken.add(u)
                 picks[a] = u
                 ends[a] = u ^ b
@@ -416,7 +414,7 @@ def _facet_routes(free: int, X: list, b: int) -> tuple:
         else:
             raise InvariantError(
                 "no two-step drop: more terminals than the face's dimension",
-                {"free": free, "terminals": X, "source": a})
+                {"free": free, "terminals": list(X), "source": a})
     return ends, picks
 
 
@@ -429,9 +427,11 @@ def _construction(free: int, pairs: list, avoid: frozenset,
     """Check a level's instance against the solver contract and name the
     construction _solve runs on it, in one pass over the pairs.
 
-    Returns (label, b): b is the lowest free bit every terminal agrees on,
-    as a one-bit mask, for scenario2, the terminals' free direction for a
-    link label, and 0 otherwise.  Every vertex lies in the face exactly when
+    Returns (label, b, rho): b is the lowest free bit every terminal agrees
+    on, as a one-bit mask, for scenario2, the terminals' free direction for
+    a link label, and 0 otherwise; rho, the partner map (rho[s] = t and
+    rho[t] = s, in pair order), is the level's terminal set for the
+    construction.  Every vertex lies in the face exactly when
     no fixed bit differs among them (both ^ either); only when one does is
     the first vertex off the face looked for.  A scenario2 level has no
     avoid set, so the bits its terminals agree on are the free bits outside
@@ -440,22 +440,22 @@ def _construction(free: int, pairs: list, avoid: frozenset,
     link_case2."""
     d = free.bit_count()
     k = len(pairs)
-    terminals = set()
+    rho = {}
     both, either = -1, 0
     for s, t in pairs:
-        terminals.add(s)
-        terminals.add(t)
+        rho[s] = t
+        rho[t] = s
         both &= s & t
         either |= s | t
-    if len(terminals) != 2 * k or not terminals.isdisjoint(avoid):
+    if len(rho) != 2 * k or not avoid.isdisjoint(rho):
         raise InvariantError(
             "recursive instance has colliding terminals",
             {"d": d, "pairs": pairs, "avoid": sorted(avoid)},
         )
     if apex is not None and 2 * k == d:
-        b = _free_direction(free, terminals)
-        on_v_side = sum(1 for x in terminals if x & b == apex & b)
-        return "link_case1" if on_v_side in (0, 2 * k) else "link_case2", b
+        b = _free_direction(free, rho)
+        on_v_side = sum(1 for x in rho if x & b == apex & b)
+        return "link_case1" if on_v_side in (0, 2 * k) else "link_case2", b, rho
     if k < 1 or not _within_budget(d, k, len(avoid)):
         raise InvariantError(
             "recursive instance exceeds the solver contract",
@@ -467,25 +467,28 @@ def _construction(free: int, pairs: list, avoid: frozenset,
     if (both ^ either) & ~free:
         fixed_mask = ~free
         fixed = pairs[0][0] & fixed_mask
-        v = next(v for v in (*_terminals(pairs), *avoid) if v & fixed_mask != fixed)
+        v = next(v for v in (*rho, *avoid) if v & fixed_mask != fixed)
         raise InvariantError(
             "recursive instance leaves its face",
             {"free": free, "pairs": pairs, "avoid": sorted(avoid), "vertex": v},
         )
     if k == 1:
-        return "trivial_pair", 0
+        return "trivial_pair", 0, rho
     if d <= 4:
-        return "base", 0
+        return "base", 0, rho
     if avoid or k < (d + 1) // 2:
-        return "projection", 0
+        return "projection", 0, rho
     if d % 2 == 0:
-        return "even_menger", 0
-    if all(s ^ t == free for s, t in pairs):
-        return "scenario1", 0
+        return "even_menger", 0, rho
+    for s, t in pairs:
+        if s ^ t != free:
+            break
+    else:
+        return "scenario1", 0, rho
     agree = ~(both ^ either) & free
     if agree:
-        return "scenario2", agree & -agree
-    return "scenario3", 0
+        return "scenario2", agree & -agree, rho
+    return "scenario3", 0, rho
 
 
 def _solve(free: int, pairs: list, avoid: frozenset, trace: list,
@@ -496,9 +499,13 @@ def _solve(free: int, pairs: list, avoid: frozenset, trace: list,
     Paths come back oriented, path i running pairs[i][0] -> [1].  An
     InvariantError gets the innermost failing level as context["level"]."""
     try:
-        label, b = _construction(free, pairs, avoid, apex)
+        label, b, rho = _construction(free, pairs, avoid, apex)
         trace.append(_trace_label(free, label))
-        if label == "trivial_pair":
+        if label == "scenario3":
+            paths = _scenario3(free, pairs, rho, trace)
+        elif label == "even_menger":
+            paths = _even_reduction(free, pairs, rho, trace)
+        elif label == "trivial_pair":
             s, t = pairs[0]
             path = _route(free, s, t, avoid)
             if path is None:
@@ -509,19 +516,15 @@ def _solve(free: int, pairs: list, avoid: frozenset, trace: list,
         elif label == "base":
             paths = _base(free, pairs, avoid)
         elif label == "projection":
-            paths = _projection(free, pairs, avoid, trace)
-        elif label == "even_menger":
-            paths = _even_reduction(free, pairs, trace)
+            paths = _projection(free, pairs, avoid, rho, trace)
         elif label == "scenario1":
-            paths = _scenario1(free, pairs, trace)
+            paths = _scenario1(free, pairs, rho, trace)
         elif label == "scenario2":
-            paths = _scenario2(free, pairs, b, trace)
-        elif label == "scenario3":
-            paths = _scenario3(free, pairs, trace)
+            paths = _scenario2(free, pairs, rho, b, trace)
         elif label == "link_case1":
             paths = _link_one_side(free, apex, pairs, b, trace)
         else:
-            paths = _link_two_sides(free, apex, pairs, b, trace)
+            paths = _link_two_sides(free, apex, pairs, rho, b, trace)
         if SELF_CHECK:
             _self_check(free, pairs, avoid, paths)
     except InvariantError as exc:
@@ -659,7 +662,7 @@ def _orbit_paths(key: tuple) -> tuple:
 # Slack instances: project everything into one facet
 
 
-def _projection(free: int, pairs: list, avoid: frozenset, trace: list) -> list:
+def _projection(free: int, pairs: list, avoid: frozenset, rho: dict, trace: list) -> list:
     """Solve a slack level (an avoid set, or k < floor((d + 1) / 2)) in one
     facet of its face: one step of an induction on d.
 
@@ -672,15 +675,14 @@ def _projection(free: int, pairs: list, avoid: frozenset, trace: list) -> list:
     no avoid set, b is a free direction of the 2k <= d terminals.  The
     induction ends in its base cases: Q4 with k = 2 and a <= 1, and single
     pairs."""
-    X = set(_terminals(pairs))
     if avoid:
         z_star = min(avoid)
         rest = avoid - {z_star}
-        b = _free_direction(free, X | rest)
+        b = _free_direction(free, rho.keys() | rest)
         v = z_star & b ^ b  # solve on the side away from z_star
     else:
         rest = frozenset()
-        b = _free_direction(free, X)
+        b = _free_direction(free, rho)
         v = 0
     return _in_facet(free, b, v, pairs,
                      frozenset(a for a in rest if a & b == v), trace)
@@ -690,9 +692,9 @@ def _projection(free: int, pairs: list, avoid: frozenset, trace: list) -> list:
 # Tight even dimension: route terminals onto a facet, solve inside
 
 
-def _even_reduction(free: int, pairs: list, trace: list) -> list:
+def _even_reduction(free: int, pairs: list, rho: dict, trace: list) -> list:
     b = 1 << (free.bit_length() - 1)  # the highest free bit
-    ends, picks = _facet_routes(free, _terminals(pairs), b)
+    ends, picks = _facet_routes(free, rho, b)
     paths = _solve(free ^ b, [(ends[s], ends[t]) for s, t in pairs],
                    frozenset(), trace)
     for (s, t), path in zip(pairs, paths):
@@ -707,10 +709,9 @@ def _even_reduction(free: int, pairs: list, trace: list) -> list:
 # Scenario 1: every pair antipodal
 
 
-def _scenario1(free: int, pairs: list, trace: list) -> list:
+def _scenario1(free: int, pairs: list, rho: dict, trace: list) -> list:
     s1 = pairs[0][0]
-    X = set(_terminals(pairs))
-    b = _free_direction(free, X - {s1})
+    b = _free_direction(free, rho.keys() - {s1})
     v = s1 & b  # F^o = "x & b == v" holds every s_i after orientation
     oriented = [(s, t) if s & b == v else (t, s) for s, t in pairs]
     # The second special pair is pair 1: no t_i crosses back onto s1, since
@@ -725,14 +726,13 @@ def _scenario1(free: int, pairs: list, trace: list) -> list:
 # Scenario 2: all terminals in one facet
 
 
-def _scenario2(free: int, pairs: list, b: int, trace: list) -> list:
+def _scenario2(free: int, pairs: list, rho: dict, b: int, trace: list) -> list:
     """Every terminal has the same value at the free bit b.  Join the first
     pair that routes inside that facet around the other terminals; solve
     the rest on the terminals' mirror images in the opposite facet."""
-    others = set(_terminals(pairs))
     # At most one pair can be blocked, so the first or second try succeeds.
     for idx, (s, t) in enumerate(pairs):
-        path = _route(free ^ b, s, t, others - {s, t})
+        path = _route(free ^ b, s, t, rho.keys() - {s, t})
         if path is not None:
             break
     else:
@@ -768,14 +768,16 @@ class ScenarioContext:
     S: frozenset
 
 
-def _scenario3_context(free: int, pairs: list) -> tuple:
+def _scenario3_context(free: int, pairs: list, rho: dict) -> tuple:
     """The special pair is the first non-antipodal one; F is the facet of
-    the lowest free bit b its two terminals agree on, on their side.
+    the lowest free bit b its two terminals agree on, on their side.  rho
+    is the level's partner map, as _construction built it.
 
     Returns the fields of ScenarioContext as a plain tuple, with F as its
-    bit b and side v and with X_F and X_alpha as lists: (d, b, v, first,
-    rho, X_F, X_alpha, Y_alpha, X_beta, omega, S).  The solver unpacks it;
-    only scenario3_context builds the dataclass and its frozensets."""
+    bit b and side v, X_F and X_alpha as lists and S as a set: (d, b, v,
+    first, rho, X_F, X_alpha, Y_alpha, X_beta, omega, S).  The solver
+    unpacks it; only scenario3_context builds the dataclass and its
+    frozensets."""
     d = free.bit_count()
     for first, (s1, t1) in enumerate(pairs):
         if s1 ^ t1 != free:
@@ -786,12 +788,9 @@ def _scenario3_context(free: int, pairs: list) -> tuple:
     agree = ~(s1 ^ t1) & free  # the free bits s1 and t1 agree on
     b = agree & -agree
     v = s1 & b
-    rho = {}
     beta = []  # F-side terminals outside the alpha pairs
     alpha_idx, alpha = [], []
     for i, (s, t) in enumerate(pairs):
-        rho[s] = t
-        rho[t] = s
         if i == first:
             continue
         if s & b == v:
@@ -808,7 +807,7 @@ def _scenario3_context(free: int, pairs: list) -> tuple:
     X_beta = tuple(sorted(beta))
     omega = _build_omega(free, b, rho, X_beta)
     X_F = alpha + beta
-    S = frozenset(X_F + [w for w in omega.values() if w not in rho])
+    S = {*X_F, *omega.values()}  # an unmoved entry x is in X_F already
     if len(S) > d - 1:
         raise InvariantError("avoid set for the special pair is too large",
                              {"S": sorted(S), "d": d})
@@ -829,14 +828,16 @@ def _build_omega(free: int, b: int, rho: dict, X_beta: tuple) -> dict:
     obstruction set has at most d-2 members, so a candidate survives.
     Moved values are no terminal, foreign projection or earlier value, and
     x stays only if x ^ b is no foreign terminal: so omega is injective and
-    neither omega(x) nor omega(x) ^ b is a foreign terminal.
-    """
-    bits = _bits(free)
+    neither omega(x) nor omega(x) ^ b is a foreign terminal.  `taken` holds
+    the moved values only: an unmoved one is x, a terminal, which the test
+    n in rho already counts, so the obstruction set and the choice stay
+    the same."""
     omega: dict = {}
-    taken: set = set()  # the values of omega so far
+    taken: set = set()  # the moved values of omega so far
     for x in X_beta:
         px = x ^ b
         if px in rho and px != rho[x]:
+            bits = _bits(free)
             obstruction = []
             wx = None
             for c in bits:
@@ -850,10 +851,10 @@ def _build_omega(free: int, b: int, rho: dict, X_beta: tuple) -> dict:
             if len(obstruction) > len(bits) - 2:
                 raise InvariantError("entry obstruction set is too large",
                                      {"x": x, "obstruction": obstruction})
+            taken.add(wx)
         else:
             wx = x
         omega[x] = wx
-        taken.add(wx)
     return omega
 
 
@@ -865,25 +866,25 @@ def scenario3_context(d: int, Y: Pairing) -> ScenarioContext:
     check_supported("plain", d, Y.k, 0, Y)
     pairs = list(Y.pairs)
     free = (1 << d) - 1
-    label, _ = _construction(free, pairs, frozenset())
+    label, _, rho = _construction(free, pairs, frozenset())
     if label != "scenario3":
         reason = {"scenario1": "all pairs antipodal",
                   "scenario2": "all terminals share a facet"}.get(
                       label, f"the solver runs {label} on this instance")
         raise ValueError(f"{reason}: no scenario3 context exists")
-    d, b, v, first, rho, X_F, X_alpha, *fields = _scenario3_context(free, pairs)
+    d, b, v, first, rho, X_F, X_alpha, *fields, S = _scenario3_context(free, pairs, rho)
     return ScenarioContext(d, Face(b, v), first, rho, frozenset(X_F),
-                           frozenset(X_alpha), *fields)
+                           frozenset(X_alpha), *fields, frozenset(S))
 
 
-def _scenario3(free: int, pairs: list, trace: list) -> list:
+def _scenario3(free: int, pairs: list, rho: dict, trace: list) -> list:
     """F is "x & b == v".  One pass gives every pair but the special and
     alpha ones an entry path per terminal into F^o: [x] for x in F^o, else
     x, omega(x) if moved, and omega(x) ^ b, read off omega.  One solve in
     F^o joins the pairs no entry path completes, avoiding the F^o ends of
     those it does, and their stubs are written onto its paths in place.
     Every path, sub-solve and _route result included, runs from s to t."""
-    _, b, v, first, _, _, _, Y_alpha, _, omega, S = _scenario3_context(free, pairs)
+    _, b, _, first, _, _, _, Y_alpha, _, omega, S = _scenario3_context(free, pairs, rho)
     s1, t1 = pairs[first]
     out = [None] * len(pairs)
     for i in Y_alpha:
@@ -892,27 +893,27 @@ def _scenario3(free: int, pairs: list, trace: list) -> list:
     for i, (s, t) in enumerate(pairs):
         if i == first or out[i] is not None:
             continue
-        es = s if s & b != v else omega[s] ^ b  # the F^o ends of the entries
-        et = t if t & b != v else omega[t] ^ b
+        ws, wt = omega.get(s), omega.get(t)  # None exactly off F
+        es = s if ws is None else ws ^ b  # the F^o ends of the entries
+        et = t if wt is None else wt ^ b
         if es == t:
-            out[i] = [s, t] if omega[s] == s else [s, omega[s], t]
+            out[i] = [s, t] if ws == s else [s, ws, t]
             sub_avoid.append(t)
         elif et == s:
-            out[i] = [s, t] if omega[t] == t else [s, omega[t], t]
+            out[i] = [s, t] if wt == t else [s, wt, t]
             sub_avoid.append(s)
         else:
             sub_pairs.append((es, et))
-            joined.append(i)
+            joined.append((i, s, ws, t, wt))
 
     sub = free ^ b
     if sub_pairs:
         sub_paths = _solve(sub, sub_pairs, frozenset(sub_avoid), trace)
-        for i, path in zip(joined, sub_paths):
-            s, t = pairs[i]
-            if s & b == v:
-                path[:0] = (s,) if omega[s] == s else (s, omega[s])
-            if t & b == v:
-                path += (t,) if omega[t] == t else (omega[t], t)
+        for (i, s, ws, t, wt), path in zip(joined, sub_paths):
+            if ws is not None:
+                path[:0] = (s,) if ws == s else (s, ws)
+            if wt is not None:
+                path += (t,) if wt == t else (wt, t)
             out[i] = path
 
     # S lies in F, the special pair's facet.
@@ -1016,17 +1017,16 @@ def _link_one_side(free: int, v: int, pairs: list, b: int, trace: list) -> list:
     return out
 
 
-def _link_two_sides(free: int, v: int, pairs: list, b: int, trace: list) -> list:
-    X = _terminals(pairs)
-    count_v_side = sum(1 for x in X if x & b == v & b)
-    bad = v if count_v_side >= len(X) - count_v_side else v ^ free
+def _link_two_sides(free: int, v: int, pairs: list, rho: dict, b: int, trace: list) -> list:
+    count_v_side = sum(1 for x in rho if x & b == v & b)
+    bad = v if count_v_side >= len(rho) - count_v_side else v ^ free
     bad_tail = bad ^ free
     side = bad & b  # solve in the facet "x & b == side", which holds bad
-    tail_terms = [x for x in X if x & b != side]
+    tail_terms = [x for x in rho if x & b != side]
     pref = bad ^ b  # the unique tail-side neighbor of bad
     t1 = pref if pref in tail_terms else min(tail_terms)
     j1 = next(i for i, p in enumerate(pairs) if t1 in p)
-    s1 = pairs[j1][0] if pairs[j1][1] == t1 else pairs[j1][1]
+    s1 = rho[t1]
 
     others = [i for i in range(len(pairs)) if i != j1]
     sub_paths = _in_facet(free, b, side, [(s1, bad)] + [pairs[i] for i in others],

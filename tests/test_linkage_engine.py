@@ -207,7 +207,8 @@ class TestPreconditions:
         # {0, 1, 2, 4, 8, 16} associates all five directions of Q5: only an
         # engine fault can hand such a set to free_direction.
         with pytest.raises(InvariantError) as info:
-            _projection((1 << 5) - 1, [(0, 1), (2, 4), (8, 16)], frozenset(), [])
+            _projection((1 << 5) - 1, [(0, 1), (2, 4), (8, 16)], frozenset(),
+                        {0: 1, 1: 0, 2: 4, 4: 2, 8: 16, 16: 8}, [])
         assert not isinstance(info.value, ValueError)
         assert info.value.context == {"d": 5, "Z": [0, 1, 2, 4, 8, 16]}
 
@@ -260,13 +261,20 @@ class TestPreconditions:
         check_contract(0b11111110, [(0, 6), (2, 12)], frozenset({64, 8, 2 | 1 << 7}))
 
     def test_construction_matches_pinned_digest(self):
-        rows = [list(_construction(free, pairs, avoid))
+        rows = [list(_construction(free, pairs, avoid)[:2])
                 for free, pairs, avoid in _contract_stream()]
         assert dict(Counter(label for label, _ in rows)) == PINNED_CONSTRUCTION_LABELS
         assert all(b == 0 for label, b in rows if label != "scenario2")
         digest = hashlib.sha256(
             json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
         assert digest == PINNED_CONSTRUCTION_DIGEST
+
+    def test_construction_returns_the_partner_map(self):
+        # rho[s] = t and rho[t] = s, pair by pair, in pair order
+        for free, pairs, avoid in _contract_stream():
+            rho = _construction(free, pairs, avoid)[2]
+            assert list(rho.items()) == [
+                (x, y) for s, t in pairs for x, y in ((s, t), (t, s))]
 
     def test_self_check_rejects_a_path_leaving_its_face(self):
         # a valid path of Q3, but 1, 3 and 7 leave the face "bit 0 == 0"
@@ -606,7 +614,8 @@ class TestScenario3Context:
         # it); a call that does is an engine fault, not a fall-through
         pairs = [(0, 31), (1, 30), (2, 29)]
         with pytest.raises(InvariantError, match="non-antipodal pair") as info:
-            linkage_engine._scenario3_context((1 << 5) - 1, pairs)
+            linkage_engine._scenario3_context((1 << 5) - 1, pairs,
+                                              {0: 31, 31: 0, 1: 30, 30: 1, 2: 29, 29: 2})
         assert not isinstance(info.value, ValueError)
         assert info.value.context == {"free": 31, "pairs": pairs}
 
@@ -776,10 +785,10 @@ class TestLink:
                 for inst in sample_instances(f"link:{D}", k, 20, 36):
                     v, pairs = inst.apex, list(inst.pairing.pairs)
                     avoid = frozenset({v, opposite(D, v)})
-                    label, b = _construction(free, pairs, avoid, v)
+                    label, b, _ = _construction(free, pairs, avoid, v)
                     labels[label] += 1
                     if 2 * k != D:
-                        assert (label, b) == _construction(free, pairs, avoid)
+                        assert (label, b) == _construction(free, pairs, avoid)[:2]
                         continue
                     X = set(inst.pairing.terminals)
                     assert b == _free_direction(free, X)
@@ -860,7 +869,7 @@ class TestEngineProperties:
         pairs = list(zip(picks[:2 * k:2], picks[1:2 * k:2]))
         avoid = frozenset(picks[2 * k:])
         res = check(solve_avoiding(d, Pairing(tuple(pairs)), avoid))
-        label, _ = _construction((1 << d) - 1, pairs, avoid)
+        label, _, _ = _construction((1 << d) - 1, pairs, avoid)
         assert res.trace[0] == f"Q{d}:{label}"
 
     @settings(max_examples=30, deadline=None)
@@ -1038,6 +1047,34 @@ PINNED_FACET_ROUTE_DIGEST = (
     "2444463fceb3c803195686d95547f5f61d9265725f7b5a9ddf8f4fa30da79512")
 
 
+def _order_list_descent(s: int, t: int, avoid: set | frozenset) -> list | None:
+    """_descent as written with an order list, the reference for
+    test_descent_matches_order_list: the flips are listed once, in reverse
+    of the order they are tried in, and each step pops one near the end."""
+    order = []
+    up = t & ~s
+    while up:
+        high = 1 << (up.bit_length() - 1)
+        order.append(high)
+        up ^= high
+    down = s & ~t
+    while down:
+        low = down & -down
+        order.append(low)
+        down ^= low
+    path = [s]
+    v = s
+    while order:
+        i = len(order) - 1
+        while v ^ order[i] in avoid:
+            if not i:
+                return None
+            i -= 1
+        v ^= order.pop(i)
+        path.append(v)
+    return path
+
+
 # Recorded before _route tried the straight descent ahead of its A* search.
 PINNED_ROUTE_DIGEST = "847b438ab8aac915edc0f1e33d760812bf615b25f5046592b04be8e836c23c32"
 
@@ -1098,6 +1135,33 @@ class TestRouting:
         if descent is not None:
             assert descent == ref
         assert _route(free, *args) == ref
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_descent_matches_order_list(self, data):
+        """_descent reads the flips left off v at each step; the reference
+        builds their order once.  Both give the same path, or None, up to
+        Q64: with avoided vertices anywhere, on the straight path and next
+        to it, or with a wall of every flip left at one step of it."""
+        d = data.draw(st.integers(1, 64))
+        vertex = st.integers(0, (1 << d) - 1)
+        s, t = data.draw(vertex), data.draw(vertex)
+        straight = _order_list_descent(s, t, set())
+        wall = len(straight) > 2 and data.draw(st.booleans())
+        if wall:
+            # the descent reaches v, and every step on from it is avoided
+            v = data.draw(st.sampled_from(straight[:-2]))
+            avoid = {v ^ 1 << c for c in range(d) if (v ^ t) >> c & 1}
+        else:
+            beside = st.builds(lambda v, c: v ^ 1 << c, st.sampled_from(straight),
+                               st.integers(0, d - 1))
+            avoid = data.draw(st.sets(
+                st.one_of(vertex, st.sampled_from(straight), beside)
+                .filter(lambda v: v not in (s, t)), max_size=2 * d))
+        ref = _order_list_descent(s, t, avoid)
+        assert _descent(s, t, avoid) == ref
+        if wall:
+            assert ref is None
 
     def test_routes_match_pinned_digest(self):
         calls = _golden_routes()
@@ -1273,14 +1337,14 @@ class TestRouting:
             X = [x >> c << c + 1 | value << c | x & (1 << c) - 1 for x in X]
         naive = next((c for c in range(d) if len({x >> c & 1 for x in X}) == 1),
                      None)
-        label, b = _construction((1 << d) - 1, list(zip(X[::2], X[1::2])),
+        label, b, _ = _construction((1 << d) - 1, list(zip(X[::2], X[1::2])),
                                  frozenset())
         assert (label == "scenario2") == (naive is not None)
         assert b == (0 if naive is None else 1 << naive)
 
     def test_scenario2_bit_edge_cases(self):
         def bit(free, X):
-            label, b = _construction(free, list(zip(X[::2], X[1::2])), frozenset())
+            label, b, _ = _construction(free, list(zip(X[::2], X[1::2])), frozenset())
             assert label in ("scenario2", "scenario3")
             return b
 
@@ -1582,6 +1646,42 @@ class TestSolveGolden:
             check(solver(*args))
         assert dict(levels) == {label: PINNED_SOLVE_LABELS[label] for label in LEVELS}
 
+    def test_levels_build_their_partner_map_once(self, monkeypatch):
+        """_construction's one pass builds a level's partner map, and the
+        construction reads that very map: at every even_menger level of the
+        golden solves _facet_routes gets it as its terminals, and at every
+        scenario3 level _scenario3_context gets it as rho."""
+        built = []
+        seen: Counter = Counter()
+        construction = linkage_engine._construction
+        facet_routes = linkage_engine._facet_routes
+        context = linkage_engine._scenario3_context
+
+        def recording(free, pairs, avoid, apex=None):
+            out = construction(free, pairs, avoid, apex)
+            built.append(out[2])
+            return out
+
+        # each runs before its level starts a sub-solve, so the last map
+        # built is its own level's
+        def routes_spy(free, X, b):
+            assert X is built[-1]
+            seen["even_menger"] += 1
+            return facet_routes(free, X, b)
+
+        def context_spy(free, pairs, rho):
+            assert rho is built[-1]
+            seen["scenario3"] += 1
+            return context(free, pairs, rho)
+
+        monkeypatch.setattr(linkage_engine, "_construction", recording)
+        monkeypatch.setattr(linkage_engine, "_facet_routes", routes_spy)
+        monkeypatch.setattr(linkage_engine, "_scenario3_context", context_spy)
+        for solver, *args in _golden_solves():
+            check(solver(*args))
+        assert dict(seen) == {label: PINNED_SOLVE_LABELS[label]
+                              for label in ("even_menger", "scenario3")}
+
     def test_returned_paths_are_not_shared(self):
         """In-place extension is safe only while no returned list is also
         held by a cache.  Clearing every path of a result, one whose Q4
@@ -1608,8 +1708,8 @@ class TestSolveGolden:
         seen: Counter = Counter()
         inner = linkage_engine._scenario3_context
 
-        def spy(free, pairs):
-            ctx = inner(free, pairs)
+        def spy(free, pairs, rho):
+            ctx = inner(free, pairs, rho)
             _, b, v, first, _, _, _, Y_alpha, _, omega, _ = ctx
 
             def end(x):  # the last vertex of x's entry path
