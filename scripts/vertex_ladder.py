@@ -10,11 +10,15 @@ instances are sample_instances("cube:d", (d + 1) // 2, n, SEED) with
 n = SAMPLES[d].
 A fresh process per tree, rung and repeat solves them once (warming the
 engine's caches and validating every linkage), then times PASSES passes;
-its value is the median pass time over the vertices one pass emits.  The
-trees alternate which runs first over REPEATS repeats, and the report
-gives the median over repeats per tree and rung, its ratio to the tree's
-value on the first rung, and the machine's cores and Python version.  It
-is not part of the test suite.
+its value is the median pass time over the vertices one pass emits.  Each
+pass is also scaled to reference speed, as perfbench/run.py scales each
+operation: by REF_NOMINAL_NS over the mean of a fixed breadth-first search
+over Q8 timed just before and just after the pass, so a host whose speed
+swings between passes reads the same.  The trees alternate which runs
+first over REPEATS repeats, and the report gives, per tree and rung, the
+median over repeats of the raw and of the scaled value, each one's ratio
+to the tree's value on the first rung, and the machine's cores and Python
+version.  It is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import statistics
 import subprocess
 import sys
 import time
+from collections import deque
 from pathlib import Path
 
 SEED = 7
@@ -34,6 +39,23 @@ SAMPLES = {64: 10, 128: 5, 256: 3, 384: 2, 448: 2}
 DIMS = tuple(SAMPLES)
 PASSES = 3
 REPEATS = 5
+REF_NOMINAL_NS = 200_000
+
+
+def reference_ns() -> int:
+    """Wall time of a breadth-first search over Q8, in ns: pure-Python work
+    that no change to the engine can change."""
+    t0 = time.perf_counter_ns()
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for i in range(8):
+            w = v ^ (1 << i)
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return time.perf_counter_ns() - t0
 
 
 def measure(d: int) -> dict:
@@ -54,15 +76,19 @@ def measure(d: int) -> dict:
         if not report:
             raise SystemExit(f"invalid linkage in Q{d}: {report.message}")
         vertices += sum(map(len, res.linkage))
-    times = []
+    times, scaled = [], []
     for _ in range(PASSES):
-        start = time.perf_counter()
+        before = reference_ns()
+        start = time.perf_counter_ns()
         for Y in pairings:
             solve_linkage(d, Y)
-        times.append(time.perf_counter() - start)
-    pass_s = statistics.median(times)
-    return {"us_per_vertex": round(pass_s / vertices * 1e6, 3),
-            "ms_per_solve": round(pass_s / len(pairings) * 1e3, 2),
+        elapsed = time.perf_counter_ns() - start
+        times.append(elapsed)
+        scaled.append(elapsed * REF_NOMINAL_NS / ((before + reference_ns()) / 2))
+    pass_ns, scaled_ns = statistics.median(times), statistics.median(scaled)
+    return {"us_per_vertex": round(pass_ns / vertices / 1e3, 3),
+            "scaled_us_per_vertex": round(scaled_ns / vertices / 1e3, 3),
+            "ms_per_solve": round(pass_ns / len(pairings) / 1e6, 2),
             "vertices_per_solve": vertices // len(pairings)}
 
 
@@ -92,18 +118,24 @@ def main(argv: list | None = None) -> int:
         for name in trees:
             runs = readings[name, d]
             us = statistics.median(x["us_per_vertex"] for x in runs)
-            first = rungs[0][name]["us_per_vertex"] if rungs else us
+            scaled = statistics.median(x["scaled_us_per_vertex"] for x in runs)
+            first = rungs[0][name] if rungs else {"us_per_vertex": us,
+                                                  "scaled_us_per_vertex": scaled}
             row[name] = {
                 "us_per_vertex": us,
-                f"over_q{DIMS[0]}": round(us / first, 3),
+                f"over_q{DIMS[0]}": round(us / first["us_per_vertex"], 3),
+                "scaled_us_per_vertex": scaled,
+                f"scaled_over_q{DIMS[0]}": round(scaled / first["scaled_us_per_vertex"], 3),
                 "ms_per_solve": statistics.median(x["ms_per_solve"] for x in runs),
                 "vertices_per_solve": runs[0]["vertices_per_solve"],
                 "runs_us_per_vertex": [x["us_per_vertex"] for x in runs],
+                "runs_scaled_us_per_vertex": [x["scaled_us_per_vertex"] for x in runs],
             }
         rungs.append(row)
     report = {
         "command": "python3 scripts/vertex_ladder.py " + " ".join(argv or sys.argv[1:]),
         "seed": SEED, "passes": PASSES, "repeats": REPEATS,
+        "ref_nominal_ns": REF_NOMINAL_NS,
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "platform": platform.platform()},
         "rungs": rungs,

@@ -744,19 +744,27 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
     node is one extension step of one path (``nodes_used`` counts them),
     and reaching a pair's target starts the next pair.
 
-    On a cube the first node's walks are taken before the search starts:
-    each pair's ``_cube_walk`` from its source, around the first source and
-    the pair's barred vertices, the walk that the first node's ``_reach``
-    tries first.  Each walk that arrives is that pair's witness, the list
-    the first node would compute.  When every walk arrives, no two walks
-    share a vertex and the k sources plus the walks' vertices fit in the
-    budget, the walks are the linkage, at one node per vertex, and the
-    search returns them unrun: at each step of a walk, every neighbour that
-    ``_cube_steps`` orders before the walk's next vertex was barred when
-    the walk ran and is barred still, since the used vertices only grow;
-    the next vertex itself is free, since the walks are disjoint; so the
-    search steps along the walks and never re-tests a pair.  Otherwise the
-    search runs with those witnesses, to the same outcome.
+    On a cube the paths that the search steps along first are found before
+    it starts.  Pair by pair, in order, each pair walks from its source
+    (``_cube_walk``) around its source, every vertex of the earlier pairs'
+    paths, its own trail so far and its barred vertices; where the walk
+    sticks, it steps onto the first neighbour that ``_cube_steps`` draws
+    clear of those vertices, the search's first option there, and walks on.
+    When every pair arrives and the k sources plus the paths' vertices fit
+    the budget, the paths are the linkage, at one node per vertex, and the
+    search is not run.  The result is exact: at every node along these
+    paths no re-test can prune, since the routed pair still reaches its
+    target along the rest of its own path, and every later pair reaches its
+    target along its own path, which avoids every earlier path in full.  So
+    the search never backtracks, and at each node its first option is the
+    path's next vertex: a walk step is ``_cube_steps``' first closer option,
+    and a detour is its first option outright.  The search would return the
+    same linkage and pair order, with k plus the paths' vertices after
+    their sources as its node count.  Otherwise the search runs, with each
+    arrived path as its pair's witness, to the same outcome.  A pair takes
+    at most d detours: around a walled-in end no path arrives, and an
+    uncapped greedy walk would wander through much of the cube before the
+    first node's BFS proves the cut in one layer.
     """
     pairs = Y.pairs
     cube = isinstance(G, CubeGraph)
@@ -777,15 +785,29 @@ def decide_linked(G: HostGraph, Y: Pairing, budget: int = DEFAULT_NODE_BUDGET) -
     used = {sources[0]}
     order = tuple(range(k))
     witness: list = [None] * k
-    if cube:  # the first node's walks; see the docstring's last paragraph
+    if cube:  # the search's first paths; see the docstring's last paragraph
         d = G.d
-        for j in range(k):
-            trail = _cube_walk(d, sources[j], targets[j], used, blocked[j])
-            if trail and trail[-1] == targets[j]:
-                witness[j] = trail
-        if all(witness):
+        taken: set = set()  # the earlier pairs' paths and this pair's so far
+        for j, (s, t) in enumerate(pairs):
+            taken.add(s)
+            trail = _cube_walk(d, s, t, taken, blocked[j])
+            taken.update(trail)
+            detours = d
+            while (end := trail[-1] if trail else s) != t and detours:
+                v = next(_cube_steps(d, end, t, taken, blocked[j]), None)
+                if v is None:
+                    break
+                step = _cube_walk(d, v, t, taken, blocked[j])
+                taken.add(v)
+                taken.update(step)
+                trail += [v, *step]
+                detours -= 1
+            if end != t:
+                break
+            witness[j] = trail
+        else:
             total = sum(map(len, witness))
-            if k + total <= budget and len(set().union(*witness)) == total:
+            if k + total <= budget:
                 return DecideOutcome(LINKED, [[s, *trail] for s, trail in
                                               zip(sources, witness)], order, k + total)
     else:

@@ -702,6 +702,18 @@ class TestBfsWitness:
         _check_bfs_witness(G, s, t, used, blocked | G.removed)
 
 
+def _log_calls(monkeypatch, *names) -> list:
+    """Wrap each named path_oracle function so that every call appends its
+    name to the returned list."""
+    log = []
+    for name in names:
+        def spy(*args, name=name, test=getattr(path_oracle, name)):
+            log.append(name)
+            return test(*args)
+        monkeypatch.setattr(path_oracle, name, spy)
+    return log
+
+
 class TestCutTest:
     """The incremental search's reachability test answers exactly what a
     plain BFS does, and every witness it returns is a path of allowed
@@ -753,10 +765,13 @@ class TestCutTest:
         assert hosts and set(hosts) == {CubeGraph(3)}
 
     @pytest.mark.parametrize("end", ["target", "source"])
-    def test_enclosed_end_of_q20_is_cut_at_the_first_node(self, end):
+    def test_enclosed_end_of_q20_is_cut_at_the_first_node(self, monkeypatch, end):
         # every neighbour of one end of pair 0 is a foreign terminal: the
         # walks stick and the BFS grown from that end runs out at once,
-        # where a BFS from the other end alone would visit nearly all of Q20
+        # where a BFS from the other end alone would visit nearly all of Q20;
+        # the greedy paths before the search take at most d detours a pair,
+        # so they cannot wander Q20 instead
+        log = _log_calls(monkeypatch, "_cube_walk", "_reach")
         d, top = 20, (1 << 20) - 1
         enclosed = top if end == "target" else 0
         ring = [enclosed ^ 1 << i for i in range(d)]
@@ -766,6 +781,8 @@ class TestCutTest:
         elapsed = time.perf_counter() - start
         assert (out.status, out.nodes_used) == (UNLINKED, 1)
         assert elapsed < 0.5
+        assert "_reach" in log
+        assert log.index("_reach") <= Y.k * (d + 1)
 
 
 def _cubelink_imports(tree) -> set:
@@ -854,8 +871,8 @@ class TestCubeSteps:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_walk_takes_the_first_free_neighbour(self, data):
-        # decide_linked returns the first node's walks as the search's own
-        # first path; that rests on this equality, for arrived and stuck walks
+        # decide_linked returns its greedy paths as the search's own first
+        # paths; that rests on this equality, for arrived and stuck walks
         d = data.draw(st.integers(1, 64))
         s = data.draw(st.integers(0, (1 << d) - 1))
         t = data.draw(st.integers(0, (1 << d) - 1))
@@ -1154,7 +1171,7 @@ class TestDecideReference:
 
     # (host, k, samples, seed): nodes, _cube_witness calls, _bfs_witness calls
     RETEST_PINS = (
-        ("cube:5", 3, 5000, 11, 54292, 2321, 39),
+        ("cube:5", 3, 5000, 11, 54292, 7, 2),
         ("pyramid2-quad", 2, 2000, 11, 8532, 0, 4048),
     )
 
@@ -1174,9 +1191,10 @@ class TestDecideReference:
 
 
 class TestFirstNodeWalks:
-    """On a cube, decide_linked returns the first node's walks unsearched
-    when they are disjoint and fit the budget; the outcome is the one the
-    search reaches by stepping along them."""
+    """On a cube, decide_linked returns the paths that the search steps
+    along first, found greedily pair by pair, unsearched when every pair
+    arrives and they fit the budget; the outcome is the one the search
+    reaches by stepping along them."""
 
     def test_budget_boundary(self, monkeypatch):
         calls = []
@@ -1190,7 +1208,7 @@ class TestFirstNodeWalks:
             G, Y = inst.host_graph(), inst.pairing
             calls.clear()
             out = decide_linked(G, Y)
-            if calls:  # a pair was re-tested, so the walks did not answer
+            if calls:  # a pair was re-tested, so the greedy paths did not answer
                 continue
             answered += 1
             n = out.nodes_used
@@ -1199,7 +1217,38 @@ class TestFirstNodeWalks:
             assert decide_linked(G, Y, budget=n) == out
             over = decide_linked(G, Y, budget=n - 1)
             assert (over.status, over.linkage, over.nodes_used) == (BUDGET_EXCEEDED, None, n)
-        assert answered >= 150
+        assert answered >= 297
+
+    def test_matches_reference_on_every_branch(self, monkeypatch):
+        # Q5-Q7 at maximal k, and Q5 with one pair over the range, where the
+        # greedy paths sometimes stick and the search runs
+        walk = path_oracle._cube_walk
+        log = _log_calls(monkeypatch, "_cube_walk", "_reach")
+        branches = Counter()
+        for host, k, n, seed in (("cube:5", 3, 400, 31), ("cube:6", 3, 150, 32),
+                                 ("cube:7", 4, 80, 33), ("cube:5", 4, 500, 34)):
+            for inst in sample_instances(host, k, n, seed):
+                G, Y = inst.host_graph(), inst.pairing
+                log.clear()
+                out = decide_linked(G, Y)
+                assert (out.status, out.linkage, out.nodes_used) == _reference_decide(G, Y)
+                assert out.pair_order == tuple(range(k))
+                if "_reach" in log:
+                    branches["searched"] += 1
+                    continue
+                if len(log) > k:  # a pair stuck and stepped off its walk
+                    branches["detoured"] += 1
+                # answered, although the walks that the pairs take around
+                # the first source alone, as the first node's re-tests
+                # would, share a vertex
+                barred = G.removed.union(*Y.pairs)
+                alone = [walk(G.d, s, t, {Y.pairs[0][0]}, barred - {s, t})
+                         for s, t in Y.pairs]
+                if len(set().union(*alone)) < sum(map(len, alone)):
+                    branches["collided"] += 1
+        assert branches["detoured"] >= 60
+        assert branches["collided"] >= 200
+        assert branches["searched"] >= 5
 
     # (host, k, strong, samples, seed, nodes): sha256 of [status, linkage,
     # nodes_used] per instance, recorded before the first node's walks
